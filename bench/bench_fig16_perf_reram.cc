@@ -7,16 +7,15 @@
  *
  * Workloads run as independent ParallelSweep points (NVCK_JOBS=1 opts
  * out); results print in submission order so the table matches the
- * serial run byte for byte. The baseline/proposal pair inside one
- * point stays sequential (pass 2 needs pass 1's C factor).
+ * serial run byte for byte, and tests/sim/test_bench_golden.cc locks
+ * it. The baseline/proposal pair inside one point stays sequential
+ * (pass 2 needs pass 1's C factor).
  */
 
 #include <iostream>
 
 #include "bench_common.hh"
-#include "common/table.hh"
-#include "sim/parallel.hh"
-#include "workload/profiles.hh"
+#include "sweeps.hh"
 
 using namespace nvck;
 
@@ -26,38 +25,6 @@ main(int argc, char **argv)
     const auto opts = SweepOptions::parse(argc, argv);
     banner("Figure 16",
            "performance normalized to baseline, ReRAM latencies");
-
-    const auto rc = benchRunControl();
-    ParallelSweep<AbResult> sweep(16, opts);
-    for (const auto &name : allBenchmarkNames())
-        sweep.add(name, [name, rc] {
-            AbResult ab;
-            ab.baseline = runBaseline(PmTech::Reram, name, 1, rc);
-            ab.proposal = runProposal(PmTech::Reram, name, 1, rc);
-            return ab;
-        });
-
-    Table t({"workload", "metric", "baseline", "proposal", "normalized",
-             "C"});
-    double sum = 0.0;
-    unsigned count = 0;
-    for (const auto &out : sweep.run()) {
-        const auto &base = out.value.baseline;
-        const auto &prop = out.value.proposal;
-        const double rel = prop.perf / base.perf;
-        t.row()
-            .cell(out.label)
-            .cell(findProfile(out.label).flops ? "MFLOPS" : "IPC")
-            .cell(base.perf, 4)
-            .cell(prop.perf, 4)
-            .cell(rel, 4)
-            .cell(prop.cFactor, 3);
-        sum += rel;
-        ++count;
-    }
-    t.print(std::cout);
-    if (count)
-        std::cout << "\naverage normalized performance: " << sum / count
-                  << "  (paper: 0.986, i.e. 1.4% overhead)\n";
+    fig16PerfReram(std::cout, opts);
     return 0;
 }

@@ -5,27 +5,36 @@
  * legacy heap kernel (`NVCK_EVENT_QUEUE=heap`), run side by side in
  * one process via the SystemConfig::kernel override.
  *
- * Three scenarios:
+ * Four scenarios:
  *   - churn_ring:  self-rescheduling event sources whose delays all
  *     land inside the calendar window — the tCAS/tBurst/step-quantum
  *     regime that dominates every timing sweep.
  *   - churn_mixed: same churn with ~1.6% of delays beyond the window,
  *     exercising the overflow tier and its promotions.
  *   - fig16_reram: one fig16-shaped proposal run (ReRAM latencies,
- *     WHISPER workload) end to end, reporting both events/sec and
- *     simulated-ticks/sec.
+ *     WHISPER workload) end to end.
+ *   - fig17_pcm_hashmap: fig17's costliest point end to end — the
+ *     two-pass PCM proposal run of the write-only hashmap queries.
  *
  * Every scenario is identity-cross-checked before it is timed: the
  * churn scripts must drain in the same order under both kernels (an
- * order hash over (tick, source) pairs) and the fig16 runs must agree
- * on every RunMetrics field; any divergence fails the run. "mbps" in
- * the JSON is Mevents/s so scripts/check_bench.py gates it unchanged.
+ * order hash over (tick, source) pairs) and the end-to-end runs must
+ * agree on every RunMetrics field; any divergence fails the run.
+ *
+ * The gated figure of merit ("mbps" in the JSON, which
+ * scripts/check_bench.py compares) is Mevents/s for the churn scripts,
+ * where events are the work, and simulated microseconds per host
+ * second for the end-to-end runs. Events/s would reward a simulator
+ * that schedules pointless events, so there it is only reported
+ * ("mevents_per_s").
  *
  * Usage: bench_timing_throughput [--points N] [--seed S] [--quick]
  *                                [--json PATH]
- *   --points N  scenarios to run (default all 3, CI smoke uses 2).
+ *   --points N  scenarios to run (default all 4).
  *   --seed S    base RNG seed (default 2018).
- *   --quick     shorter timing windows (CI smoke).
+ *   --quick     shorter timing windows and churn horizons (CI smoke);
+ *               the end-to-end runs keep their simulated window, so
+ *               their rates compare with a full run's.
  *   --json P    output path (default BENCH_timing_throughput.json).
  */
 
@@ -54,7 +63,7 @@ volatile std::uint64_t g_sink = 0;
 struct OpResult
 {
     double mevents = 0.0; //!< million executed events per second
-    double mticks = 0.0;  //!< million simulated ticks per second
+    double simUs = 0.0;   //!< simulated microseconds per host second
     double seconds = 0.0;
     std::uint64_t iters = 0;
     std::uint64_t events = 0;     //!< executed per op
@@ -69,6 +78,14 @@ struct Record
     std::string scenario;
     std::string path;
     OpResult res;
+    bool endToEnd = false;
+
+    /** The gated figure of merit (see the file comment). */
+    double
+    merit() const
+    {
+        return endToEnd ? res.simUs : res.mevents;
+    }
 };
 
 /**
@@ -155,7 +172,8 @@ measure(double min_seconds, double ticks_per_op, F &&op)
     // across iterations; scale only the rates.
     const double per_op = out.seconds / static_cast<double>(out.iters);
     out.mevents = static_cast<double>(out.events) / per_op / 1e6;
-    out.mticks = ticks_per_op / per_op / 1e6;
+    out.simUs = ticksToNs(static_cast<Tick>(ticks_per_op)) / 1000.0 /
+                per_op;
     return out;
 }
 
@@ -180,17 +198,21 @@ benchChurn(std::vector<Record> &records, const std::string &scenario,
     for (const EventKernel kernel :
          {EventKernel::Heap, EventKernel::Calendar}) {
         records.push_back({scenario, eventKernelName(kernel),
-                           measure(min_seconds, 0.0, [&] {
-                               return runChurn(kernel, seed, horizon,
-                                               long_every, false,
-                                               nullptr);
-                           })});
+                           measure(min_seconds, 0.0,
+                                   [&] {
+                                       return runChurn(kernel, seed,
+                                                       horizon,
+                                                       long_every, false,
+                                                       nullptr);
+                                   }),
+                           false});
     }
 }
 
 /** Exact-equality check over every RunMetrics field (exit 1). */
 void
-checkSameMetrics(const RunMetrics &a, const RunMetrics &b)
+checkSameMetrics(const RunMetrics &a, const RunMetrics &b,
+                 const char *scenario)
 {
     const bool same =
         a.ipc == b.ipc && a.mflops == b.mflops && a.perf == b.perf &&
@@ -208,22 +230,38 @@ checkSameMetrics(const RunMetrics &a, const RunMetrics &b)
         a.rowHitRate == b.rowHitRate;
     if (!same) {
         std::cerr << "FATAL: calendar/heap RunMetrics divergence in "
-                  << "fig16_reram\n";
+                  << scenario << "\n";
         std::exit(1);
     }
 }
 
-/** One fig16-shaped proposal run under the given kernel. */
-OpResult
-runFig16(EventKernel kernel, const std::string &workload,
-         std::uint64_t seed, const RunControl &rc, RunMetrics *metrics)
+/** One end-to-end proposal run shape. */
+struct EndToEnd
 {
-    SystemConfig cfg = SystemConfig::make(
-        PmTech::Reram, proposalScheme(runtimeRberFor(PmTech::Reram)),
-        workload, seed);
-    cfg.kernel = kernel;
+    const char *scenario;
+    PmTech tech;
+    const char *workload;
+    /** Both proposal passes (characterize C, then measure with the
+     *  inflated tWR), as a fig16/fig17 point runs them. */
+    bool twoPass;
+};
+
+/** One end-to-end proposal run under the given kernel. */
+OpResult
+runEndToEnd(EventKernel kernel, const EndToEnd &shape, std::uint64_t seed,
+            const RunControl &rc, RunMetrics *metrics)
+{
+    SchemeTiming scheme = proposalScheme(runtimeRberFor(shape.tech));
+    const auto pass = [&] {
+        SystemConfig cfg =
+            SystemConfig::make(shape.tech, scheme, shape.workload, seed);
+        cfg.kernel = kernel;
+        return runOnce(cfg, rc);
+    };
     const EventKernelTotals before = eventKernelTotals();
-    const RunMetrics m = runOnce(cfg, rc);
+    if (shape.twoPass)
+        applyCFactor(scheme, pass().cFactor);
+    const RunMetrics m = pass();
     const EventKernelTotals after = eventKernelTotals();
     OpResult out;
     out.events = after.executed - before.executed;
@@ -237,26 +275,29 @@ runFig16(EventKernel kernel, const std::string &workload,
 }
 
 void
-benchFig16(std::vector<Record> &records, std::uint64_t seed,
-           double min_seconds, double scale)
+benchEndToEnd(std::vector<Record> &records, const EndToEnd &shape,
+              std::uint64_t seed, double min_seconds, double scale)
 {
     const RunControl rc = benchRunControl(scale);
     const double ticks_per_op =
-        static_cast<double>(rc.warmup + rc.measure);
-    const std::string workload = "ycsb"; // WHISPER, fig16's left half
+        static_cast<double>((shape.twoPass ? 2 : 1) *
+                            (rc.warmup + rc.measure));
 
     RunMetrics calendar_m, heap_m;
-    runFig16(EventKernel::Calendar, workload, seed, rc, &calendar_m);
-    runFig16(EventKernel::Heap, workload, seed, rc, &heap_m);
-    checkSameMetrics(calendar_m, heap_m);
+    runEndToEnd(EventKernel::Calendar, shape, seed, rc, &calendar_m);
+    runEndToEnd(EventKernel::Heap, shape, seed, rc, &heap_m);
+    checkSameMetrics(calendar_m, heap_m, shape.scenario);
 
     for (const EventKernel kernel :
          {EventKernel::Heap, EventKernel::Calendar}) {
-        records.push_back({"fig16_reram", eventKernelName(kernel),
-                           measure(min_seconds, ticks_per_op, [&] {
-                               return runFig16(kernel, workload, seed,
-                                               rc, nullptr);
-                           })});
+        records.push_back({shape.scenario, eventKernelName(kernel),
+                           measure(min_seconds, ticks_per_op,
+                                   [&] {
+                                       return runEndToEnd(kernel, shape,
+                                                          seed, rc,
+                                                          nullptr);
+                                   }),
+                           true});
     }
 }
 
@@ -285,8 +326,9 @@ writeJson(const std::vector<Record> &records,
     for (std::size_t i = 0; i < records.size(); ++i) {
         const auto &r = records[i];
         os << "    {\"scenario\": \"" << r.scenario << "\", \"path\": \""
-           << r.path << "\", \"mbps\": " << r.res.mevents
-           << ", \"mticks_per_s\": " << r.res.mticks
+           << r.path << "\", \"mbps\": " << r.merit()
+           << ", \"mevents_per_s\": " << r.res.mevents
+           << ", \"sim_us_per_s\": " << r.res.simUs
            << ", \"events\": " << r.res.events
            << ", \"overflow_promotions\": " << r.res.promotions
            << ", \"peak_pending\": " << r.res.peakPending
@@ -299,8 +341,8 @@ writeJson(const std::vector<Record> &records,
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
         const Record *heap = find(records, scenarios[s], "heap");
         const Record *cal = find(records, scenarios[s], "calendar");
-        const double speedup = (heap && cal && heap->res.mevents > 0)
-                                   ? cal->res.mevents / heap->res.mevents
+        const double speedup = (heap && cal && heap->merit() > 0)
+                                   ? cal->merit() / heap->merit()
                                    : 0.0;
         os << "    \"" << scenarios[s] << "\": " << speedup
            << (s + 1 < scenarios.size() ? "," : "") << "\n";
@@ -315,7 +357,7 @@ int
 main(int argc, char **argv)
 {
     double min_seconds = 0.25;
-    unsigned points = 3;
+    unsigned points = 4;
     std::uint64_t seed = 2018;
     bool quick = false;
     std::string json_path = "BENCH_timing_throughput.json";
@@ -356,37 +398,43 @@ main(int argc, char **argv)
                    min_seconds);
         scenarios.push_back("churn_mixed");
     }
-    if (points >= 3) {
-        benchFig16(records, seed, min_seconds, quick ? 0.05 : 0.25);
-        scenarios.push_back("fig16_reram");
+    // WHISPER ycsb is fig16's left half; hashmap is fig17's costliest
+    // point (PCM write queue full). Both run a quarter of the bench
+    // windows.
+    const EndToEnd shapes[] = {
+        {"fig16_reram", PmTech::Reram, "ycsb", false},
+        {"fig17_pcm_hashmap", PmTech::Pcm, "hashmap", true},
+    };
+    for (unsigned i = 0; i < 2 && points >= 3 + i; ++i) {
+        benchEndToEnd(records, shapes[i], seed, min_seconds, 0.25);
+        scenarios.push_back(shapes[i].scenario);
     }
 
-    Table table({"scenario", "heap Mev/s", "calendar Mev/s", "speedup",
+    Table table({"scenario", "heap Mev/s", "calendar Mev/s",
+                 "heap sim us/s", "calendar sim us/s", "speedup",
                  "events/op"});
     double churn_speedup = 0.0;
     for (const auto &scenario : scenarios) {
         const Record *heap = find(records, scenario, "heap");
         const Record *cal = find(records, scenario, "calendar");
-        const double speedup = cal->res.mevents / heap->res.mevents;
-        if (scenario.rfind("churn_", 0) == 0 && speedup > churn_speedup)
+        const double speedup = cal->merit() / heap->merit();
+        if (!cal->endToEnd && speedup > churn_speedup)
             churn_speedup = speedup;
-        table.row()
-            .cell(scenario)
-            .cell(heap->res.mevents)
-            .cell(cal->res.mevents)
-            .cell(speedup)
-            .cell(static_cast<double>(cal->res.events), 0);
+        auto &row = table.row()
+                        .cell(scenario)
+                        .cell(heap->res.mevents)
+                        .cell(cal->res.mevents);
+        if (cal->endToEnd)
+            row.cell(heap->res.simUs).cell(cal->res.simUs);
+        else
+            row.cell("-").cell("-");
+        row.cell(speedup).cell(static_cast<double>(cal->res.events), 0);
     }
     table.print(std::cout);
-    std::cout << "best event-kernel speedup (churn): "
-              << Table::formatNumber(churn_speedup, 3) << "x\n";
-    if (const Record *cal = find(records, "fig16_reram", "calendar")) {
-        const Record *heap = find(records, "fig16_reram", "heap");
-        std::cout << "fig16 end-to-end: "
-                  << Table::formatNumber(heap->res.mticks, 3) << " -> "
-                  << Table::formatNumber(cal->res.mticks, 3)
-                  << " Mticks/s simulated\n";
-    }
+    std::cout << "best event-kernel speedup (churn, events/s): "
+              << Table::formatNumber(churn_speedup, 3) << "x\n"
+              << "end-to-end speedups compare simulated us per host"
+                 " second\n";
 
     writeJson(records, scenarios, json_path);
     return 0;

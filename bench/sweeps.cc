@@ -137,6 +137,88 @@ fig15Cfactor(std::ostream &os, const SweepOptions &opts,
           " EUR; scattered updates (hashmap-style) do not.\n";
 }
 
+namespace {
+
+/** Averages a fig16/fig17 table leaves for its footer. */
+struct NormalizedPerf
+{
+    double sum = 0.0;
+    unsigned count = 0;
+    double worst = 1.0;
+    std::string worstName;
+};
+
+/**
+ * The shared body of Figs 16/17: every workload's baseline/proposal
+ * pair as one point (pass 2 needs pass 1's C factor, so the pair stays
+ * sequential), one row per workload.
+ */
+NormalizedPerf
+perfVsBaseline(std::ostream &os, const SweepOptions &opts,
+               const BenchScale &scale, PmTech tech, std::uint64_t id)
+{
+    const auto rc = benchRunControl(scale.time);
+    ParallelSweep<AbResult> sweep(id, opts);
+    for (const auto &name : allBenchmarkNames())
+        sweep.add(name, [name, rc, tech] {
+            AbResult ab;
+            ab.baseline = runBaseline(tech, name, 1, rc);
+            ab.proposal = runProposal(tech, name, 1, rc);
+            return ab;
+        });
+
+    Table t({"workload", "metric", "baseline", "proposal", "normalized",
+             "C"});
+    NormalizedPerf np;
+    for (const auto &out : sweep.run()) {
+        const auto &base = out.value.baseline;
+        const auto &prop = out.value.proposal;
+        const double rel = prop.perf / base.perf;
+        t.row()
+            .cell(out.label)
+            .cell(findProfile(out.label).flops ? "MFLOPS" : "IPC")
+            .cell(base.perf, 4)
+            .cell(prop.perf, 4)
+            .cell(rel, 4)
+            .cell(prop.cFactor, 3);
+        np.sum += rel;
+        ++np.count;
+        if (rel < np.worst) {
+            np.worst = rel;
+            np.worstName = out.label;
+        }
+    }
+    t.print(os);
+    return np;
+}
+
+} // namespace
+
+void
+fig16PerfReram(std::ostream &os, const SweepOptions &opts,
+               const BenchScale &scale)
+{
+    const NormalizedPerf np =
+        perfVsBaseline(os, opts, scale, PmTech::Reram, 16);
+    if (np.count)
+        os << "\naverage normalized performance: " << np.sum / np.count
+           << "  (paper: 0.986, i.e. 1.4% overhead)\n";
+}
+
+void
+fig17PerfPcm(std::ostream &os, const SweepOptions &opts,
+             const BenchScale &scale)
+{
+    const NormalizedPerf np =
+        perfVsBaseline(os, opts, scale, PmTech::Pcm, 17);
+    if (np.count)
+        os << "\naverage normalized performance: " << np.sum / np.count
+           << "  (paper: 0.977, i.e. 2.3% overhead)\n"
+           << "worst case: " << np.worstName << " at " << np.worst
+           << "  (paper: hashmap at 0.86 — write-only queries"
+              " feel the tWR inflation most)\n";
+}
+
 void
 fig18OmvHitRate(std::ostream &os, const SweepOptions &opts,
                 const BenchScale &scale)

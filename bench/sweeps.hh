@@ -52,6 +52,14 @@ void fig14AccessBreakdown(std::ostream &os, const SweepOptions &opts,
 void fig15Cfactor(std::ostream &os, const SweepOptions &opts,
                   const BenchScale &scale = BenchScale{});
 
+/** Figure 16: proposal performance vs baseline, ReRAM latencies. */
+void fig16PerfReram(std::ostream &os, const SweepOptions &opts,
+                    const BenchScale &scale = BenchScale{});
+
+/** Figure 17: proposal performance vs baseline, PCM latencies. */
+void fig17PerfPcm(std::ostream &os, const SweepOptions &opts,
+                  const BenchScale &scale = BenchScale{});
+
 /** Figure 18: OMV served-from-LLC rate, plus scaled-cache section. */
 void fig18OmvHitRate(std::ostream &os, const SweepOptions &opts,
                      const BenchScale &scale = BenchScale{});

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/page_alloc.hh"
 #include "common/types.hh"
 
 namespace nvck {
@@ -100,7 +101,7 @@ class SetAssocCache
 
     std::size_t numSets;
     unsigned numWays;
-    std::vector<CacheLine> store;
+    std::vector<CacheLine, PageAllocator<CacheLine>> store;
     std::uint64_t stampCounter = 0;
 };
 

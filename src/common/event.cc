@@ -62,12 +62,17 @@ eventKernelTotals()
     return t;
 }
 
+EventQueue::Ring::Ring(std::uint32_t slots)
+    : buckets(slots)
+    , bitsL0(slots / 64, 0)
+    , bitsL1((slots + 4095) / 4096, 0)
+{}
+
 EventQueue::EventQueue(EventKernel kernel) : impl(kernel)
 {
     if (impl == EventKernel::Calendar) {
-        buckets.resize(ringSize);
-        bitsL0.assign(ringSize / 64, 0);
-        bitsL1.assign(bitsL0.size() / 64, 0);
+        fine = Ring(fineSize);
+        coarse = Ring(ringSize);
     }
 }
 
@@ -182,30 +187,31 @@ EventQueue::rearm(Recurring ev, Tick when)
 }
 
 void
-EventQueue::markBucket(std::uint32_t idx)
+EventQueue::Ring::mark(std::uint32_t slot)
 {
-    bitsL0[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    bitsL1[idx >> 12] |= std::uint64_t{1} << ((idx >> 6) & 63);
-    bitsL2 |= std::uint64_t{1} << (idx >> 12);
+    bitsL0[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    bitsL1[slot >> 12] |= std::uint64_t{1} << ((slot >> 6) & 63);
+    bitsL2 |= std::uint64_t{1} << (slot >> 12);
 }
 
 void
-EventQueue::clearBucket(std::uint32_t idx)
+EventQueue::Ring::clear(std::uint32_t slot)
 {
-    bitsL0[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-    if (bitsL0[idx >> 6] == 0) {
-        bitsL1[idx >> 12] &= ~(std::uint64_t{1} << ((idx >> 6) & 63));
-        if (bitsL1[idx >> 12] == 0)
-            bitsL2 &= ~(std::uint64_t{1} << (idx >> 12));
+    bitsL0[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    if (bitsL0[slot >> 6] == 0) {
+        bitsL1[slot >> 12] &= ~(std::uint64_t{1} << ((slot >> 6) & 63));
+        if (bitsL1[slot >> 12] == 0)
+            bitsL2 &= ~(std::uint64_t{1} << (slot >> 12));
     }
 }
 
 std::uint32_t
-EventQueue::findSetFrom(std::uint32_t pos) const
+EventQueue::Ring::findFrom(std::uint32_t pos) const
 {
-    // Two-segment search over the logical window: [pos, ringSize) is the
+    // Two-segment search over the logical window: [pos, size) is the
     // near half, [0, pos) holds the wrapped-around far half. Each
     // segment resolves through the three bitmap levels in O(1) word ops.
+    const std::uint32_t size = static_cast<std::uint32_t>(buckets.size());
     auto firstInSegment = [this](std::uint32_t from,
                                  std::uint32_t to) -> std::uint32_t {
         if (from >= to)
@@ -249,40 +255,38 @@ EventQueue::findSetFrom(std::uint32_t pos) const
         return bit < to ? bit : nil;
     };
 
-    std::uint32_t hit = firstInSegment(pos, ringSize);
+    std::uint32_t hit = firstInSegment(pos, size);
     if (hit != nil)
         return hit;
     return firstInSegment(0, pos);
 }
 
 void
-EventQueue::bucketPush(Node &n)
+EventQueue::ringPush(Ring &ring, std::uint32_t slot, Node &n)
 {
-    const std::uint32_t idx =
-        static_cast<std::uint32_t>(n.when) & ringMask;
-    Bucket &b = buckets[idx];
+    Bucket &b = ring.buckets[slot];
     n.next = nil;
     if (b.head == nil) {
         b.head = b.tail = n.self;
-        markBucket(idx);
+        ring.mark(slot);
     } else {
         node(b.tail).next = n.self;
         b.tail = n.self;
     }
-    ++ringCount;
+    ++ring.count;
 }
 
 std::uint32_t
-EventQueue::bucketPop(std::uint32_t idx)
+EventQueue::ringPop(Ring &ring, std::uint32_t slot)
 {
-    Bucket &b = buckets[idx];
+    Bucket &b = ring.buckets[slot];
     const std::uint32_t head = b.head;
     b.head = node(head).next;
     if (b.head == nil) {
         b.tail = nil;
-        clearBucket(idx);
+        ring.clear(slot);
     }
-    --ringCount;
+    --ring.count;
     return head;
 }
 
@@ -319,23 +323,56 @@ EventQueue::overflowPopMin()
 void
 EventQueue::insertCalendar(Node &n)
 {
-    if (n.when - currentTick < ringSpan)
-        bucketPush(n);
-    else
+    const Tick bucket = n.when >> bucketShift;
+    if (bucket < cascadeNext) {
+        ringPush(fine, static_cast<std::uint32_t>(n.when) & fineMask, n);
+    } else if (bucket - cascadeNext < ringSize) {
+        ringPush(coarse, static_cast<std::uint32_t>(bucket) & ringMask, n);
+    } else {
         overflowPush(n.self);
+    }
+}
+
+Tick
+EventQueue::firstCoarseBucket() const
+{
+    const std::uint32_t pos = static_cast<std::uint32_t>(cascadeNext) &
+                              ringMask;
+    const std::uint32_t slot = coarse.findFrom(pos);
+    return cascadeNext + ((slot - pos) & ringMask);
 }
 
 void
-EventQueue::promote()
+EventQueue::advance()
 {
-    // Popping the overflow heap yields (when, seq) order, so each
-    // bucket receives its promoted events already FIFO-sorted — and any
-    // later direct schedule at the same tick necessarily carries a
-    // larger seq (the window covers the tick from this point on).
+    // Cascade, in bucket order, every coarse bucket the fine window
+    // [now, now + fineSize) now covers whole. Each bucket's FIFO holds
+    // its ticks' events in seq order, and no direct schedule can have
+    // reached those fine slots yet, so the slots stay seq-sorted.
+    const Tick target = (currentTick + fineSize) >> bucketShift;
+    if (target <= cascadeNext)
+        return;
+    while (coarse.count > 0) {
+        const Tick bucket = firstCoarseBucket();
+        if (bucket >= target)
+            break;
+        const std::uint32_t slot =
+            static_cast<std::uint32_t>(bucket) & ringMask;
+        while (coarse.buckets[slot].head != nil) {
+            Node &n = node(ringPop(coarse, slot));
+            ringPush(fine, static_cast<std::uint32_t>(n.when) & fineMask,
+                     n);
+        }
+    }
+    cascadeNext = target;
+    // Then promote what the coarse window now covers. Overflow events
+    // lie beyond every coarse bucket, so popping the heap in (when, seq)
+    // order puts each one ahead of any later direct schedule at its
+    // tick; after a long jump some land straight in the fine ring.
     while (!overflow.empty() &&
-           node(overflow.front()).when - currentTick < ringSpan) {
-        const std::uint32_t idx = overflowPopMin();
-        bucketPush(node(idx));
+           (node(overflow.front()).when >> bucketShift) <
+               cascadeNext + ringSize) {
+        insertCalendar(node(overflowPopMin()));
         statistics.overflowPromotions.inc();
     }
 }
@@ -343,11 +380,20 @@ EventQueue::promote()
 Tick
 EventQueue::nextWhen() const
 {
-    if (ringCount > 0) {
-        const std::uint32_t pos =
-            static_cast<std::uint32_t>(currentTick) & ringMask;
-        const std::uint32_t idx = findSetFrom(pos);
-        return node(buckets[idx].head).when;
+    if (fine.count > 0) {
+        const std::uint32_t slot = fine.findFrom(
+            static_cast<std::uint32_t>(currentTick) & fineMask);
+        return node(fine.buckets[slot].head).when;
+    }
+    if (coarse.count > 0) {
+        // Coarse buckets are FIFO, not sorted: scan the first one.
+        const std::uint32_t slot =
+            static_cast<std::uint32_t>(firstCoarseBucket()) & ringMask;
+        Tick best = node(coarse.buckets[slot].head).when;
+        for (std::uint32_t i = node(coarse.buckets[slot].head).next;
+             i != nil; i = node(i).next)
+            best = std::min(best, node(i).when);
+        return best;
     }
     return node(overflow.front()).when;
 }
@@ -355,24 +401,28 @@ EventQueue::nextWhen() const
 void
 EventQueue::executeNext()
 {
-    if (ringCount == 0) {
-        // Every pending event sits beyond the window: jump time to the
-        // overflow minimum, re-cover the window, and fall through to
-        // the normal bucket pop.
-        currentTick = node(overflow.front()).when;
-        promote();
+    if (fine.count == 0) {
+        // Nothing is due inside the fine window. Jump time forward to
+        // the latest tick whose window covers the first non-empty
+        // coarse bucket whole (still no later than any event in it),
+        // or to the overflow minimum, and slide the windows there.
+        if (coarse.count > 0) {
+            currentTick = ((firstCoarseBucket() + 1) << bucketShift) -
+                          fineSize;
+        } else {
+            currentTick = node(overflow.front()).when;
+        }
+        advance();
     }
-    const std::uint32_t pos =
-        static_cast<std::uint32_t>(currentTick) & ringMask;
-    const std::uint32_t bucketIdx = findSetFrom(pos);
-    const std::uint32_t idx = bucketPop(bucketIdx);
+    const std::uint32_t idx = ringPop(
+        fine, fine.findFrom(static_cast<std::uint32_t>(currentTick) &
+                            fineMask));
     Node &n = node(idx);
     if (n.when != currentTick) {
         currentTick = n.when;
-        // The window advanced with time: promote before running the
-        // action, so anything it schedules inside the new window can
-        // never leapfrog an earlier-seq overflow event at the same tick.
-        promote();
+        // The windows advance with time: slide them before running the
+        // action, so what it schedules lands in the nearest tier.
+        advance();
     }
     --sizeCount;
     statistics.executed.inc();
@@ -429,10 +479,8 @@ EventQueue::runUntil(Tick limit)
     // to the limit would skip time the dead machine never lived.
     if (!halted && currentTick < limit) {
         currentTick = limit;
-        // The idle advance moves the window too: promote now, or a
-        // direct schedule after this runUntil could land in a bucket
-        // ahead of an earlier-seq overflow event at the same tick.
-        promote();
+        // The idle advance moves the windows too.
+        advance();
     }
 }
 

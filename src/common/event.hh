@@ -7,30 +7,35 @@
  *
  * Two interchangeable kernels produce the exact same execution order:
  *
- *  - Calendar (default): a two-tier calendar queue. The near-future
- *    tier is a power-of-two ring of per-tick FIFO buckets covering
- *    ringSpan ticks ahead of now() — every short-delay event (tCAS,
- *    tBurst, retry backoffs, the cores' step quantum) schedules and
- *    pops in O(1) with no comparator churn. Events beyond the window
- *    wait in a sorted overflow tier (a small binary heap) and are
- *    promoted into buckets whenever now() advances, before anything at
- *    their tick can run or be scheduled. Actions live in pooled event
- *    nodes as small-buffer InlineActions, so steady-state scheduling
- *    performs zero heap allocations.
+ *  - Calendar (default): a hierarchical calendar queue (timing
+ *    wheel). A fine ring of one-tick FIFO slots covers the next
+ *    fineSize ticks; a coarse ring of FIFO buckets, bucketTicks (~1 ns)
+ *    each, covers ~16.8 us (ringSpan) beyond it — long enough
+ *    that NVRAM write recovery, EUR drains and the write queue's age
+ *    bound never leave the rings. Every schedule is an O(1) append with
+ *    no comparator churn; a coarse bucket is cascaded into fine slots,
+ *    in FIFO order, once the fine window covers it whole. Events beyond
+ *    the coarse window wait in a sorted overflow tier (a small binary
+ *    heap) and are promoted whenever now() advances, before anything
+ *    at their tick can run or be scheduled. Actions live in pooled
+ *    event nodes as small-buffer InlineActions, so steady-state
+ *    scheduling performs zero heap allocations.
  *  - Heap (NVCK_EVENT_QUEUE=heap): the legacy kernel, kept verbatim as
  *    a differential baseline — one std::priority_queue of
  *    {Tick, seq, std::function} entries, an allocation per scheduled
  *    closure and O(log n) per push/pop.
  *
  * Determinism argument for the calendar tier: seq numbers increase
- * monotonically with schedule order. A bucket receives events either
- * by direct schedule (seq ascending over time) or by promotion, and
- * promotions happen in (when, seq) heap order at the instant the
- * window first covers their tick — before any direct schedule at that
- * tick is possible (an event is only eligible for direct placement
- * once its tick is inside the window, and every window advance
- * promotes first). Hence every bucket FIFO is seq-sorted and the drain
- * order equals the heap kernel's (when, seq) order exactly.
+ * monotonically with schedule order, and both windows only move
+ * forward. A tier accepts events at a tick only once its window covers
+ * that tick, and every window advance first hands the previous tier's
+ * events for the newly covered ticks over — overflow to coarse in
+ * (when, seq) heap order, coarse to fine in bucket FIFO order — before
+ * any direct schedule there is possible. So for every tick, each
+ * bucket and slot receives that tick's events in seq order, and each
+ * fine slot (one tick) is a seq-sorted FIFO. The fine window holds
+ * exactly the earliest ticks, so the drain order equals the heap
+ * kernel's (when, seq) order exactly.
  */
 
 #ifndef NVCK_COMMON_EVENT_HH
@@ -46,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/page_alloc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -164,8 +170,27 @@ EventKernelTotals eventKernelTotals();
 class EventQueue
 {
   public:
-    /** Ticks the near-future ring covers ahead of now(). */
-    static constexpr Tick ringSpan = Tick{1} << 17;
+    /** Ticks in the fine ring's window (one-tick slots). */
+    static constexpr std::uint32_t fineSize = std::uint32_t{1} << 12;
+    /** log2 of the ticks one coarse bucket covers. */
+    static constexpr unsigned bucketShift = 10;
+    /** Ticks per coarse bucket (1024 ps, ~1 ns). */
+    static constexpr Tick bucketTicks = Tick{1} << bucketShift;
+    /** Coarse buckets (2^14). */
+    static constexpr std::uint32_t ringSize = std::uint32_t{1} << 14;
+    /**
+     * Ticks the fine window plus the coarse ring span (~16.8 us). An
+     * event due ringSpan or more ticks after now() waits in the
+     * overflow heap; one due less than ringSpan - bucketTicks ticks
+     * after never does. Covers the longest PM write recovery (PCM tWR
+     * with C-factor inflation, ~1.2 us) and the write queue's 10 us age
+     * bound.
+     */
+    static constexpr Tick ringSpan =
+        (Tick{ringSize} << bucketShift) + fineSize;
+    // The fine window must cover at least one whole coarse bucket, or
+    // a bucket could never be cascaded.
+    static_assert(fineSize >= bucketTicks);
 
     explicit EventQueue(EventKernel kernel = defaultEventKernel());
     ~EventQueue();
@@ -273,7 +298,7 @@ class EventQueue
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        std::uint32_t next = UINT32_MAX; //!< bucket FIFO / free list
+        std::uint32_t next = UINT32_MAX; //!< slot FIFO / free list
         std::uint32_t self = 0;          //!< own pool index
         bool recurring = false;
         bool queued = false;
@@ -298,15 +323,36 @@ class EventQueue
         }
     };
 
+    /** An intrusive FIFO of pooled nodes. */
     struct Bucket
     {
         std::uint32_t head = UINT32_MAX;
         std::uint32_t tail = UINT32_MAX;
     };
 
+    /**
+     * A power-of-two ring of FIFO buckets (at most 2^18) with a
+     * three-level occupancy bitmap, so the next non-empty bucket is two
+     * countr_zero chases away.
+     */
+    struct Ring
+    {
+        explicit Ring(std::uint32_t slots = 0);
+        void mark(std::uint32_t slot);
+        void clear(std::uint32_t slot);
+        /** First non-empty slot at ring position >= pos, wrapping
+         *  around; nil if the ring is empty. */
+        std::uint32_t findFrom(std::uint32_t pos) const;
+
+        std::vector<Bucket, PageAllocator<Bucket>> buckets;
+        std::vector<std::uint64_t> bitsL0; //!< one bit per bucket
+        std::vector<std::uint64_t> bitsL1; //!< one bit per L0 word
+        std::uint64_t bitsL2 = 0;          //!< one bit per L1 word
+        std::size_t count = 0;             //!< queued events
+    };
+
     static constexpr std::uint32_t nil = UINT32_MAX;
-    static constexpr std::uint32_t ringSize =
-        static_cast<std::uint32_t>(ringSpan);
+    static constexpr std::uint32_t fineMask = fineSize - 1;
     static constexpr std::uint32_t ringMask = ringSize - 1;
     static constexpr std::uint32_t chunkShift = 8; //!< 256 nodes/chunk
 
@@ -318,19 +364,24 @@ class EventQueue
     void checkNotPast(Tick when) const;
     void bumpPending();
 
+    /** Place @p n in the fine ring, the coarse ring or the overflow. */
     void insertCalendar(Node &n);
-    void bucketPush(Node &n);
-    std::uint32_t bucketPop(std::uint32_t idx);
+    /** Append @p n to @p ring's bucket @p slot. */
+    void ringPush(Ring &ring, std::uint32_t slot, Node &n);
+    /** Pop the head of @p ring's non-empty bucket @p slot. */
+    std::uint32_t ringPop(Ring &ring, std::uint32_t slot);
     void overflowPush(std::uint32_t idx);
     std::uint32_t overflowPopMin();
-    /** Move every overflow event now inside the window into buckets. */
-    void promote();
+    /**
+     * Slide both windows up to now(): cascade every coarse bucket the
+     * fine window now covers whole, then promote every overflow event
+     * the coarse window now covers. Runs whenever now() advances.
+     */
+    void advance();
+    /** Coarse bucket number of the first non-empty coarse bucket. */
+    Tick firstCoarseBucket() const;
     /** Earliest pending tick (requires !empty()). */
     Tick nextWhen() const;
-    /** First set bucket bit at logical position >= pos; nil if none. */
-    std::uint32_t findSetFrom(std::uint32_t pos) const;
-    void markBucket(std::uint32_t idx);
-    void clearBucket(std::uint32_t idx);
     /** Pop + dispatch the earliest event (advances now()). */
     void executeNext();
 
@@ -341,12 +392,13 @@ class EventQueue
     bool halted = false;
     EventQueueStats statistics;
 
-    // Calendar tier.
-    std::vector<Bucket> buckets;
-    std::vector<std::uint64_t> bitsL0; //!< one bit per bucket
-    std::vector<std::uint64_t> bitsL1; //!< one bit per L0 word
-    std::uint64_t bitsL2 = 0;          //!< one bit per L1 word
-    std::size_t ringCount = 0;
+    // Calendar tier. Fine slot t & fineMask holds tick t; coarse bucket
+    // b & ringMask holds ticks [b, b + 1) * bucketTicks.
+    Ring fine;
+    Ring coarse;
+    /** First coarse bucket not yet cascaded: ticks below
+     *  cascadeNext * bucketTicks live in the fine ring. */
+    Tick cascadeNext = fineSize >> bucketShift;
     std::vector<std::uint32_t> overflow; //!< (when,seq) min-heap
     // Node pool: chunked stable storage + an intrusive free list.
     std::vector<std::unique_ptr<Node[]>> chunks;

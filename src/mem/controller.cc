@@ -1,6 +1,7 @@
 #include "controller.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hh"
 
@@ -117,9 +118,25 @@ MemController::requestScheduling(Tick when)
 {
     if (wakeScheduled && wakeAt <= when)
         return;
+    // Any wake already queued for a later tick is superseded: bumping
+    // the generation turns it into a no-op when it fires, so exactly
+    // one wake is ever live.
     wakeScheduled = true;
     wakeAt = when;
-    eq.schedule(when, [this] { scheduleLoop(); });
+    const std::uint64_t gen = ++wakeGen;
+    eq.schedule(when, [this, gen] { wake(gen); });
+}
+
+void
+MemController::wake(std::uint64_t gen)
+{
+    if (gen != wakeGen)
+        return;
+    wakeScheduled = false;
+    scheduleLoop();
+    NVCK_ASSERT(idle() || (wakeScheduled && wakeAt > eq.now()),
+                "controller wake at tick ", eq.now(),
+                " left work queued without re-arming at a later tick");
 }
 
 int
@@ -281,7 +298,6 @@ MemController::issue(Queued q)
 void
 MemController::scheduleLoop()
 {
-    wakeScheduled = false;
     for (;;) {
         if (writeQueue.size() >= cfg.writeDrainHigh)
             draining = true;
@@ -333,36 +349,32 @@ MemController::scheduleLoop()
             continue;
         }
 
+        Tick write_earliest = 0;
         if (want_writes) {
-            Tick write_earliest = 0;
             const int write_idx = pickFrom(writeQueue, write_earliest);
-            if (write_idx >= 0 && write_earliest <= eq.now()) {
+            if (write_earliest <= eq.now()) {
                 Queued chosen = std::move(
                     writeQueue[static_cast<std::size_t>(write_idx)]);
                 writeQueue.erase(writeQueue.begin() + write_idx);
                 issue(std::move(chosen));
                 continue;
             }
-            if (write_idx >= 0 && read_idx >= 0) {
-                requestScheduling(
-                    std::min(read_earliest, write_earliest));
-                return;
-            }
-            if (write_idx >= 0) {
-                requestScheduling(write_earliest);
-                return;
-            }
         }
 
-        if (read_idx >= 0) {
-            requestScheduling(read_earliest);
-            return;
+        // Nothing can issue now. Sleep until the earliest tick at which
+        // this decision could change: a bank freeing up for a waiting
+        // read or an eligible write, or — while writes are held — the
+        // oldest write reaching the age bound. Queue-content changes
+        // (enqueue) wake the loop on their own.
+        Tick next = read_idx >= 0 ? read_earliest
+                                  : std::numeric_limits<Tick>::max();
+        if (want_writes) {
+            next = std::min(next, write_earliest);
+        } else if (!writeQueue.empty()) {
+            next = std::min(next, writeQueue.front().enqueued +
+                                      cfg.writeMaxAge);
         }
-        if (!writeQueue.empty() && !want_writes) {
-            // Nothing else to do: wake when the age bound hits.
-            requestScheduling(writeQueue.front().enqueued +
-                              cfg.writeMaxAge);
-        }
+        requestScheduling(next);
         return;
     }
 }

@@ -199,6 +199,8 @@ class MemController
     std::vector<Addr> queuedPmWrites() const;
 
   private:
+    friend class MemControllerTestPeer;
+
     struct Queued
     {
         MemRequest req;
@@ -217,7 +219,11 @@ class MemController
 
     const TimingParams &timing(bool is_pm) const;
     void decode(const MemRequest &req, Queued &out) const;
+    /** Arm the one live wake at @p when unless it is already due by
+     *  then; a later-armed wake is superseded. */
     void requestScheduling(Tick when);
+    /** Wake-event body: runs the loop unless @p gen is superseded. */
+    void wake(std::uint64_t gen);
     void scheduleLoop();
     /** Pick the next queue entry per FR-FCFS; -1 if none. */
     int pickFrom(const std::deque<Queued> &queue, Tick &earliest) const;
@@ -235,6 +241,8 @@ class MemController
     bool flushing = false;
     bool wakeScheduled = false;
     Tick wakeAt = 0;
+    /** Generation of the live wake; older queued wakes are stale. */
+    std::uint64_t wakeGen = 0;
     EurModel eur;
     CrashHooks crashHooks;
     MemControllerStats statistics;

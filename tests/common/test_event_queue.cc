@@ -137,8 +137,75 @@ TEST_P(EventQueueKernels, OverflowPromotionPreservesSeqOrder)
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11}));
-    if (GetParam() == EventKernel::Calendar)
+    if (GetParam() == EventKernel::Calendar) {
         EXPECT_GE(eq.stats().overflowPromotions.value(), 2u);
+    }
+}
+
+TEST_P(EventQueueKernels, TicksInOneBucketPopInTickOrder)
+{
+    // A coarse calendar bucket spans bucketTicks ticks and keeps FIFO
+    // order; tick order is restored when it cascades into the fine
+    // ring. Events declared out of tick order inside one bucket (far
+    // beyond the fine window) must drain by tick, ties in declaration
+    // order.
+    EventQueue eq(GetParam());
+    std::vector<std::pair<Tick, int>> order;
+    const Tick base = 100 * EventQueue::bucketTicks;
+    const Tick offsets[] = {900, 3, 500, 3, 0, 1023, 500, 1};
+    for (int i = 0; i < 8; ++i) {
+        eq.schedule(base + offsets[i], [&order, &eq, i] {
+            order.emplace_back(eq.now(), i);
+        });
+    }
+    eq.run();
+    const std::vector<std::pair<Tick, int>> want = {
+        {base + 0, 4},   {base + 1, 7},   {base + 3, 1},
+        {base + 3, 3},   {base + 500, 2}, {base + 500, 6},
+        {base + 900, 0}, {base + 1023, 5}};
+    EXPECT_EQ(order, want);
+}
+
+TEST_P(EventQueueKernels, ScheduleAtNowRunsBeforeLaterTickInBucket)
+{
+    // While an event at tick t runs, its bucket already holds a later
+    // tick (t + 5) and a same-tick event. A schedule at now() arrives
+    // behind both, yet must run after the same-tick one and before
+    // the later tick.
+    EventQueue eq(GetParam());
+    std::vector<int> order;
+    const Tick t = 100 * EventQueue::bucketTicks + 10;
+    eq.schedule(t + 5, [&] { order.push_back(3); });
+    eq.schedule(t, [&] {
+        order.push_back(0);
+        eq.schedule(eq.now(), [&] { order.push_back(2); });
+    });
+    eq.schedule(t, [&] { order.push_back(1); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST_P(EventQueueKernels, OverflowPromotionIntoPartlyFilledBucket)
+{
+    // X (far + 700) waits in the overflow tier until the window slides
+    // over its bucket. Y (far + 200), W (far + 400) and a tie Z at X's
+    // tick then join the same bucket by direct schedule, behind X.
+    // Drain: Y, W, X, Z.
+    const Tick far = 2 * EventQueue::ringSpan; // bucket-aligned
+    EventQueue eq(GetParam());
+    std::vector<int> order;
+    eq.schedule(far + 700, [&] { order.push_back(2); }); // X
+    eq.schedule(far - EventQueue::ringSpan / 2, [&] {
+        eq.schedule(far + 200, [&] { order.push_back(0); });
+        eq.schedule(far + 400, [&] { order.push_back(1); });
+        eq.schedule(far + 700, [&] { order.push_back(3); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    if (GetParam() == EventKernel::Calendar) {
+        // X and the sliding event itself took the overflow tier.
+        EXPECT_EQ(eq.stats().overflowPromotions.value(), 2u);
+    }
 }
 
 TEST_P(EventQueueKernels, RecurringRearmRunsAndReuses)
@@ -310,6 +377,64 @@ TEST(EventQueueDifferential, RandomScriptsDrainIdentically)
             << "seed " << seed;
         for (std::size_t i = 0; i < calendar.first.size(); ++i) {
             ASSERT_EQ(calendar.first[i], heap.first[i])
+                << "seed " << seed << " event " << i;
+        }
+    }
+}
+
+TEST(EventQueueDifferential, RandomScriptsAcrossAllTiersDrainIdentically)
+{
+    // Delays drawn from every calendar tier: the fine window, coarse
+    // buckets (many ticks per bucket, declared out of order), the
+    // coarse ring's far end and the overflow heap, with reentrant
+    // schedules and idle runUntil advances between drains.
+    const Tick bucket = EventQueue::bucketTicks;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        auto runScript = [seed, bucket](EventKernel kernel) {
+            EventQueue eq(kernel);
+            Rng rng(seed * 7727 + 5);
+            auto delay = [&rng, bucket]() -> Tick {
+                switch (rng.below(4)) {
+                    case 0:
+                        return rng.below(EventQueue::fineSize);
+                    case 1:
+                        return rng.below(64 * bucket);
+                    case 2:
+                        return EventQueue::ringSpan - rng.below(4 * bucket);
+                    default:
+                        return EventQueue::ringSpan +
+                               rng.below(64 * bucket);
+                }
+            };
+            std::vector<std::pair<Tick, int>> trace;
+            int nextId = 0;
+            std::function<void(int, int)> fire;
+            fire = [&](int id, int depth) {
+                trace.emplace_back(eq.now(), id);
+                if (depth >= 3)
+                    return;
+                for (std::uint64_t k = rng.below(3); k > 0; --k) {
+                    const int kid = nextId++;
+                    eq.schedule(eq.now() + delay(),
+                                [&fire, kid, depth] {
+                                    fire(kid, depth + 1);
+                                });
+                }
+            };
+            for (int i = 0; i < 300; ++i) {
+                const int id = nextId++;
+                eq.schedule(delay(), [&fire, id] { fire(id, 0); });
+            }
+            eq.runUntil(EventQueue::ringSpan / 3);
+            eq.runUntil(EventQueue::ringSpan + 17 * bucket + 5);
+            eq.run();
+            return trace;
+        };
+        const auto calendar = runScript(EventKernel::Calendar);
+        const auto heap = runScript(EventKernel::Heap);
+        ASSERT_EQ(calendar.size(), heap.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < calendar.size(); ++i) {
+            ASSERT_EQ(calendar[i], heap[i])
                 << "seed " << seed << " event " << i;
         }
     }

@@ -115,6 +115,15 @@ const TornShape kShapes[] = {
     {"torn-drain", false, true},
 };
 
+// Without a printer gtest names each case by the struct's raw bytes,
+// which include the (ASLR-randomized) address of `name`, so the
+// discovered test names would change from one build to the next.
+void
+PrintTo(const TornShape &shape, std::ostream *os)
+{
+    *os << shape.name;
+}
+
 class TwoPhaseDifferential
     : public ::testing::TestWithParam<TornShape>
 {

@@ -65,6 +65,8 @@ const GoldenCase kCases[] = {
     {"fig04_storage_vs_codeword", fig04Adapter},
     {"fig14_access_breakdown", fig14AccessBreakdown},
     {"fig15_cfactor", fig15Cfactor},
+    {"fig16_perf_reram", fig16PerfReram},
+    {"fig17_perf_pcm", fig17PerfPcm},
     {"fig18_omv_hit_rate", fig18OmvHitRate},
     {"boot_scrub", bootScrubCampaign},
     {"wear_leveling", wearLevelingCampaign},

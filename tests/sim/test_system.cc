@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "chipkill/schemes.hh"
+#include "common/event.hh"
+#include "mem/controller.hh"
+#include "sim/configs.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 
@@ -138,6 +142,43 @@ TEST(Experiment, ProposalOverheadIsBounded)
     const double rel = prop.perf / base.perf;
     EXPECT_GT(rel, 0.6);
     EXPECT_LT(rel, 1.2);
+}
+
+TEST(System, Fig17HashmapEventDiet)
+{
+    // fig17's costliest point in miniature: PCM proposal, write-only
+    // hashmap queries, a full PM write queue. Executed events must stay
+    // proportional to the PM requests the controller issues (the old
+    // stale-wake storm ran ~1200 events per request), and NVRAM write
+    // completions must stay inside the calendar ring instead of taking
+    // the overflow heap.
+    EXPECT_GT(EventQueue::ringSpan, MemControllerConfig{}.writeMaxAge);
+    SchemeTiming scheme = proposalScheme(runtimeRberFor(PmTech::Pcm));
+    applyCFactor(scheme, 0.25); // hashmap's measured C under PCM
+    System sys(SystemConfig::make(PmTech::Pcm, scheme, "hashmap", 1));
+    sys.start();
+    sys.runUntil(nsToTicks(10000));
+
+    const auto pmRequests = [&sys] {
+        const MemControllerStats &ms = sys.memory().stats();
+        return ms.pmReads.value() + ms.pmWrites.value() +
+               ms.overheadReads.value() + ms.overheadWrites.value();
+    };
+    const EventQueueStats &es = sys.events().stats();
+    const std::uint64_t events0 = es.executed.value();
+    const std::uint64_t promotions0 = es.overflowPromotions.value();
+    const std::uint64_t requests0 = pmRequests();
+    sys.runUntil(nsToTicks(40000));
+
+    const double events =
+        static_cast<double>(es.executed.value() - events0);
+    const double requests =
+        static_cast<double>(pmRequests() - requests0);
+    ASSERT_GT(requests, 200.0);
+    EXPECT_LT(events / requests, 20.0);
+    EXPECT_LT(static_cast<double>(es.overflowPromotions.value() -
+                                  promotions0),
+              0.05 * events);
 }
 
 } // namespace
