@@ -12,11 +12,14 @@
 #define NVCK_BENCH_COMMON_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 
 namespace nvck {
@@ -65,21 +68,55 @@ benchOccupancyRunControl(double scale = 1.0)
 }
 
 /**
- * Outcome summary shared by the oracle-checked crash campaigns
- * (bench_crash_campaign, bench_system_crash): one verdict block and
- * one machine-readable JSON shape for both, so CI and humans read the
- * same contract regardless of which campaign tripped.
+ * Outcome summary shared by the oracle-checked campaigns (crash,
+ * system crash, RAS lifecycle, hot sparing): one verdict block and one
+ * machine-readable JSON shape for all of them, so CI and humans read
+ * the same contract regardless of which campaign tripped.
  */
 struct CampaignReport
 {
+    /** One named tally; `violation` counters fail the oracle. */
+    struct Counter
+    {
+        std::string key;
+        std::uint64_t value = 0;
+        bool violation = false;
+    };
+
     std::string name;
     /** Effective sweep seed — the replay handle for a failure. */
     std::uint64_t seed = 0;
     std::uint64_t trials = 0;
     std::uint64_t violations = 0;
     /** Additional named tallies, emitted in order. */
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<Counter> counters;
 };
+
+/**
+ * The report of a finished campaign: every registered field of its
+ * tally's total, in field-table order. `trials` and `violations` are
+ * top-level keys, so they are not repeated as counters.
+ */
+template <typename Tally>
+CampaignReport
+campaignReport(std::string name, std::uint64_t seed,
+               const CampaignTotals<Tally> &totals)
+{
+    const Tally sum = totals.total();
+    CampaignReport report;
+    report.name = std::move(name);
+    report.seed = seed;
+    report.trials = sum.trials;
+    report.violations = totals.violations();
+    for (const auto &f : Tally::fields()) {
+        const std::string key = f.key;
+        if (key == "trials" || key == "violations")
+            continue;
+        report.counters.push_back(
+            {key, sum.*f.member, f.rule == TallyRule::Violation});
+    }
+    return report;
+}
 
 /** Print the campaign verdict; returns the process exit code. */
 inline int
@@ -90,10 +127,16 @@ campaignVerdict(std::ostream &os, const CampaignReport &report)
               " the new value, or a reported UE.\n";
         return 0;
     }
-    os << "\nORACLE VIOLATED: " << report.violations
-       << " block(s) read back as silent garbage or rolled back a"
-          " durable write (replay with --seed " << report.seed
-       << ").\n";
+    os << "\nORACLE VIOLATED:";
+    const char *sep = " ";
+    for (const auto &c : report.counters) {
+        if (c.violation && c.value != 0) {
+            os << sep << c.key << "=" << c.value;
+            sep = ", ";
+        }
+    }
+    os << " (" << report.violations << " in total; replay with --seed "
+       << report.seed << ").\n";
     return 1;
 }
 
@@ -108,10 +151,24 @@ campaignJson(std::ostream &os, const CampaignReport &report)
        << "  \"violations\": " << report.violations << ",\n"
        << "  \"counters\": {";
     for (std::size_t i = 0; i < report.counters.size(); ++i) {
-        os << (i ? "," : "") << "\n    \"" << report.counters[i].first
-           << "\": " << report.counters[i].second;
+        os << (i ? "," : "") << "\n    \"" << report.counters[i].key
+           << "\": " << report.counters[i].value;
     }
     os << (report.counters.empty() ? "" : "\n  ") << "}\n}\n";
+}
+
+/**
+ * Close a campaign bench: write the JSON report to $NVCK_CAMPAIGN_JSON
+ * when set, print the verdict, and return the exit code.
+ */
+inline int
+finishCampaign(const CampaignReport &report)
+{
+    if (const char *path = std::getenv("NVCK_CAMPAIGN_JSON")) {
+        std::ofstream json(path);
+        campaignJson(json, report);
+    }
+    return campaignVerdict(std::cout, report);
 }
 
 } // namespace nvck

@@ -18,8 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -52,23 +50,7 @@ main(int argc, char **argv)
         cfg.rankBlocks = static_cast<unsigned>(*blocks);
     }
 
-    const CrashCampaignTotals totals =
-        crashCampaign(std::cout, opts, cfg);
-
-    const CrashTally sum = totals.total();
-    CampaignReport report;
-    report.name = "crash-campaign";
-    report.seed = opts.seedSet ? opts.seed : cfg.seed;
-    report.trials = sum.trials;
-    report.violations = totals.violations();
-    report.counters = {{"torn_old", sum.tornOld},
-                       {"torn_new", sum.tornNew},
-                       {"torn_ue", sum.tornUe},
-                       {"chip_kills", sum.chipKills},
-                       {"collateral_ue", sum.collateralUe}};
-    if (const char *path = std::getenv("NVCK_CAMPAIGN_JSON")) {
-        std::ofstream json(path);
-        campaignJson(json, report);
-    }
-    return campaignVerdict(std::cout, report);
+    return finishCampaign(campaignReport(
+        "crash-campaign", opts.seedSet ? opts.seed : cfg.seed,
+        crashCampaign(std::cout, opts, cfg)));
 }

@@ -23,8 +23,6 @@
  * bytes.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -45,35 +43,7 @@ main(int argc, char **argv)
         cfg.trials = *trials;
     cfg.trial.ras = RasConfig::fromEnv();
 
-    const RasTotals totals = rasCampaign(std::cout, opts, cfg);
-
-    const RasTally sum = totals.total();
-    CampaignReport report;
-    report.name = "ras-lifecycle-campaign";
-    report.seed = opts.seedSet ? opts.seed : cfg.seed;
-    report.trials = sum.trials;
-    report.violations = totals.violations();
-    report.counters = {{"patrol_bursts", sum.patrolBursts},
-                       {"patrol_yields", sum.patrolYields},
-                       {"scrub_bits", sum.scrubBits},
-                       {"row_alarms", sum.rowAlarms},
-                       {"targeted_scrubs", sum.targetedScrubs},
-                       {"kills", sum.kills},
-                       {"failovers", sum.failovers},
-                       {"migrated_blocks", sum.migrated},
-                       {"degraded_reads", sum.degradedReads},
-                       {"degraded_writes", sum.degradedWrites},
-                       {"drained_at_failover", sum.drainedAtFailover},
-                       {"detect_accesses_max", sum.detectAccessesMax},
-                       {"sdc", sum.sdc},
-                       {"lost_durable", sum.lostDurable},
-                       {"reported_ue", sum.ue},
-                       {"false_kills", sum.falseKills},
-                       {"missed_failovers", sum.missedFailovers},
-                       {"engage_overruns", sum.engageOverruns}};
-    if (const char *path = std::getenv("NVCK_CAMPAIGN_JSON")) {
-        std::ofstream json(path);
-        campaignJson(json, report);
-    }
-    return campaignVerdict(std::cout, report);
+    return finishCampaign(campaignReport(
+        "ras-lifecycle-campaign", opts.seedSet ? opts.seed : cfg.seed,
+        rasCampaign(std::cout, opts, cfg)));
 }

@@ -24,8 +24,6 @@
  * bytes.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -46,36 +44,7 @@ main(int argc, char **argv)
         cfg.trials = *trials;
     cfg.trial.ras = RasConfig::fromEnv();
 
-    const SpareTotals totals = spareCampaign(std::cout, opts, cfg);
-
-    const RasTally sum = totals.total();
-    CampaignReport report;
-    report.name = "hot-sparing-campaign";
-    report.seed = opts.seedSet ? opts.seed : cfg.seed;
-    report.trials = sum.trials;
-    report.violations = totals.violations();
-    report.counters = {{"kills", sum.kills},
-                       {"rebuilds", sum.rebuilds},
-                       {"rebuilt_blocks", sum.rebuiltBlocks},
-                       {"spared", sum.spared},
-                       {"spare_abandons", sum.spareAbandons},
-                       {"repairs", sum.repairs},
-                       {"survivor_bits", sum.survivorBits},
-                       {"failovers", sum.failovers},
-                       {"migrated_blocks", sum.migrated},
-                       {"drained_at_failover", sum.drainedAtFailover},
-                       {"detect_accesses_max", sum.detectAccessesMax},
-                       {"scrub_bits", sum.scrubBits},
-                       {"sdc", sum.sdc},
-                       {"lost_durable", sum.lostDurable},
-                       {"reported_ue", sum.ue},
-                       {"missed_spares", sum.missedSpares},
-                       {"missed_repairs", sum.missedRepairs},
-                       {"missed_failovers", sum.missedFailovers},
-                       {"engage_overruns", sum.engageOverruns}};
-    if (const char *path = std::getenv("NVCK_CAMPAIGN_JSON")) {
-        std::ofstream json(path);
-        campaignJson(json, report);
-    }
-    return campaignVerdict(std::cout, report);
+    return finishCampaign(campaignReport(
+        "hot-sparing-campaign", opts.seedSet ? opts.seed : cfg.seed,
+        spareCampaign(std::cout, opts, cfg)));
 }

@@ -24,8 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -56,30 +54,7 @@ main(int argc, char **argv)
         cfg.trial.rankBlocks = static_cast<unsigned>(*blocks);
     }
 
-    const SysCrashTotals totals =
-        systemCrashCampaign(std::cout, opts, cfg);
-
-    const SysCrashTally sum = totals.total();
-    CampaignReport report;
-    report.name = "system-crash-campaign";
-    report.seed = opts.seedSet ? opts.seed : cfg.seed;
-    report.trials = sum.trials;
-    report.violations = totals.violations();
-    report.counters = {{"cuts_at_site", sum.cutsAtSite},
-                       {"bursts", sum.bursts},
-                       {"drains", sum.drains},
-                       {"flushed_at_cut", sum.flushedAtCut},
-                       {"pending_at_cut", sum.pendingAtCut},
-                       {"torn_old", sum.tornOld},
-                       {"torn_new", sum.tornNew},
-                       {"torn_intermediate", sum.tornIntermediate},
-                       {"torn_ue", sum.tornUe},
-                       {"collateral_ue", sum.collateralUe},
-                       {"chip_kills", sum.chipKills},
-                       {"stale_acks_absorbed", sum.staleAcksAbsorbed}};
-    if (const char *path = std::getenv("NVCK_CAMPAIGN_JSON")) {
-        std::ofstream json(path);
-        campaignJson(json, report);
-    }
-    return campaignVerdict(std::cout, report);
+    return finishCampaign(campaignReport(
+        "system-crash-campaign", opts.seedSet ? opts.seed : cfg.seed,
+        systemCrashCampaign(std::cout, opts, cfg)));
 }

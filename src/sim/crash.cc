@@ -1,50 +1,31 @@
 #include "crash.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
 #include "common/log.hh"
-#include "common/table.hh"
 
 namespace nvck {
 
-const char *
-crashPointName(CrashPoint point)
+std::span<const TallyField<CrashTally>>
+CrashTally::fields()
 {
-    switch (point) {
-      case CrashPoint::MidXorWrite:
-        return "mid-xor-write";
-      case CrashPoint::MidEurCoalesce:
-        return "mid-eur-coalesce";
-      case CrashPoint::MidRowCloseDrain:
-        return "mid-row-close-drain";
-      case CrashPoint::MidMultiBlockPersist:
-        return "mid-multi-block-persist";
-    }
-    return "?";
+    using T = CrashTally;
+    static constexpr TallyField<T> table[] = {
+        {"trials", "trials", &T::trials, TallyRule::Sum},
+        {"torn_old", "-> old", &T::tornOld, TallyRule::Sum},
+        {"torn_new", "-> new", &T::tornNew, TallyRule::Sum},
+        {"torn_ue", "-> reported UE", &T::tornUe, TallyRule::Sum},
+        {"chip_kills", "chip kills", &T::chipKills, TallyRule::Sum},
+        {"collateral_ue", "collateral UE", &T::collateralUe,
+         TallyRule::Sum},
+        {"block_violations", "violations", &T::violations,
+         TallyRule::Violation},
+    };
+    return table;
 }
 
-CrashTally &
-CrashTally::operator+=(const CrashTally &other)
-{
-    trials += other.trials;
-    tornOld += other.tornOld;
-    tornNew += other.tornNew;
-    tornUe += other.tornUe;
-    chipKills += other.chipKills;
-    collateralUe += other.collateralUe;
-    violations += other.violations;
-    return *this;
-}
-
-namespace {
-
-/**
- * Random chip subset as a bitmask over @p chips chips. The fix-ups
- * keep the mask meaningful for its crash point: a burst that latched
- * nowhere is no write at all, and a mask covering every chip is a
- * completed phase, not a torn one.
- */
 std::uint16_t
 randomChipMask(Rng &rng, unsigned chips, bool forbid_empty,
                bool forbid_full)
@@ -63,13 +44,8 @@ randomChipMask(Rng &rng, unsigned chips, bool forbid_empty,
     return mask;
 }
 
-/**
- * Generate the intended new 64B value: either a dense rewrite (fresh
- * random bytes) or a sparse update (1-3 bit flips — the shape that
- * fits a VLEW rollback). Always differs from @p old_data.
- */
 void
-makeNewData(Rng &rng, const std::uint8_t *old_data, std::uint8_t *out)
+makePayload(Rng &rng, const std::uint8_t *old_data, std::uint8_t *out)
 {
     if (rng.chance(0.5)) {
         for (unsigned i = 0; i < blockBytes; i += 8) {
@@ -89,6 +65,8 @@ makeNewData(Rng &rng, const std::uint8_t *old_data, std::uint8_t *out)
         out[0] ^= 1u; // flips cancelled (or the RNG matched old)
 }
 
+namespace {
+
 /** What the oracle expects of one written block. */
 struct WrittenBlock
 {
@@ -98,6 +76,52 @@ struct WrittenBlock
     /** Completed before the cut (ADR-durable): must never roll back. */
     bool durable = false;
 };
+
+/**
+ * Ground-truth oracle over a recovered rank of @p pristine.size()
+ * blocks. @p read(b, out) reads block b back and returns true for a
+ * reported UE. Untouched blocks must hold their pristine value, a
+ * durable write its new value, the torn write its old or new value;
+ * a reported UE is legal everywhere.
+ */
+template <typename Read>
+void
+checkRecovered(
+    const std::vector<std::array<std::uint8_t, blockBytes>> &pristine,
+    std::span<const WrittenBlock> written, Read read, CrashTally &tally)
+{
+    std::uint8_t out[blockBytes];
+    for (unsigned b = 0; b < pristine.size(); ++b) {
+        const auto it =
+            std::find_if(written.begin(), written.end(),
+                         [b](const WrittenBlock &w) { return w.block == b; });
+        const WrittenBlock *w = it == written.end() ? nullptr : &*it;
+        if (read(b, out)) {
+            // Explicitly reported loss — legal everywhere, tallied
+            // against the torn block or as collateral damage.
+            if (w && !w->durable)
+                ++tally.tornUe;
+            else
+                ++tally.collateralUe;
+            continue;
+        }
+        if (!w) {
+            if (std::memcmp(out, pristine[b].data(), blockBytes))
+                ++tally.violations;
+        } else if (w->durable) {
+            // An accepted PM write is inside the ADR domain: anything
+            // but the new value (or a reported UE) breaks persistence.
+            if (std::memcmp(out, w->newData.data(), blockBytes))
+                ++tally.violations;
+        } else if (std::memcmp(out, w->newData.data(), blockBytes) == 0) {
+            ++tally.tornNew;
+        } else if (std::memcmp(out, w->oldData.data(), blockBytes) == 0) {
+            ++tally.tornOld;
+        } else {
+            ++tally.violations;
+        }
+    }
+}
 
 } // namespace
 
@@ -127,16 +151,15 @@ CrashInjector::runTrial(CrashPoint point, Rng &rng,
         torn_point = static_cast<CrashPoint>(rng.below(3));
     }
     std::vector<WrittenBlock> written;
-    std::vector<int> role(rank.blocks(), -1);
     while (written.size() < count) {
         const unsigned b = static_cast<unsigned>(rng.below(rank.blocks()));
-        if (role[b] >= 0)
+        if (std::any_of(written.begin(), written.end(),
+                        [b](const WrittenBlock &w) { return w.block == b; }))
             continue;
-        role[b] = static_cast<int>(written.size());
         WrittenBlock w;
         w.block = b;
         w.oldData = pristineBlocks[b];
-        makeNewData(rng, w.oldData.data(), w.newData.data());
+        makePayload(rng, w.oldData.data(), w.newData.data());
         w.durable = written.size() + 1 < count;
         written.push_back(w);
     }
@@ -173,36 +196,13 @@ CrashInjector::runTrial(CrashPoint point, Rng &rng,
 
     rank.crashRecovery(opts.threshold);
 
-    // Ground-truth oracle over the whole rank.
-    std::uint8_t out[blockBytes];
-    for (unsigned b = 0; b < rank.blocks(); ++b) {
-        const auto read = rank.readBlock(b, out, opts.threshold);
-        const WrittenBlock *w = role[b] >= 0 ? &written[role[b]] : nullptr;
-        if (read.path == ReadPath::Failed) {
-            // Explicitly reported loss — legal everywhere, tallied
-            // against the torn block or as collateral damage.
-            if (w && !w->durable)
-                ++tally.tornUe;
-            else
-                ++tally.collateralUe;
-            continue;
-        }
-        if (!w) {
-            if (std::memcmp(out, pristineBlocks[b].data(), blockBytes))
-                ++tally.violations;
-        } else if (w->durable) {
-            // An accepted PM write is inside the ADR domain: anything
-            // but the new value (or a reported UE) breaks persistence.
-            if (std::memcmp(out, w->newData.data(), blockBytes))
-                ++tally.violations;
-        } else if (std::memcmp(out, w->newData.data(), blockBytes) == 0) {
-            ++tally.tornNew;
-        } else if (std::memcmp(out, w->oldData.data(), blockBytes) == 0) {
-            ++tally.tornOld;
-        } else {
-            ++tally.violations;
-        }
-    }
+    checkRecovered(
+        pristineBlocks, written,
+        [this, &opts](unsigned b, std::uint8_t *out) {
+            return rank.readBlock(b, out, opts.threshold).path ==
+                   ReadPath::Failed;
+        },
+        tally);
     return tally;
 }
 
@@ -218,145 +218,59 @@ CrashTally
 DegradedCrashInjector::runTrial(Rng &rng)
 {
     rank.restore(pristine);
-    const unsigned block = static_cast<unsigned>(rng.below(rank.blocks()));
-    std::array<std::uint8_t, blockBytes> old_data = pristineBlocks[block];
-    std::array<std::uint8_t, blockBytes> new_data;
-    makeNewData(rng, old_data.data(), new_data.data());
+    WrittenBlock w;
+    w.block = static_cast<unsigned>(rng.below(rank.blocks()));
+    w.oldData = pristineBlocks[w.block];
+    makePayload(rng, w.oldData.data(), w.newData.data());
 
     // Degraded mode has no RS tier: the only torn shape left is the
     // EUR window (data durable, striped-VLEW code delta lost).
-    rank.applyTornWrite(block, new_data.data(), false);
+    rank.applyTornWrite(w.block, w.newData.data(), false);
     rank.scrub();
 
     CrashTally tally;
     tally.trials = 1;
-    std::uint8_t out[blockBytes];
-    for (unsigned b = 0; b < rank.blocks(); ++b) {
-        const auto read = rank.readBlock(b, out);
-        if (read.failed) {
-            if (b == block)
-                ++tally.tornUe;
-            else
-                ++tally.collateralUe;
-            continue;
-        }
-        if (b != block) {
-            if (std::memcmp(out, pristineBlocks[b].data(), blockBytes))
-                ++tally.violations;
-        } else if (std::memcmp(out, new_data.data(), blockBytes) == 0) {
-            ++tally.tornNew;
-        } else if (std::memcmp(out, old_data.data(), blockBytes) == 0) {
-            ++tally.tornOld;
-        } else {
-            ++tally.violations;
-        }
-    }
+    checkRecovered(
+        pristineBlocks, {&w, 1},
+        [this](unsigned b, std::uint8_t *out) {
+            return rank.readBlock(b, out).failed;
+        },
+        tally);
     return tally;
 }
-
-CrashTally
-CrashCampaignTotals::total() const
-{
-    CrashTally sum;
-    for (const auto &p : points)
-        sum += p;
-    sum += degraded;
-    return sum;
-}
-
-namespace {
-
-/** One sweep point's result: which table row it feeds, plus tallies. */
-struct ChunkResult
-{
-    int point = -1; //!< CrashPoint index; -1 = degraded mode
-    CrashTally tally;
-};
-
-void
-tallyRow(Table &t, const std::string &label, const CrashTally &c)
-{
-    t.row()
-        .cell(label)
-        .cell(c.trials)
-        .cell(c.tornOld)
-        .cell(c.tornNew)
-        .cell(c.tornUe)
-        .cell(c.chipKills)
-        .cell(c.collateralUe)
-        .cell(c.violations);
-}
-
-} // namespace
 
 CrashCampaignTotals
 crashCampaign(std::ostream &os, const SweepOptions &opts,
               const CrashCampaignConfig &cfg)
 {
-    NVCK_ASSERT(cfg.chunkTrials > 0, "empty campaign chunks");
-    ParallelSweep<ChunkResult> sweep(cfg.seed, opts);
-
-    for (unsigned p = 0; p < numCrashPoints; ++p) {
-        const auto point = static_cast<CrashPoint>(p);
-        std::uint64_t remaining =
-            cfg.trials / numCrashPoints +
-            (p < cfg.trials % numCrashPoints ? 1 : 0);
-        for (unsigned chunk = 0; remaining > 0; ++chunk) {
-            const auto batch =
-                std::min<std::uint64_t>(remaining, cfg.chunkTrials);
-            remaining -= batch;
-            sweep.add(std::string(crashPointName(point)) + " #" +
-                          std::to_string(chunk),
-                      [&cfg, point, batch](Rng &rng) {
-                          PmRank rank(cfg.rankBlocks);
-                          rank.initialize(rng);
-                          CrashInjector injector(rank);
-                          ChunkResult r;
-                          r.point = static_cast<int>(point);
-                          for (std::uint64_t t = 0; t < batch; ++t)
-                              r.tally += injector.runTrial(point, rng,
-                                                           cfg.trial);
-                          return r;
-                      });
-        }
-    }
-    std::uint64_t remaining = cfg.degradedTrials;
-    for (unsigned chunk = 0; remaining > 0; ++chunk) {
-        const auto batch =
-            std::min<std::uint64_t>(remaining, cfg.chunkTrials);
-        remaining -= batch;
-        sweep.add("degraded-eur-window #" + std::to_string(chunk),
-                  [&cfg, batch](Rng &rng) {
-                      DegradedRank rank(cfg.rankBlocks);
-                      rank.initialize(rng);
-                      DegradedCrashInjector injector(rank);
-                      ChunkResult r;
-                      for (std::uint64_t t = 0; t < batch; ++t)
-                          r.tally += injector.runTrial(rng);
-                      return r;
-                  });
-    }
-
-    CrashCampaignTotals totals;
-    for (const auto &out : sweep.run()) {
-        if (out.value.point < 0)
-            totals.degraded += out.value.tally;
-        else
-            totals.points[out.value.point] += out.value.tally;
-    }
-
-    Table t({"crash point", "trials", "-> old", "-> new",
-             "-> reported UE", "chip kills", "collateral UE",
-             "violations"});
+    std::vector<CampaignRow> rows;
     for (unsigned p = 0; p < numCrashPoints; ++p)
-        tallyRow(t, crashPointName(static_cast<CrashPoint>(p)),
-                 totals.points[p]);
-    tallyRow(t, "degraded-eur-window", totals.degraded);
-    tallyRow(t, "total", totals.total());
-    t.print(os);
+        rows.push_back({crashPointName(static_cast<CrashPoint>(p)),
+                        evenShare(cfg.trials, numCrashPoints, p)});
+    rows.push_back({"degraded-eur-window", cfg.degradedTrials});
+
     // The verdict block is the caller's: the oracle-checked benches
     // share it (with its replay hint) through bench_common.hh.
-    return totals;
+    return runCampaign<CrashTally>(
+        os, opts, cfg.seed, cfg.chunkTrials, rows, {"crash point", {}},
+        [&cfg](std::size_t row, std::uint64_t batch, Rng &rng) {
+            CrashTally tally;
+            if (row == numCrashPoints) {
+                DegradedRank rank(cfg.rankBlocks);
+                rank.initialize(rng);
+                DegradedCrashInjector injector(rank);
+                for (std::uint64_t t = 0; t < batch; ++t)
+                    tally += injector.runTrial(rng);
+                return tally;
+            }
+            PmRank rank(cfg.rankBlocks);
+            rank.initialize(rng);
+            CrashInjector injector(rank);
+            for (std::uint64_t t = 0; t < batch; ++t)
+                tally += injector.runTrial(static_cast<CrashPoint>(row),
+                                           rng, cfg.trial);
+            return tally;
+        });
 }
 
 } // namespace nvck

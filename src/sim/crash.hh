@@ -30,13 +30,15 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "chipkill/degraded.hh"
 #include "chipkill/pm_rank.hh"
 #include "common/rng.hh"
-#include "sim/parallel.hh"
+#include "sim/campaign.hh"
 
 namespace nvck {
 
@@ -58,13 +60,21 @@ enum class CrashPoint
     MidMultiBlockPersist,
 };
 
-constexpr unsigned numCrashPoints = 4;
+/** Stable labels for tables, --filter selection, and logs, in
+ *  CrashPoint order. */
+constexpr const char *crashPointNames[] = {
+    "mid-xor-write", "mid-eur-coalesce", "mid-row-close-drain",
+    "mid-multi-block-persist"};
+constexpr unsigned numCrashPoints = std::size(crashPointNames);
 
-/** Stable label for tables, --filter selection, and logs. */
-const char *crashPointName(CrashPoint point);
+inline const char *
+crashPointName(CrashPoint point)
+{
+    return crashPointNames[static_cast<unsigned>(point)];
+}
 
 /** Tallies from a batch of crash trials (or one trial). */
-struct CrashTally
+struct CrashTally : TallyBase<CrashTally>
 {
     std::uint64_t trials = 0;
     /** Torn block settled on the pre-crash value (rolled back). */
@@ -81,8 +91,25 @@ struct CrashTally
      *  back. Must be zero. */
     std::uint64_t violations = 0;
 
-    CrashTally &operator+=(const CrashTally &other);
+    static std::span<const TallyField<CrashTally>> fields();
 };
+
+/**
+ * Random chip subset as a bitmask over @p chips chips. The fix-ups
+ * keep the mask meaningful for a torn phase: a burst that latched
+ * nowhere is no write at all, and a mask covering every chip is a
+ * completed phase, not a torn one.
+ */
+std::uint16_t randomChipMask(Rng &rng, unsigned chips, bool forbid_empty,
+                             bool forbid_full);
+
+/**
+ * Generate the intended new 64B value of a write: either a dense
+ * rewrite (fresh random bytes) or a sparse update (1-3 bit flips, the
+ * shape a VLEW rollback can undo). Always differs from @p old_data.
+ */
+void makePayload(Rng &rng, const std::uint8_t *old_data,
+                 std::uint8_t *out);
 
 /** Shape knobs for one randomized trial. */
 struct CrashTrialOptions
@@ -151,19 +178,8 @@ struct CrashCampaignConfig
     CrashTrialOptions trial;
 };
 
-/** Aggregated campaign outcome, per crash point and in total. */
-struct CrashCampaignTotals
-{
-    std::array<CrashTally, numCrashPoints> points;
-    CrashTally degraded;
-
-    CrashTally total() const;
-    std::uint64_t
-    violations() const
-    {
-        return total().violations;
-    }
-};
+/** Per crash point, then the degraded-eur-window row. */
+using CrashCampaignTotals = CampaignTotals<CrashTally>;
 
 /**
  * Run the randomized campaign as a ParallelSweep, print the per-point

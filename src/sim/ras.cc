@@ -1,13 +1,11 @@
 #include "ras.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "chipkill/wear.hh"
 #include "common/env.hh"
 #include "common/log.hh"
-#include "common/table.hh"
 #include "sim/spare.hh"
 
 namespace nvck {
@@ -18,18 +16,18 @@ RasConfig
 RasConfig::fromEnv()
 {
     RasConfig cfg;
-    if (const auto v = envPositive("NVCK_RAS_PATROL"))
-        cfg.patrolInterval = nsToTicks(static_cast<double>(*v));
+    // Bounded so every value still fits its field after conversion.
+    constexpr std::uint64_t max_ns = UINT64_MAX / ticksPerNs;
+    if (const auto v = envPositive("NVCK_RAS_PATROL", max_ns))
+        cfg.patrolInterval = *v * ticksPerNs;
     if (const auto v = envPositive("NVCK_RAS_THRESHOLD"))
         cfg.killThreshold = *v;
-    if (const auto v = envPositive("NVCK_RAS_DECAY"))
-        cfg.decayInterval = nsToTicks(static_cast<double>(*v));
-    if (const auto v = envChoice("NVCK_SPARE_ARMED", {"off", "on"}))
-        cfg.spareEnabled = (*v == 1);
-    if (const auto v = envPositive("NVCK_SPARE_REBUILD_BLOCKS"))
+    if (const auto v = envPositive("NVCK_RAS_DECAY", max_ns))
+        cfg.decayInterval = *v * ticksPerNs;
+    if (const auto v = envPositive("NVCK_SPARE_REBUILD_BLOCKS", UINT32_MAX))
         cfg.rebuildBlocksPerStep = static_cast<unsigned>(*v);
-    if (const auto v = envPositive("NVCK_SPARE_REBUILD_INTERVAL"))
-        cfg.rebuildStepInterval = nsToTicks(static_cast<double>(*v));
+    if (const auto v = envPositive("NVCK_SPARE_REBUILD_INTERVAL", max_ns))
+        cfg.rebuildStepInterval = *v * ticksPerNs;
     if (const auto v = envChoice("NVCK_RAS_PATROL_ORDER",
                                  {"wear", "addr"}))
         cfg.wearAwarePatrol = (*v == 0);
@@ -106,34 +104,10 @@ HealthLedger::resetChip(unsigned chip)
 
 // RasEngine -----------------------------------------------------------
 
-const char *
-rasStateName(RasState state)
-{
-    switch (state) {
-      case RasState::Healthy:
-        return "healthy";
-      case RasState::Draining:
-        return "draining";
-      case RasState::Migrating:
-        return "migrating";
-      case RasState::Degraded:
-        return "degraded";
-      case RasState::Rebuilding:
-        return "rebuilding";
-      case RasState::Spared:
-        return "spared";
-      case RasState::MigratingBack:
-        return "migrating-back";
-      case RasState::Unrecoverable:
-        return "unrecoverable";
-    }
-    return "?";
-}
-
 RasEngine::RasEngine(System &system, const RasConfig &config,
                      unsigned rank_blocks, unsigned span_blocks,
-                     Callbacks callbacks)
-    : sys(system), cfg(config), cb(std::move(callbacks)),
+                     RasMirror &m)
+    : sys(system), cfg(config), mirror(m),
       rankBlocks(rank_blocks), spanBlocks(span_blocks),
       spans(rank_blocks / span_blocks),
       // One bucket per lockstep chip (8 data + parity), plus one for
@@ -156,8 +130,14 @@ RasEngine::RasEngine(System &system, const RasConfig &config,
 void
 RasEngine::start()
 {
-    patrolArmed = true;
-    sys.events().rearm(patrolEv, sys.now() + cfg.patrolInterval);
+    resumePatrol();
+}
+
+bool
+RasEngine::inTransition() const
+{
+    return st == RasState::Draining || st == RasState::Migrating ||
+           st == RasState::Rebuilding || st == RasState::MigratingBack;
 }
 
 void
@@ -276,9 +256,7 @@ RasEngine::patrolComplete(unsigned span)
         ++rasStats.patrolDropped;
         return;
     }
-    NVCK_ASSERT(static_cast<bool>(cb.patrolCheck),
-                "patrol completion without a check callback");
-    cb.patrolCheck(span, scratch);
+    mirror.patrolCheck(span, scratch);
     rasStats.scrubWords += scratch.size();
     for (unsigned c = 0; c < scratch.size(); ++c) {
         const int corr = scratch[c];
@@ -308,7 +286,6 @@ RasEngine::noteChipErrors(unsigned chip, std::uint64_t weight)
         if (level >= cfg.killThreshold && !killQueued) {
             killQueued = true;
             killed = chip;
-            accessesAtDetect = accessCount;
             rasStats.detectedAt = sys.now();
             // Crossings are observed inside controller callbacks
             // (onPmRead) and patrol completions; failover re-enters
@@ -334,8 +311,6 @@ RasEngine::noteChipErrors(unsigned chip, std::uint64_t weight)
             // instead of failing over again (or asserting).
             ++rasStats.doubleKills;
             st = RasState::Unrecoverable;
-            if (cb.onUnrecoverable)
-                cb.onUnrecoverable(chip);
         }
         return;
       }
@@ -405,13 +380,9 @@ RasEngine::beginFailover()
         spareUsed = true;
         ++rasStats.rebuildsStarted;
         rebuilt = 0;
-        if (cb.onRebuildStart)
-            cb.onRebuildStart(killed);
+        mirror.onRebuildStart(killed);
         st = RasState::Rebuilding;
-        if (rasStats.engagedAt == 0) {
-            accessesAtEngage = accessCount;
-            rasStats.engagedAt = sys.now();
-        }
+        noteEngaged();
         sys.events().rearm(spareEv,
                            sys.now() + cfg.rebuildStepInterval);
         return;
@@ -420,17 +391,22 @@ RasEngine::beginFailover()
 }
 
 void
-RasEngine::engageDegraded()
+RasEngine::noteEngaged()
 {
-    if (cb.onFailoverStart)
-        cb.onFailoverStart(killed);
-    st = RasState::Migrating;
     // A second engagement (spare abandoned, or a kill after Spared)
     // keeps the first detection's latency bookkeeping.
     if (rasStats.engagedAt == 0) {
         accessesAtEngage = accessCount;
         rasStats.engagedAt = sys.now();
     }
+}
+
+void
+RasEngine::engageDegraded()
+{
+    mirror.onFailoverStart(killed);
+    st = RasState::Migrating;
+    noteEngaged();
     sys.events().rearm(migrateEv, sys.now() + cfg.migrateStepInterval);
 }
 
@@ -446,8 +422,7 @@ RasEngine::abandonSpare()
     // rebuild ran; retire their coalesced code deltas before the
     // degraded migration starts reading spans.
     rasStats.drainedAtFailover += sys.memory().drainPmEur();
-    if (cb.onSpareAbandoned)
-        cb.onSpareAbandoned(killed);
+    mirror.onSpareAbandoned(killed);
     engageDegraded();
 }
 
@@ -465,22 +440,13 @@ void
 RasEngine::spareTick()
 {
     if (st == RasState::Rebuilding) {
-        const unsigned before = rebuilt;
-        unsigned n;
-        if (cb.rebuildStep)
-            n = cb.rebuildStep(cfg.rebuildBlocksPerStep);
-        else
-            n = std::min(cfg.rebuildBlocksPerStep,
-                         rankBlocks - rebuilt);
-        rebuilt = std::min(rebuilt + n, rankBlocks);
-        rasStats.rebuiltBlocks += rebuilt - before;
-        issueOverheadPairs(rebuilt - before, before);
+        rasStats.rebuiltBlocks += copyStep(
+            &RasMirror::spareRebuildStep, cfg.rebuildBlocksPerStep, rebuilt);
         if (rebuilt >= rankBlocks) {
             st = RasState::Spared;
+            ++rasStats.rebuildsCompleted;
             rasStats.sparedAt = sys.now();
             killQueued = false; // re-arm detection for a second kill
-            if (cb.onSpared)
-                cb.onSpared();
             resumePatrol();
             return;
         }
@@ -489,16 +455,9 @@ RasEngine::spareTick()
         return;
     }
     if (st == RasState::MigratingBack) {
-        const unsigned before = migratedBack;
-        unsigned n;
-        if (cb.migrateBackStep)
-            n = cb.migrateBackStep(cfg.rebuildBlocksPerStep);
-        else
-            n = std::min(cfg.rebuildBlocksPerStep,
-                         rankBlocks - migratedBack);
-        migratedBack = std::min(migratedBack + n, rankBlocks);
-        rasStats.migratedBackBlocks += migratedBack - before;
-        issueOverheadPairs(migratedBack - before, before);
+        rasStats.migratedBackBlocks += copyStep(
+            &RasMirror::spareBackStep, cfg.rebuildBlocksPerStep,
+            migratedBack);
         if (migratedBack >= rankBlocks) {
             st = RasState::Healthy;
             ++rasStats.repairs;
@@ -510,8 +469,6 @@ RasEngine::spareTick()
             rebuilt = 0;
             healthLedger.resetChip(killed);
             healthLedger.resetChip(spareBucket);
-            if (cb.onRepairComplete)
-                cb.onRepairComplete();
             resumePatrol();
             return;
         }
@@ -527,26 +484,26 @@ RasEngine::migrateTick()
 {
     if (st != RasState::Migrating)
         return;
-    const unsigned before = migrated;
-    unsigned n;
-    if (cb.migrateStep) {
-        n = cb.migrateStep(cfg.migrateBlocksPerStep);
-    } else {
-        n = std::min(cfg.migrateBlocksPerStep, rankBlocks - migrated);
-    }
-    migrated += n;
-    rasStats.migratedBlocks += n;
-    issueOverheadPairs(n, before);
-
+    rasStats.migratedBlocks += copyStep(&RasMirror::migrateStep,
+                                        cfg.migrateBlocksPerStep, migrated);
     if (migrated >= rankBlocks) {
         st = RasState::Degraded;
+        ++rasStats.failoversCompleted;
         rasStats.completedAt = sys.now();
-        if (cb.onFailoverComplete)
-            cb.onFailoverComplete();
         return;
     }
     sys.events().rearm(migrateEv,
                        sys.now() + cfg.migrateStepInterval);
+}
+
+unsigned
+RasEngine::copyStep(unsigned (RasMirror::*step)(unsigned),
+                    unsigned max_blocks, unsigned &cursor)
+{
+    const unsigned before = cursor;
+    cursor = std::min(cursor + (mirror.*step)(max_blocks), rankBlocks);
+    issueOverheadPairs(cursor - before, before);
+    return cursor - before;
 }
 
 void
@@ -607,82 +564,14 @@ OnlineFailover::step(unsigned max_blocks)
 
 // RasMirror -----------------------------------------------------------
 
-namespace {
-
-/** Intended new 64B payload: dense rewrite or sparse 1-3 bit update
- *  (the shape an unmerged VLEW decode could roll back). */
-void
-rasPayload(Rng &rng, const std::uint8_t *old_data, std::uint8_t *out)
-{
-    if (rng.chance(0.5)) {
-        for (unsigned i = 0; i < blockBytes; i += 8) {
-            const std::uint64_t word = rng.next();
-            std::memcpy(out + i, &word, 8);
-        }
-    } else {
-        std::memcpy(out, old_data, blockBytes);
-        const unsigned flips = 1 + static_cast<unsigned>(rng.below(3));
-        for (unsigned f = 0; f < flips; ++f) {
-            const unsigned byte =
-                static_cast<unsigned>(rng.below(blockBytes));
-            out[byte] ^= static_cast<std::uint8_t>(1u << rng.below(8));
-        }
-    }
-    if (std::memcmp(out, old_data, blockBytes) == 0)
-        out[0] ^= 1u;
-}
-
-} // namespace
-
 RasMirror::RasMirror(System &system, PmRank &pm_rank, PersistOracle &po,
                      const RasConfig &ras_cfg, unsigned thresh,
                      std::uint64_t value_seed)
-    : sys(system), rank(pm_rank), oracle(po), rng(value_seed),
-      rasCfg(ras_cfg), threshold(thresh),
-      spanBlocks(pm_rank.params().vlewDataBytes / chipBeatBytes)
+    : MediaMirror(system, pm_rank, po, value_seed), rasCfg(ras_cfg),
+      threshold(thresh)
 {
-    const MemControllerConfig &mc = sys.config().mem;
-    NVCK_ASSERT(mc.eurEnabled, "RAS campaign needs the EUR write path");
-    NVCK_ASSERT(sys.config().space.pmBase == 0,
-                "mirrored campaigns place PM at 0");
-    NVCK_ASSERT(rank.blocks() % spanBlocks == 0,
-                "rank must hold whole VLEW spans");
-    const unsigned banks = mc.pm.banks;
-    const unsigned slots =
-        mc.pm.rowBytes / (mc.dataChips * mc.vlewDataBytes);
-    NVCK_ASSERT(banks > 0 && slots > 0, "degenerate PM geometry");
-    pendingSlots.assign(static_cast<std::size_t>(banks) * slots, {});
-    const unsigned spans = rank.blocks() / spanBlocks;
-    spanRegister.assign(spans, UINT32_MAX);
-    spanPending.assign(spans, 0);
-    healthySettled.resize(rank.blocks());
-    for (unsigned b = 0; b < rank.blocks(); ++b)
-        rank.goldenBlock(b, healthySettled[b].data());
-
-    RasEngine::Callbacks cbs;
-    cbs.patrolCheck = [this](unsigned span, std::vector<int> &out) {
-        patrolCheck(span, out);
-    };
-    cbs.migrateStep = [this](unsigned max) { return migrateStep(max); };
-    cbs.onFailoverStart = [this](unsigned chip) {
-        onFailoverStart(chip);
-    };
-    cbs.onFailoverComplete = [this] { completed_ = true; };
-    cbs.onUnrecoverable = [this](unsigned) { unrecoverable_ = true; };
-    cbs.onRebuildStart = [this](unsigned chip) { onRebuildStart(chip); };
-    cbs.rebuildStep = [this](unsigned max) {
-        return spareRebuildStep(max);
-    };
-    cbs.onSpared = [this] { spared_ = true; };
-    cbs.onSpareAbandoned = [this](unsigned chip) {
-        onSpareAbandonedCb(chip);
-    };
-    cbs.migrateBackStep = [this](unsigned max) {
-        return spareBackStep(max);
-    };
-    cbs.onRepairComplete = [this] { repaired_ = true; };
     eng = std::make_unique<RasEngine>(sys, rasCfg, rank.blocks(),
-                                      spanBlocks, std::move(cbs));
+                                      spanBlocks, *this);
 
     CrashHooks hooks;
     hooks.onPmWrite = [this](Addr a, unsigned bank, unsigned slot) {
@@ -701,61 +590,11 @@ RasMirror::RasMirror(System &system, PmRank &pm_rank, PersistOracle &po,
 // declaration.
 RasMirror::~RasMirror() = default;
 
-unsigned
-RasMirror::blockOf(Addr addr) const
-{
-    const AddressSpace &space = sys.config().space;
-    NVCK_ASSERT(addr >= space.pmBase, "PM access below the PM region");
-    const std::uint64_t block = (addr - space.pmBase) / blockBytes;
-    NVCK_ASSERT(block < rank.blocks(),
-                "PM access beyond the mirrored rank");
-    return static_cast<unsigned>(block);
-}
-
-unsigned
-RasMirror::spanOf(unsigned block) const
-{
-    return block / spanBlocks;
-}
-
 void
-RasMirror::makePayload(const std::uint8_t *old_data, std::uint8_t *out)
+RasMirror::retireSpans(unsigned start, unsigned end)
 {
-    rasPayload(rng, old_data, out);
-}
-
-void
-RasMirror::retireBlock(unsigned block)
-{
-    // Second half of the two-phase write: bring the media code bits
-    // from the last settled image up to the current intent.
-    rank.drainCodeBits(block, healthySettled[block].data());
-    rank.goldenBlock(block, healthySettled[block].data());
-    // A block migrated while still healthy-pending was settled by its
-    // degraded-side copy already; don't settle it twice.
-    if (oracle.pending(block))
-        oracle.recordDrain(block);
-    NVCK_ASSERT(spanPending[spanOf(block)] > 0,
-                "span pending count underflow");
-    --spanPending[spanOf(block)];
-}
-
-void
-RasMirror::retireSpan(unsigned span)
-{
-    if (spanPending[span] == 0)
-        return;
-    ++n.earlyRetires;
-    const std::uint32_t reg = spanRegister[span];
-    NVCK_ASSERT(reg != UINT32_MAX, "pending span with no register");
-    auto &pending = pendingSlots[reg];
-    for (const unsigned b : pending) {
-        NVCK_ASSERT(spanOf(b) == span,
-                    "EUR register coalescing across spans");
-        retireBlock(b);
-    }
-    pending.clear();
-    NVCK_ASSERT(spanPending[span] == 0, "span retire left stragglers");
+    for (unsigned s = start / spanBlocks; s * spanBlocks < end; ++s)
+        retireSpan(s);
 }
 
 void
@@ -772,9 +611,7 @@ RasMirror::demandWrite(unsigned block, unsigned bank, unsigned slot)
     ++n.demandWrites;
 
     std::uint8_t value[blockBytes];
-    // The controller XORs against the OMV — the latest write intent —
-    // so the new payload chains off the latest pending value.
-    makePayload(oracle.latest(block).data(), value);
+    payload(block, value);
 
     if (failover && block < failover->watermark()) {
         // Migrated blocks live in the degraded layout; its writes
@@ -783,7 +620,6 @@ RasMirror::demandWrite(unsigned block, unsigned bank, unsigned slot)
         if (failover->degraded().isPoisoned(block)) {
             // The span is a reported loss; the write is accepted but
             // the readback stays an explicit UE until repair.
-            ++n.poisonedWriteSkips;
             oracle.recordBurst(block, value);
             return;
         }
@@ -794,42 +630,18 @@ RasMirror::demandWrite(unsigned block, unsigned bank, unsigned slot)
         return;
     }
 
-    const std::uint16_t full =
-        static_cast<std::uint16_t>((1u << rank.chips()) - 1);
-    rank.applyTornWrite(block, value, full, 0);
-    oracle.recordBurst(block, value);
-
-    const unsigned spans_per_bank =
-        static_cast<unsigned>(pendingSlots.size()) /
-        sys.config().mem.pm.banks;
-    const std::uint32_t reg = bank * spans_per_bank + slot;
-    auto &pending = pendingSlots.at(reg);
-    const unsigned span = spanOf(block);
-    if (pending.empty())
-        spanRegister[span] = reg;
-    else
-        NVCK_ASSERT(spanRegister[span] == reg,
-                    "EUR register moved mid-coalesce");
-    if (std::find(pending.begin(), pending.end(), block) ==
-        pending.end()) {
-        pending.push_back(block);
-        ++spanPending[span];
-    }
+    land(block, value, fullMask());
+    hold(block, bank, slot);
 }
 
 void
 RasMirror::onEurDrain(unsigned bank, unsigned slot)
 {
-    const unsigned spans_per_bank =
-        static_cast<unsigned>(pendingSlots.size()) /
-        sys.config().mem.pm.banks;
-    auto &pending = pendingSlots.at(bank * spans_per_bank + slot);
-    // The list may be empty: migration overhead writes dirty the EUR
-    // without mirrored bursts, and early retires (EUR merges before a
-    // VLEW-touching operation) empty it ahead of the row close.
-    for (const unsigned b : pending)
-        retireBlock(b);
-    pending.clear();
+    // The register may hold nothing: migration overhead writes dirty
+    // the EUR without mirrored bursts, and early retires (EUR merges
+    // before a VLEW-touching operation) empty it ahead of the row
+    // close.
+    drain(bank, slot);
 }
 
 void
@@ -926,32 +738,21 @@ RasMirror::migrateStep(unsigned max_blocks)
     if (!failover || failover->done())
         return 0;
     const unsigned start = failover->watermark();
-    const unsigned end =
-        std::min(start + max_blocks, rank.blocks());
     // Migration reads go through the erasure path (VLEW-touching), so
     // fold any demand writes' pending deltas in first.
-    for (unsigned s = start / spanBlocks; s * spanBlocks < end; ++s)
-        retireSpan(s);
+    retireSpans(start, std::min(start + max_blocks, rank.blocks()));
     return failover->step(max_blocks);
 }
 
 void
 RasMirror::onFailoverStart(unsigned chip)
 {
-    if (!engaged_) {
-        engaged_ = true;
-        accessesAtEngage = eng->accesses();
-    }
     failover = std::make_unique<OnlineFailover>(rank, chip, threshold);
 }
 
 void
 RasMirror::onRebuildStart(unsigned chip)
 {
-    if (!engaged_) {
-        engaged_ = true;
-        accessesAtEngage = eng->accesses();
-    }
     spare = std::make_unique<SpareChip>(rank, threshold);
     spare->beginRebuild(chip);
 }
@@ -961,17 +762,11 @@ RasMirror::spareRebuildStep(unsigned max_blocks)
 {
     if (!spare || spare->rebuildDone())
         return 0;
-    const unsigned start = spare->watermark();
-    const unsigned span_lo = start / spanBlocks;
-    const unsigned nspans =
-        std::max(1u, (max_blocks + spanBlocks - 1) / spanBlocks);
-    const unsigned span_hi =
-        std::min(span_lo + nspans, rank.blocks() / spanBlocks);
     // The survivor scrub and erasure fills are VLEW-touching: fold any
     // demand writes' pending code deltas in first (chip-internal EUR
     // merge), exactly like migrateStep().
-    for (unsigned s = span_lo; s < span_hi; ++s)
-        retireSpan(s);
+    retireSpans(spare->watermark(),
+                spare->stepEnd(spare->watermark(), max_blocks));
     const unsigned done = spare->rebuildStep(max_blocks, &spareScratch);
     // The survivor scrub doubles as patrol evidence for the ledger.
     for (unsigned c = 0; c < spareScratch.size(); ++c) {
@@ -991,19 +786,13 @@ RasMirror::spareBackStep(unsigned max_blocks)
 {
     if (!spare || spare->migrateBackDone())
         return 0;
-    const unsigned start = spare->backWatermark();
-    const unsigned span_lo = start / spanBlocks;
-    const unsigned nspans =
-        std::max(1u, (max_blocks + spanBlocks - 1) / spanBlocks);
-    const unsigned span_hi =
-        std::min(span_lo + nspans, rank.blocks() / spanBlocks);
-    for (unsigned s = span_lo; s < span_hi; ++s)
-        retireSpan(s);
+    retireSpans(spare->backWatermark(),
+                spare->stepEnd(spare->backWatermark(), max_blocks));
     return spare->migrateBackStep(max_blocks);
 }
 
 void
-RasMirror::onSpareAbandonedCb(unsigned chip)
+RasMirror::onSpareAbandoned(unsigned chip)
 {
     (void)chip;
     spareAbandoned_ = true;
@@ -1014,18 +803,19 @@ RasMirror::onSpareAbandonedCb(unsigned chip)
 void
 RasMirror::noteKillInjected()
 {
-    killInjected = true;
     accessesAtInjection = eng->accesses();
 }
 
-std::uint64_t
-RasMirror::detectAccesses() const
+void
+RasMirror::judgeDetection(RasTally &tally, std::uint64_t bound) const
 {
-    if (!engaged_)
-        return UINT64_MAX;
-    if (accessesAtEngage <= accessesAtInjection)
-        return 0; // proactive failover before the kill landed
-    return accessesAtEngage - accessesAtInjection;
+    if (!engaged())
+        return;
+    const std::uint64_t at = eng->engageAccess();
+    tally.detectAccessesMax =
+        at > accessesAtInjection ? at - accessesAtInjection : 0;
+    if (tally.detectAccessesMax > bound)
+        ++tally.engageOverruns;
 }
 
 void
@@ -1060,94 +850,87 @@ RasMirror::finalCheck(RasTally &tally)
     }
 }
 
-// Trial ---------------------------------------------------------------
-
-const char *
-faultPlanName(FaultPlan plan)
+RasTally
+RasMirror::trialTally()
 {
-    switch (plan) {
-      case FaultPlan::Transient:
-        return "transient";
-      case FaultPlan::Intermittent:
-        return "intermittent";
-      case FaultPlan::Progressive:
-        return "progressive";
-      case FaultPlan::ChipKill:
-        return "chip-kill";
-    }
-    return "?";
+    RasTally tally = n;
+    tally.trials = 1;
+    finalCheck(tally);
+    const RasStats &es = eng->stats();
+    tally.patrolBursts = es.patrolBursts;
+    tally.patrolYields = es.patrolYields;
+    tally.scrubBits = es.scrubBitsFound;
+    tally.rowAlarms = es.rowAlarms;
+    tally.targetedScrubs = es.targetedScrubs;
+    tally.kills = es.killsDetected;
+    tally.failovers = completed() ? 1 : 0;
+    tally.migrated = es.migratedBlocks;
+    tally.drainedAtFailover = es.drainedAtFailover;
+    tally.rebuilds = es.rebuildsStarted;
+    tally.rebuiltBlocks = es.rebuiltBlocks;
+    tally.spared = spared() ? 1 : 0;
+    tally.spareAbandons = es.spareAbandons;
+    tally.repairs = es.repairs;
+    if (spare)
+        tally.survivorBits = spare->survivorBitsFixed();
+    return tally;
 }
 
-RasTally &
-RasTally::operator+=(const RasTally &other)
+// Trial ---------------------------------------------------------------
+
+std::span<const TallyField<RasTally>>
+RasTally::fields()
 {
-    trials += other.trials;
-    patrolBursts += other.patrolBursts;
-    patrolYields += other.patrolYields;
-    scrubBits += other.scrubBits;
-    demandReads += other.demandReads;
-    demandWrites += other.demandWrites;
-    rsFixes += other.rsFixes;
-    vlewFallbacks += other.vlewFallbacks;
-    chipRecovered += other.chipRecovered;
-    rowAlarms += other.rowAlarms;
-    targetedScrubs += other.targetedScrubs;
-    kills += other.kills;
-    failovers += other.failovers;
-    migrated += other.migrated;
-    degradedReads += other.degradedReads;
-    degradedWrites += other.degradedWrites;
-    drainedAtFailover += other.drainedAtFailover;
-    detectAccessesMax =
-        std::max(detectAccessesMax, other.detectAccessesMax);
-    sdc += other.sdc;
-    lostDurable += other.lostDurable;
-    ue += other.ue;
-    falseKills += other.falseKills;
-    missedFailovers += other.missedFailovers;
-    engageOverruns += other.engageOverruns;
-    rebuilds += other.rebuilds;
-    rebuiltBlocks += other.rebuiltBlocks;
-    spared += other.spared;
-    spareAbandons += other.spareAbandons;
-    repairs += other.repairs;
-    survivorBits += other.survivorBits;
-    missedSpares += other.missedSpares;
-    missedRepairs += other.missedRepairs;
-    violations += other.violations;
-    return *this;
+    using T = RasTally;
+    using R = TallyRule;
+    static constexpr TallyField<T> table[] = {
+        {"trials", "trials", &T::trials, R::Sum},
+        {"patrol_bursts", "patrol", &T::patrolBursts, R::Sum},
+        {"patrol_yields", "yields", &T::patrolYields, R::Sum},
+        {"scrub_bits", "bits", &T::scrubBits, R::Sum},
+        {"demand_reads", "demand rd", &T::demandReads, R::Sum},
+        {"demand_writes", "demand wr", &T::demandWrites, R::Sum},
+        {"rs_fixes", "rs fixes", &T::rsFixes, R::Sum},
+        {"vlew_fallbacks", "vlew", &T::vlewFallbacks, R::Sum},
+        {"chip_recovered", "chip rec", &T::chipRecovered, R::Sum},
+        {"row_alarms", "alarms", &T::rowAlarms, R::Sum},
+        {"targeted_scrubs", "scrubs", &T::targetedScrubs, R::Sum},
+        {"kills", "kills", &T::kills, R::Sum},
+        {"failovers", "failover", &T::failovers, R::Sum},
+        {"migrated_blocks", "migrated", &T::migrated, R::Sum},
+        {"degraded_reads", "degr rd", &T::degradedReads, R::Sum},
+        {"degraded_writes", "degr wr", &T::degradedWrites, R::Sum},
+        {"drained_at_failover", "drained", &T::drainedAtFailover, R::Sum},
+        {"detect_accesses_max", "detect", &T::detectAccessesMax, R::Max},
+        {"sdc", "sdc", &T::sdc, R::Violation},
+        {"lost_durable", "lost", &T::lostDurable, R::Violation},
+        {"reported_ue", "UE", &T::ue, R::Violation},
+        {"false_kills", "false", &T::falseKills, R::Violation},
+        {"missed_failovers", "missed", &T::missedFailovers, R::Violation},
+        {"engage_overruns", "late", &T::engageOverruns, R::Violation},
+        {"rebuilds", "rebuilds", &T::rebuilds, R::Sum},
+        {"rebuilt_blocks", "rebuilt", &T::rebuiltBlocks, R::Sum},
+        {"spared", "spared", &T::spared, R::Sum},
+        {"spare_abandons", "abandons", &T::spareAbandons, R::Sum},
+        {"repairs", "repairs", &T::repairs, R::Sum},
+        {"survivor_bits", "surv bits", &T::survivorBits, R::Sum},
+        {"missed_spares", "no spare", &T::missedSpares, R::Violation},
+        {"missed_repairs", "no repair", &T::missedRepairs, R::Violation},
+        {"violations", "violations", &T::violations, R::Sum},
+    };
+    return table;
 }
 
 namespace {
 
-/** The multi-phase fault stream one lifecycle trial injects. Events
- *  capture only the driver pointer (plus scalars), so the stack-local
- *  instance fits the event queue's inline capture budget. */
-struct FaultDriver
+/** The lifecycle trial's fault stream: transient flips, then
+ *  recurring victim-chip flips, accumulating stuck-at cells, and the
+ *  kill, as far as the plan goes. */
+struct FaultDriver : FaultStream
 {
-    System &sys;
-    PmRank &rank;
-    RasMirror &mirror;
-    Rng rng;
-    Tick horizon;
-    unsigned victim = 0;
+    using FaultStream::FaultStream;
+
     unsigned stuckLeft = 12;
-
-    void
-    flip(unsigned chip)
-    {
-        rank.corruptByte(
-            chip, static_cast<unsigned>(rng.below(rank.blocks())),
-            static_cast<unsigned>(rng.below(chipBeatBytes)),
-            static_cast<std::uint8_t>(1u << rng.below(8)));
-    }
-
-    void
-    transientBurst()
-    {
-        for (unsigned i = 0; i < 6; ++i)
-            flip(static_cast<unsigned>(rng.below(rank.chips())));
-    }
 
     void
     intermittentTick(Tick stop, Tick step)
@@ -1179,13 +962,6 @@ struct FaultDriver
                 });
         }
     }
-
-    void
-    kill()
-    {
-        rank.failChip(victim, rng);
-        mirror.noteKillInjected();
-    }
 };
 
 } // namespace
@@ -1193,118 +969,43 @@ struct FaultDriver
 RasTally
 runRasTrial(const RasTrialConfig &tc, Rng &rng)
 {
-    NVCK_ASSERT(tc.rankBlocks >= 64 && tc.rankBlocks % 32 == 0,
-                "rank must hold whole VLEW spans");
-    RasTally tally;
-    tally.trials = 1;
-
-    SystemConfig cfg = SystemConfig::make(
-        tc.tech, proposalScheme(runtimeRberFor(tc.tech)), "echo",
-        rng.next() | 1);
-    cfg.cores = tc.cores;
-    cfg.cache.cores = tc.cores;
-    cfg.cache.l1Bytes = 8 * 1024;
-    cfg.cache.llcBytes = 64 * 1024;
-    cfg.cache.llcWays = 8;
-    // Same compact shape as the whole-system crash campaign: few banks
-    // keep the rank mirrorable with real row conflicts, aggressive
-    // drain thresholds keep the EUR write path busy.
-    cfg.mem.dram.banks = tc.banks;
-    cfg.mem.pm.banks = tc.banks;
-    cfg.mem.writeMaxAge = nsToTicks(400);
-    cfg.mem.writeIdleBurst = 4;
-    cfg.mem.writeDrainHigh = 24;
-    cfg.mem.writeDrainLow = 8;
-    cfg.space.pmBase = 0;
-    cfg.space.pmBytes =
-        static_cast<std::uint64_t>(tc.rankBlocks) * blockBytes;
-    cfg.space.dramBytes = 1u << 20;
-
-    System sys(cfg, std::make_unique<CampaignWorkload>(
-                        cfg.space, tc.cores, rng.next()));
-
-    PmRank rank(tc.rankBlocks);
-    rank.initialize(rng);
-    PersistOracle oracle(tc.rankBlocks);
-    {
-        std::uint8_t buf[blockBytes];
-        for (unsigned b = 0; b < tc.rankBlocks; ++b) {
-            rank.goldenBlock(b, buf);
-            oracle.setBaseline(b, buf);
-        }
-    }
-
-    RasMirror mirror(sys, rank, oracle, tc.ras, tc.threshold,
+    MirroredTrial m(tc, rng);
+    RasMirror mirror(m.sys, m.rank, m.oracle, tc.ras, tc.threshold,
                      rng.next());
     RasEngine &eng = mirror.engine();
+    FaultDriver driver(m, mirror, rng.next() | 1);
 
-    FaultDriver driver{sys, rank, mirror, Rng(rng.next() | 1),
-                       tc.horizon};
-    driver.victim =
-        static_cast<unsigned>(driver.rng.below(rank.chips()));
     const auto plan_at_least = [&tc](FaultPlan p) {
         return static_cast<int>(tc.plan) >= static_cast<int>(p);
     };
-    auto &eq = sys.events();
-    eq.schedule(tc.horizon / 10,
-                [d = &driver] { d->transientBurst(); });
+    const Tick horizon = tc.horizon;
+    auto &eq = m.sys.events();
+    eq.schedule(horizon / 10, [d = &driver] { d->transientBurst(); });
     if (plan_at_least(FaultPlan::Intermittent)) {
-        eq.schedule(tc.horizon / 4, [d = &driver] {
-            d->intermittentTick(d->horizon / 2, nsToTicks(150));
+        eq.schedule(horizon / 4, [d = &driver, horizon] {
+            d->intermittentTick(horizon / 2, nsToTicks(150));
         });
     }
     if (plan_at_least(FaultPlan::Progressive)) {
-        eq.schedule(tc.horizon / 2, [d = &driver] {
-            d->progressiveTick(d->horizon * 7 / 10, nsToTicks(220));
+        eq.schedule(horizon / 2, [d = &driver, horizon] {
+            d->progressiveTick(horizon * 7 / 10, nsToTicks(220));
         });
     }
     if (tc.plan == FaultPlan::ChipKill)
-        eq.schedule(tc.horizon * 7 / 10, [d = &driver] { d->kill(); });
+        eq.schedule(horizon * 7 / 10, [d = &driver] { d->kill(); });
 
     eng.start();
-    sys.start();
-    sys.runUntil(tc.horizon);
-    if (eng.state() == RasState::Draining ||
-        eng.state() == RasState::Migrating ||
-        eng.state() == RasState::Rebuilding ||
-        eng.state() == RasState::MigratingBack)
-        sys.runUntil(tc.horizon + tc.failoverSlack);
+    m.sys.start();
+    m.sys.runUntil(horizon);
+    if (eng.inTransition())
+        m.sys.runUntil(horizon + tc.slack);
 
-    mirror.finalCheck(tally);
-
-    const RasStats &es = eng.stats();
-    const RasMirror::Counts &mc = mirror.counts();
-    tally.patrolBursts = es.patrolBursts;
-    tally.patrolYields = es.patrolYields;
-    tally.scrubBits = es.scrubBitsFound;
-    tally.rowAlarms = es.rowAlarms;
-    tally.targetedScrubs = es.targetedScrubs;
-    tally.kills = es.killsDetected;
-    tally.failovers = mirror.completed() ? 1 : 0;
-    tally.migrated = es.migratedBlocks;
-    tally.drainedAtFailover = es.drainedAtFailover;
-    tally.rebuilds = es.rebuildsStarted;
-    tally.rebuiltBlocks = es.rebuiltBlocks;
-    tally.spared = mirror.spared() ? 1 : 0;
-    tally.spareAbandons = es.spareAbandons;
-    tally.repairs = es.repairs;
-    if (const SpareChip *sp = mirror.spareChip())
-        tally.survivorBits = sp->survivorBitsFixed();
-    tally.demandReads = mc.demandReads;
-    tally.demandWrites = mc.demandWrites;
-    tally.rsFixes = mc.rsFixes;
-    tally.vlewFallbacks = mc.vlewFallbacks;
-    tally.chipRecovered = mc.chipRecovered;
-    tally.degradedReads = mc.degradedReads;
-    tally.degradedWrites = mc.degradedWrites;
-    tally.sdc = mc.sdc;
-    tally.ue += mc.ue;
-
+    RasTally tally = mirror.trialTally();
     switch (tc.plan) {
       case FaultPlan::Transient:
         // Scattered one-shot faults must age out of the ledger, never
         // trigger failover.
-        if (es.killsDetected > 0)
+        if (tally.kills > 0)
             ++tally.falseKills;
         break;
       case FaultPlan::Intermittent:
@@ -1313,133 +1014,35 @@ runRasTrial(const RasTrialConfig &tc, Rng &rng)
         // — whether the buckets cross depends on the fault rate.
         break;
       case FaultPlan::ChipKill:
-        if (!mirror.completed()) {
+        if (!mirror.completed())
             ++tally.missedFailovers;
-        } else {
-            const std::uint64_t detect = mirror.detectAccesses();
-            tally.detectAccessesMax = detect;
-            if (detect > tc.detectAccessBound)
-                ++tally.engageOverruns;
-        }
+        else
+            mirror.judgeDetection(tally, tc.detectAccessBound);
         break;
     }
+    tally.violations = tally.violationCount();
 
-    tally.violations = tally.sdc + tally.lostDurable + tally.ue +
-                       tally.falseKills + tally.missedFailovers +
-                       tally.engageOverruns;
-
-    NVCK_ASSERT(sys.pendingStaleAcks() == 0,
+    NVCK_ASSERT(m.sys.pendingStaleAcks() == 0,
                 "stale persist acks without a power cut");
     return tally;
 }
 
 // Campaign ------------------------------------------------------------
 
-RasTally
-RasTotals::total() const
-{
-    RasTally sum;
-    for (const auto &tech : cells) {
-        for (const auto &cell : tech)
-            sum += cell;
-    }
-    return sum;
-}
-
-namespace {
-
-/** One sweep point's result: which campaign cell it feeds. */
-struct RasCellResult
-{
-    unsigned tech = 0;
-    unsigned plan = 0;
-    RasTally tally;
-};
-
-void
-rasTallyRow(Table &t, const std::string &label, const RasTally &c)
-{
-    t.row()
-        .cell(label)
-        .cell(c.trials)
-        .cell(c.patrolBursts)
-        .cell(c.scrubBits)
-        .cell(c.rowAlarms)
-        .cell(c.targetedScrubs)
-        .cell(c.kills)
-        .cell(c.failovers)
-        .cell(c.migrated)
-        .cell(c.degradedReads)
-        .cell(c.degradedWrites)
-        .cell(c.detectAccessesMax)
-        .cell(c.sdc)
-        .cell(c.lostDurable)
-        .cell(c.ue)
-        .cell(c.falseKills)
-        .cell(c.missedFailovers)
-        .cell(c.engageOverruns)
-        .cell(c.violations);
-}
-
-} // namespace
-
 RasTotals
 rasCampaign(std::ostream &os, const SweepOptions &opts,
             const RasCampaignConfig &cfg)
 {
-    NVCK_ASSERT(cfg.chunkTrials > 0, "empty campaign chunks");
-    static const PmTech techs[numRasTechs] = {PmTech::Reram,
-                                              PmTech::Pcm};
-    ParallelSweep<RasCellResult> sweep(cfg.seed, opts);
-
-    const unsigned cells = numRasTechs * numFaultPlans;
-    unsigned cell = 0;
-    for (unsigned ti = 0; ti < numRasTechs; ++ti) {
-        for (unsigned pi = 0; pi < numFaultPlans; ++pi, ++cell) {
-            std::uint64_t remaining =
-                cfg.trials / cells +
-                (cell < cfg.trials % cells ? 1 : 0);
-            for (unsigned chunk = 0; remaining > 0; ++chunk) {
-                const auto batch =
-                    std::min<std::uint64_t>(remaining, cfg.chunkTrials);
-                remaining -= batch;
-                sweep.add(
-                    pmTechName(techs[ti]) + "/" +
-                        faultPlanName(static_cast<FaultPlan>(pi)) +
-                        " #" + std::to_string(chunk),
-                    [&cfg, ti, pi, batch](Rng &rng) {
-                        RasTrialConfig tc = cfg.trial;
-                        tc.tech = techs[ti];
-                        tc.plan = static_cast<FaultPlan>(pi);
-                        RasCellResult r;
-                        r.tech = ti;
-                        r.plan = pi;
-                        for (std::uint64_t t = 0; t < batch; ++t)
-                            r.tally += runRasTrial(tc, rng);
-                        return r;
-                    });
-            }
-        }
-    }
-
-    RasTotals totals{};
-    for (const auto &out : sweep.run())
-        totals.cells[out.value.tech][out.value.plan] += out.value.tally;
-
-    Table t({"fault plan", "trials", "patrol", "bits", "alarms",
-             "scrubs", "kills", "failover", "migrated", "degr rd",
-             "degr wr", "detect", "sdc", "lost", "UE", "false",
-             "missed", "late", "violations"});
-    for (unsigned ti = 0; ti < numRasTechs; ++ti) {
-        for (unsigned pi = 0; pi < numFaultPlans; ++pi)
-            rasTallyRow(t,
-                        pmTechName(techs[ti]) + "/" +
-                            faultPlanName(static_cast<FaultPlan>(pi)),
-                        totals.cells[ti][pi]);
-    }
-    rasTallyRow(t, "total", totals.total());
-    t.print(os);
-    return totals;
+    using T = RasTally;
+    static const CampaignTable<T> table{
+        "fault plan",
+        {{&T::trials}, {&T::patrolBursts}, {&T::scrubBits}, {&T::rowAlarms},
+         {&T::targetedScrubs}, {&T::kills}, {&T::failovers}, {&T::migrated},
+         {&T::degradedReads}, {&T::degradedWrites}, {&T::detectAccessesMax},
+         {&T::sdc}, {&T::lostDurable}, {&T::ue}, {&T::falseKills},
+         {&T::missedFailovers}, {&T::engageOverruns}, {&T::violations}}};
+    return techPlanCampaign(os, opts, cfg, table, &RasTrialConfig::plan,
+                            faultPlanNames, runRasTrial);
 }
 
 } // namespace nvck

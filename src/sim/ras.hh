@@ -35,10 +35,9 @@
  *    chips exceed the RS budget — instead of asserting.
  *
  * The engine owns timing and policy only; all bit-level work (scrub
- * decode, block migration, ledger evidence from real reads) happens
- * through caller-supplied callbacks, so unit tests can drive the state
- * machine with stubs and the fault-lifecycle campaign (RasMirror)
- * plugs in the bit-accurate PmRank/DegradedRank pair.
+ * decode, block migration, ledger evidence from real reads) is the
+ * RasMirror's, built as the engine's pair over the bit-accurate
+ * PmRank/DegradedRank, which the engine calls directly.
  *
  * One modelling note on EUR-pending spans: a VLEW whose code-bit delta
  * still sits in the EUR must not be decoded against the stale media
@@ -54,9 +53,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <iterator>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "chipkill/degraded.hh"
@@ -92,7 +92,8 @@ struct RasConfig
     unsigned migrateBlocksPerStep = 32;
     /** Pacing between migration steps. */
     Tick migrateStepInterval = nsToTicks(60);
-    /** A spare chip is provisioned and armed (NVCK_SPARE_ARMED). */
+    /** A spare chip is provisioned and armed (the spare campaign sets
+     *  it per plan). */
     bool spareEnabled = false;
     /** Blocks rebuilt onto the spare per step
      *  (NVCK_SPARE_REBUILD_BLOCKS; rounded up to whole spans). */
@@ -109,9 +110,10 @@ struct RasConfig
 
     /**
      * Apply NVCK_RAS_PATROL / NVCK_RAS_THRESHOLD / NVCK_RAS_DECAY /
-     * NVCK_SPARE_ARMED / NVCK_SPARE_REBUILD_BLOCKS /
-     * NVCK_SPARE_REBUILD_INTERVAL / NVCK_RAS_PATROL_ORDER on top of
-     * the defaults (strict parse: garbage exits with status 2).
+     * NVCK_SPARE_REBUILD_BLOCKS / NVCK_SPARE_REBUILD_INTERVAL /
+     * NVCK_RAS_PATROL_ORDER on top of the defaults (strict parse:
+     * garbage, or a value that overflows its field, exits with
+     * status 2).
      */
     static RasConfig fromEnv();
 };
@@ -184,7 +186,15 @@ enum class RasState
     Unrecoverable, //!< a second chip crossed; reads report UE
 };
 
-const char *rasStateName(RasState state);
+constexpr const char *rasStateNames[] = {
+    "healthy", "draining", "migrating", "degraded", "rebuilding",
+    "spared", "migrating-back", "unrecoverable"};
+
+inline const char *
+rasStateName(RasState state)
+{
+    return rasStateNames[static_cast<unsigned>(state)];
+}
 
 /** Engine-side counters (bit-level tallies live in the mirror). */
 struct RasStats
@@ -203,8 +213,10 @@ struct RasStats
     std::uint64_t drainedAtFailover = 0;
     std::uint64_t migratedBlocks = 0;
     std::uint64_t migrationTrafficDropped = 0;
+    std::uint64_t failoversCompleted = 0; //!< degraded migrations done
     std::uint64_t rebuildsStarted = 0;  //!< spare engagements
     std::uint64_t rebuiltBlocks = 0;    //!< blocks rebuilt onto spare
+    std::uint64_t rebuildsCompleted = 0; //!< Spared reached
     std::uint64_t spareAbandons = 0;    //!< spare failed mid-rebuild
     std::uint64_t repairs = 0;          //!< migrate-backs completed
     std::uint64_t migratedBackBlocks = 0;
@@ -215,6 +227,8 @@ struct RasStats
     Tick repairedAt = 0; //!< migrate-back completed
 };
 
+class RasMirror;
+
 /**
  * The timing-side RAS engine: patrol pacing, ledger bookkeeping, and
  * the failover state machine, scheduled on the System's EventQueue.
@@ -222,40 +236,10 @@ struct RasStats
 class RasEngine
 {
   public:
-    /** Bit-level work, supplied by the mirror (or test stubs). */
-    struct Callbacks
-    {
-        /** Scrub VLEW span @p span; fill @p per_chip with each chip's
-         *  corrections (-1 = uncorrectable, erasure evidence). */
-        std::function<void(unsigned span, std::vector<int> &per_chip)>
-            patrolCheck;
-        /** Migrate up to @p max_blocks blocks; returns how many. */
-        std::function<unsigned(unsigned max_blocks)> migrateStep;
-        /** EUR drained; migration is about to start for @p chip. */
-        std::function<void(unsigned chip)> onFailoverStart;
-        /** Every block migrated; state is now Degraded. */
-        std::function<void()> onFailoverComplete;
-        /** A second chip crossed the kill threshold. */
-        std::function<void(unsigned chip)> onUnrecoverable;
-        /** EUR drained; spare rebuild is about to start for @p chip. */
-        std::function<void(unsigned chip)> onRebuildStart;
-        /** Rebuild up to @p max_blocks onto the spare; returns how
-         *  many (rounded up to whole VLEW spans). */
-        std::function<unsigned(unsigned max_blocks)> rebuildStep;
-        /** Rebuild complete; the rank is back at full code strength. */
-        std::function<void()> onSpared;
-        /** The spare itself crossed its kill threshold mid-rebuild;
-         *  degraded failover for @p chip starts next. */
-        std::function<void(unsigned chip)> onSpareAbandoned;
-        /** Copy up to @p max_blocks back to the replacement chip. */
-        std::function<unsigned(unsigned max_blocks)> migrateBackStep;
-        /** Migrate-back complete; spare re-armed, state Healthy. */
-        std::function<void()> onRepairComplete;
-    };
-
+    /** @p mirror does the bit-level work of every step. */
     RasEngine(System &system, const RasConfig &config,
               unsigned rank_blocks, unsigned span_blocks,
-              Callbacks callbacks);
+              RasMirror &mirror);
 
     /** Arm the patrol cycle (first burst one interval from now). */
     void start();
@@ -295,6 +279,9 @@ class RasEngine
     void noteAccess() { ++accessCount; }
 
     RasState state() const { return st; }
+    /** Draining, migrating, rebuilding or migrating back: a trial
+     *  ending here gets extra time to settle. */
+    bool inTransition() const;
     unsigned killedChip() const { return killed; }
     /** The spare is carrying (or has carried) a lane. */
     bool spareEngaged() const { return spareUsed; }
@@ -303,11 +290,8 @@ class RasEngine
     /** Blocks below this index are already rebuilt onto the spare. */
     unsigned rebuildWatermark() const { return rebuilt; }
     std::uint64_t accesses() const { return accessCount; }
-    /** Demand accesses between kill detection and migration start. */
-    std::uint64_t engageAccesses() const
-    {
-        return accessesAtEngage - accessesAtDetect;
-    }
+    /** Demand accesses counted when failover first engaged. */
+    std::uint64_t engageAccess() const { return accessesAtEngage; }
     /** Patrol bursts whose reads are still in flight. */
     unsigned patrolInFlight() const { return joinsLive; }
 
@@ -340,15 +324,22 @@ class RasEngine
     void beginFailover();
     /** Drop to the degraded layout (no spare, or spare abandoned). */
     void engageDegraded();
+    /** Start the engagement clock unless a first engagement ran. */
+    void noteEngaged();
     void migrateTick();
     void spareTick();
+    /** One paced copy step of up to @p max_blocks through the
+     *  mirror's @p step: moves @p cursor, issues the step's bus
+     *  traffic, and returns the blocks moved. */
+    unsigned copyStep(unsigned (RasMirror::*step)(unsigned),
+                      unsigned max_blocks, unsigned &cursor);
     void abandonSpare();
     /** Bus cost of a paced copy step: bounded overhead R+W pairs. */
     void issueOverheadPairs(unsigned count, unsigned first_block);
 
     System &sys;
     RasConfig cfg;
-    Callbacks cb;
+    RasMirror &mirror;
     unsigned rankBlocks;
     unsigned spanBlocks;
     unsigned spans;
@@ -363,7 +354,6 @@ class RasEngine
     unsigned rebuilt = 0;
     unsigned migratedBack = 0;
     std::uint64_t accessCount = 0;
-    std::uint64_t accessesAtDetect = 0;
     std::uint64_t accessesAtEngage = 0;
     unsigned patrolCursor = 0;
     bool patrolArmed = false;
@@ -429,12 +419,20 @@ enum class FaultPlan
     ChipKill,     //!< + full chip kill; failover must complete
 };
 
-constexpr unsigned numFaultPlans = 4;
+/** Stable labels for tables, --filter selection, and logs, in
+ *  FaultPlan order. */
+constexpr const char *faultPlanNames[] = {
+    "transient", "intermittent", "progressive", "chip-kill"};
+constexpr unsigned numFaultPlans = std::size(faultPlanNames);
 
-const char *faultPlanName(FaultPlan plan);
+inline const char *
+faultPlanName(FaultPlan plan)
+{
+    return faultPlanNames[static_cast<unsigned>(plan)];
+}
 
 /** Aggregated outcome of lifecycle trials. */
-struct RasTally
+struct RasTally : TallyBase<RasTally>
 {
     std::uint64_t trials = 0;
     std::uint64_t patrolBursts = 0;
@@ -471,24 +469,25 @@ struct RasTally
     std::uint64_t survivorBits = 0;  //!< survivor bits fixed pre-fill
     std::uint64_t missedSpares = 0;  //!< Rebuild plan without Spared
     std::uint64_t missedRepairs = 0; //!< Repair plan without Healthy
-    /** Oracle violations: must be zero. */
+    /** Oracle violations (violationCount() of the trial): must be
+     *  zero. */
     std::uint64_t violations = 0;
 
-    RasTally &operator+=(const RasTally &other);
+    static std::span<const TallyField<RasTally>> fields();
 };
 
-/**
- * The timing<->bit-level bridge for the lifecycle campaign: installs
- * CrashHooks to replay every demand PM access on the PmRank (feeding
- * the ledger from real read outcomes and the persist oracle from the
- * write path, like SysCrashMirror), implements the engine callbacks
- * (patrol scrub via ScrubEngine::scrubWord, migration via
- * OnlineFailover), and routes accesses across the migration watermark
- * once failover starts.
- */
 class SpareChip;
 
-class RasMirror
+/**
+ * The timing<->bit-level bridge for the lifecycle campaign: a
+ * MediaMirror that installs CrashHooks to replay every demand PM
+ * access on the PmRank (feeding the ledger from real read outcomes and
+ * the persist oracle from the write path), does the engine's
+ * bit-level steps (patrol scrub via ScrubEngine::scrubWord, migration
+ * via OnlineFailover, spare rebuild and copy-back via SpareChip), and
+ * routes accesses across the migration watermark once failover starts.
+ */
+class RasMirror : MediaMirror
 {
   public:
     RasMirror(System &system, PmRank &pm_rank, PersistOracle &po,
@@ -502,19 +501,22 @@ class RasMirror
     /** Begin counting demand accesses toward the detection bound. */
     void noteKillInjected();
 
-    bool engaged() const { return engaged_; }
-    bool completed() const { return completed_; }
-    bool unrecoverable() const { return unrecoverable_; }
+    bool engaged() const { return eng->stats().engagedAt != 0; }
+    bool completed() const { return eng->stats().failoversCompleted > 0; }
+    bool unrecoverable() const { return eng->stats().doubleKills > 0; }
     /** Spare rebuild completed at least once. */
-    bool spared() const { return spared_; }
+    bool spared() const { return eng->stats().rebuildsCompleted > 0; }
     /** Migrate-back to a replacement chip completed. */
-    bool repaired() const { return repaired_; }
+    bool repaired() const { return eng->stats().repairs > 0; }
     /** The spare was abandoned mid-rebuild (degraded fallback). */
     bool spareAbandoned() const { return spareAbandoned_; }
     /** The bit-level spare, when one has been engaged. */
     const SpareChip *spareChip() const { return spare.get(); }
-    /** Demand PM accesses between kill injection and engagement. */
-    std::uint64_t detectAccesses() const;
+    /** Once failover engaged: record the demand PM accesses from kill
+     *  injection to engagement (0 when it engaged proactively) as
+     *  @p tally's detectAccessesMax, and an engageOverrun past
+     *  @p bound. */
+    void judgeDetection(RasTally &tally, std::uint64_t bound) const;
 
     /**
      * End of trial: drain the remaining EUR state through the
@@ -524,25 +526,15 @@ class RasMirror
      */
     void finalCheck(RasTally &tally);
 
-    /** Bit-level tallies accumulated during the run. */
-    struct Counts
-    {
-        std::uint64_t demandReads = 0;
-        std::uint64_t demandWrites = 0;
-        std::uint64_t rsFixes = 0;
-        std::uint64_t vlewFallbacks = 0;
-        std::uint64_t chipRecovered = 0;
-        std::uint64_t degradedReads = 0;
-        std::uint64_t degradedWrites = 0;
-        std::uint64_t sdc = 0;
-        std::uint64_t ue = 0;
-        std::uint64_t poisonedWriteSkips = 0;
-        std::uint64_t earlyRetires = 0; //!< EUR merges before VLEW ops
-    };
-
-    const Counts &counts() const { return n; }
+    /** End of trial: finalCheck() plus the engine's and the mirror's
+     *  counters, as one trial's tally (plan verdicts stay with the
+     *  caller). */
+    RasTally trialTally();
 
   private:
+    /** The engine drives the bit-level steps below. */
+    friend class RasEngine;
+
     void onPmWrite(Addr addr, unsigned bank, unsigned slot);
     void onEurDrain(unsigned bank, unsigned slot);
     void onPmRead(Addr addr, bool patrol, bool overhead);
@@ -554,63 +546,33 @@ class RasMirror
     void onRebuildStart(unsigned chip);
     unsigned spareRebuildStep(unsigned max_blocks);
     unsigned spareBackStep(unsigned max_blocks);
-    void onSpareAbandonedCb(unsigned chip);
+    void onSpareAbandoned(unsigned chip);
 
-    unsigned blockOf(Addr addr) const;
-    unsigned spanOf(unsigned block) const;
-    /** Chip-internal EUR merge: retire every mirrored pending code
-     *  delta in @p span before a VLEW-touching operation. */
-    void retireSpan(unsigned span);
-    void retireBlock(unsigned block);
-    void makePayload(const std::uint8_t *old_data, std::uint8_t *out);
+    /** Chip-internal EUR merge (MediaMirror::retireSpan) of every
+     *  span blocks [@p start, @p end) touch. */
+    void retireSpans(unsigned start, unsigned end);
 
-    System &sys;
-    PmRank &rank;
-    PersistOracle &oracle;
     ScrubEngine scrub;
-    Rng rng;
     RasConfig rasCfg;
     unsigned threshold;
-    unsigned spanBlocks;
-    /** Healthy-side mirrored pending blocks per flattened
-     *  (bank * slotsPerBank + EUR slot) register. */
-    std::vector<std::vector<unsigned>> pendingSlots;
-    /** Register currently coalescing each span's code deltas (open-row
-     *  exclusivity: one span per register at a time). */
-    std::vector<std::uint32_t> spanRegister;
-    /** Per-span count of healthy-side pending blocks. */
-    std::vector<unsigned> spanPending;
-    /** Last value whose code fully drained on the healthy rank. */
-    std::vector<PersistOracle::Value> healthySettled;
     std::unique_ptr<OnlineFailover> failover;
     std::unique_ptr<SpareChip> spare;
     std::unique_ptr<RasEngine> eng;
     std::vector<int> spareScratch;
-    bool killInjected = false;
-    bool engaged_ = false;
-    bool completed_ = false;
-    bool unrecoverable_ = false;
-    bool spared_ = false;
-    bool repaired_ = false;
     bool spareAbandoned_ = false;
     std::uint64_t accessesAtInjection = 0;
-    std::uint64_t accessesAtEngage = 0;
-    Counts n;
+    /** Read/write-path counters of the run so far. */
+    RasTally n;
 };
 
-/** Shape knobs for one lifecycle trial. */
-struct RasTrialConfig
+/** Shape knobs shared by the lifecycle and hot-sparing trials. */
+struct LiveTrialShape : MirroredTrialShape
 {
-    PmTech tech = PmTech::Reram;
-    FaultPlan plan = FaultPlan::ChipKill;
-    /** Mirrored rank capacity (multiple of 32). */
-    unsigned rankBlocks = 1024;
-    unsigned banks = 4;
-    unsigned cores = 2;
     /** Live-traffic horizon; fault phases are placed inside it. */
     Tick horizon = nsToTicks(16000);
-    /** Extra time allowed for a late failover to finish migrating. */
-    Tick failoverSlack = nsToTicks(8000);
+    /** Extra time allowed for a late failover, rebuild or migration
+     *  to finish. */
+    Tick slack = nsToTicks(8000);
     /** RS acceptance threshold. */
     unsigned threshold = 2;
     /** Engine policy (bench applies RasConfig::fromEnv()). */
@@ -619,34 +581,64 @@ struct RasTrialConfig
     std::uint64_t detectAccessBound = 512;
 };
 
+/** Shape knobs for one lifecycle trial. */
+struct RasTrialConfig : LiveTrialShape
+{
+    FaultPlan plan = FaultPlan::ChipKill;
+};
+
+/**
+ * The fault primitives a live trial injects: scattered flips and the
+ * victim chip's kill (the victim is the stream's first draw). Trial
+ * drivers extend it; events capture only the driver pointer (plus
+ * scalars), so a stack-local driver fits the event queue's inline
+ * capture budget.
+ */
+struct FaultStream
+{
+    FaultStream(MirroredTrial &trial, RasMirror &m, std::uint64_t seed)
+        : sys(trial.sys), rank(trial.rank), mirror(m), rng(seed),
+          victim(static_cast<unsigned>(rng.below(rank.chips())))
+    {
+    }
+
+    void
+    flip(unsigned chip)
+    {
+        rank.corruptByte(
+            chip, static_cast<unsigned>(rng.below(rank.blocks())),
+            static_cast<unsigned>(rng.below(chipBeatBytes)),
+            static_cast<std::uint8_t>(1u << rng.below(8)));
+    }
+
+    void
+    transientBurst()
+    {
+        for (unsigned i = 0; i < 6; ++i)
+            flip(static_cast<unsigned>(rng.below(rank.chips())));
+    }
+
+    void
+    kill()
+    {
+        rank.failChip(victim, rng);
+        mirror.noteKillInjected();
+    }
+
+    System &sys;
+    PmRank &rank;
+    RasMirror &mirror;
+    Rng rng;
+    unsigned victim;
+};
+
 /** Run one seeded lifecycle trial. */
 RasTally runRasTrial(const RasTrialConfig &tc, Rng &rng);
 
-/** Campaign shape; the defaults meet the acceptance bar (>= 5k). */
-struct RasCampaignConfig
-{
-    std::uint64_t seed = 2018;
-    /** Trials, split across (technology x fault plan) cells. */
-    std::uint64_t trials = 6000;
-    /** Trials per sweep point (parallel work-item granularity). */
-    unsigned chunkTrials = 25;
-    RasTrialConfig trial; //!< tech/plan overwritten per cell
-};
+using RasCampaignConfig = TechPlanConfig<RasTrialConfig>;
 
-constexpr unsigned numRasTechs = 2;
-
-/** Aggregated campaign outcome per (technology, fault plan) cell. */
-struct RasTotals
-{
-    std::array<std::array<RasTally, numFaultPlans>, numRasTechs> cells;
-
-    RasTally total() const;
-    std::uint64_t
-    violations() const
-    {
-        return total().violations;
-    }
-};
+/** Per (technology, fault plan) row. */
+using RasTotals = CampaignTotals<RasTally>;
 
 /**
  * Run the fault-lifecycle campaign as a ParallelSweep, print the

@@ -3,36 +3,24 @@
 #include <algorithm>
 #include <string>
 
-#include "chipkill/schemes.hh"
 #include "common/log.hh"
-#include "common/table.hh"
-#include "sim/configs.hh"
 
 namespace nvck {
 
 // SpareChip -----------------------------------------------------------
 
-const char *
-spareStateName(SpareState state)
-{
-    switch (state) {
-      case SpareState::Armed:
-        return "armed";
-      case SpareState::Rebuilding:
-        return "rebuilding";
-      case SpareState::Active:
-        return "active";
-      case SpareState::CopyingBack:
-        return "copying-back";
-      case SpareState::Abandoned:
-        return "abandoned";
-    }
-    return "?";
-}
-
 SpareChip::SpareChip(PmRank &pm_rank, unsigned threshold)
     : rank(pm_rank), thresh(threshold)
 {
+}
+
+unsigned
+SpareChip::stepEnd(unsigned from, unsigned max_blocks) const
+{
+    const unsigned span_blocks = rank.params().blocksPerVlew();
+    const unsigned nspans =
+        std::max(1u, (max_blocks + span_blocks - 1) / span_blocks);
+    return std::min(rank.blocks(), from + nspans * span_blocks);
 }
 
 void
@@ -57,12 +45,9 @@ SpareChip::rebuildStep(unsigned max_blocks, std::vector<int> *survivors)
     if (survivors)
         survivors->assign(rank.chips(), 0);
     const unsigned span_blocks = rank.params().blocksPerVlew();
-    const unsigned nspans =
-        std::max(1u, (max_blocks + span_blocks - 1) / span_blocks);
-    const unsigned target =
-        std::min(rank.blocks(), cursor + nspans * span_blocks);
-    unsigned done = 0;
-    while (cursor < target) {
+    const unsigned start = cursor;
+    const unsigned target = stepEnd(cursor, max_blocks);
+    for (; cursor < target; cursor += span_blocks) {
         const unsigned span = cursor / span_blocks;
         std::uint16_t distrust = 0;
         // Latent survivor errors would become silent garbage in the
@@ -87,12 +72,10 @@ SpareChip::rebuildStep(unsigned max_blocks, std::vector<int> *survivors)
         const auto rep =
             rank.rebuildLaneSpan(chip, span, thresh, distrust);
         poisonedCount += rep.blocksPoisoned;
-        cursor += span_blocks;
-        done += span_blocks;
     }
     if (rebuildDone())
         st = SpareState::Active;
-    return done;
+    return cursor - start;
 }
 
 void
@@ -121,12 +104,9 @@ SpareChip::migrateBackStep(unsigned max_blocks)
     NVCK_ASSERT(st == SpareState::CopyingBack,
                 "migrate-back outside a copy-back");
     const unsigned span_blocks = rank.params().blocksPerVlew();
-    const unsigned nspans =
-        std::max(1u, (max_blocks + span_blocks - 1) / span_blocks);
-    const unsigned target =
-        std::min(rank.blocks(), backCursor + nspans * span_blocks);
-    unsigned done = 0;
-    while (backCursor < target) {
+    const unsigned start = backCursor;
+    const unsigned target = stepEnd(backCursor, max_blocks);
+    for (; backCursor < target; backCursor += span_blocks) {
         const unsigned span = backCursor / span_blocks;
         // Copy-verify: read the spare's lane through its VLEW
         // correction and write the corrected beats to the replacement
@@ -136,70 +116,29 @@ SpareChip::migrateBackStep(unsigned max_blocks)
         const auto res = scrub.scrubWord(rank, chip, span);
         if (res.corrections > 0)
             latentBits += static_cast<std::uint64_t>(res.corrections);
-        backCursor += span_blocks;
-        done += span_blocks;
     }
     if (migrateBackDone())
         st = SpareState::Armed; // re-armed for the next kill
-    return done;
+    return backCursor - start;
 }
 
 // Trial ---------------------------------------------------------------
 
-const char *
-sparePlanName(SparePlan plan)
-{
-    switch (plan) {
-      case SparePlan::Unarmed:
-        return "unarmed";
-      case SparePlan::Rebuild:
-        return "rebuild";
-      case SparePlan::SpareLoss:
-        return "spare-loss";
-      case SparePlan::Repair:
-        return "repair";
-    }
-    return "?";
-}
-
 namespace {
 
-/** The fault stream one hot-sparing trial injects. Events capture
- *  only the driver pointer (plus scalars), so the stack-local
- *  instance fits the event queue's inline capture budget. */
-struct SpareDriver
+/** The hot-sparing trial's service events on top of the shared fault
+ *  primitives. */
+struct SpareDriver : FaultStream
 {
-    System &sys;
-    PmRank &rank;
-    RasMirror &mirror;
-    Rng rng;
+    SpareDriver(MirroredTrial &trial, RasMirror &m, std::uint64_t seed,
+                SparePlan p)
+        : FaultStream(trial, m, seed), plan(p)
+    {
+    }
+
     SparePlan plan;
-    unsigned victim = 0;
     bool spareKilled = false;
     bool replaced = false;
-
-    void
-    flip(unsigned chip)
-    {
-        rank.corruptByte(
-            chip, static_cast<unsigned>(rng.below(rank.blocks())),
-            static_cast<unsigned>(rng.below(chipBeatBytes)),
-            static_cast<std::uint8_t>(1u << rng.below(8)));
-    }
-
-    void
-    transientBurst()
-    {
-        for (unsigned i = 0; i < 6; ++i)
-            flip(static_cast<unsigned>(rng.below(rank.chips())));
-    }
-
-    void
-    kill()
-    {
-        rank.failChip(victim, rng);
-        mirror.noteKillInjected();
-    }
 
     /**
      * Plan-specific service events, polled on a fixed cadence so the
@@ -238,47 +177,7 @@ struct SpareDriver
 RasTally
 runSpareTrial(const SpareTrialConfig &tc, Rng &rng)
 {
-    NVCK_ASSERT(tc.rankBlocks >= 64 && tc.rankBlocks % 32 == 0,
-                "rank must hold whole VLEW spans");
-    RasTally tally;
-    tally.trials = 1;
-
-    SystemConfig cfg = SystemConfig::make(
-        tc.tech, proposalScheme(runtimeRberFor(tc.tech)), "echo",
-        rng.next() | 1);
-    cfg.cores = tc.cores;
-    cfg.cache.cores = tc.cores;
-    cfg.cache.l1Bytes = 8 * 1024;
-    cfg.cache.llcBytes = 64 * 1024;
-    cfg.cache.llcWays = 8;
-    // Same compact shape as the RAS lifecycle campaign: few banks keep
-    // the rank mirrorable with real row conflicts, aggressive drain
-    // thresholds keep the EUR write path busy.
-    cfg.mem.dram.banks = tc.banks;
-    cfg.mem.pm.banks = tc.banks;
-    cfg.mem.writeMaxAge = nsToTicks(400);
-    cfg.mem.writeIdleBurst = 4;
-    cfg.mem.writeDrainHigh = 24;
-    cfg.mem.writeDrainLow = 8;
-    cfg.space.pmBase = 0;
-    cfg.space.pmBytes =
-        static_cast<std::uint64_t>(tc.rankBlocks) * blockBytes;
-    cfg.space.dramBytes = 1u << 20;
-
-    System sys(cfg, std::make_unique<CampaignWorkload>(
-                        cfg.space, tc.cores, rng.next()));
-
-    PmRank rank(tc.rankBlocks);
-    rank.initialize(rng);
-    PersistOracle oracle(tc.rankBlocks);
-    {
-        std::uint8_t buf[blockBytes];
-        for (unsigned b = 0; b < tc.rankBlocks; ++b) {
-            rank.goldenBlock(b, buf);
-            oracle.setBaseline(b, buf);
-        }
-    }
-
+    MirroredTrial m(tc, rng);
     RasConfig ras = tc.ras;
     ras.spareEnabled = (tc.plan != SparePlan::Unarmed);
     // Spare-loss trials model a slow rebuild (a big rank behind a
@@ -289,14 +188,12 @@ runSpareTrial(const SpareTrialConfig &tc, Rng &rng)
         ras.rebuildStepInterval < nsToTicks(300))
         ras.rebuildStepInterval = nsToTicks(300);
 
-    RasMirror mirror(sys, rank, oracle, ras, tc.threshold, rng.next());
+    RasMirror mirror(m.sys, m.rank, m.oracle, ras, tc.threshold,
+                     rng.next());
     RasEngine &eng = mirror.engine();
+    SpareDriver driver(m, mirror, rng.next() | 1, tc.plan);
 
-    SpareDriver driver{sys,     rank, mirror, Rng(rng.next() | 1),
-                       tc.plan};
-    driver.victim =
-        static_cast<unsigned>(driver.rng.below(rank.chips()));
-    auto &eq = sys.events();
+    auto &eq = m.sys.events();
     eq.schedule(tc.horizon / 10,
                 [d = &driver] { d->transientBurst(); });
     eq.schedule(tc.horizon * 3 / 10, [d = &driver] { d->kill(); });
@@ -305,58 +202,17 @@ runSpareTrial(const SpareTrialConfig &tc, Rng &rng)
     });
 
     eng.start();
-    sys.start();
-    sys.runUntil(tc.horizon);
-    const auto transitional = [&eng] {
-        switch (eng.state()) {
-          case RasState::Draining:
-          case RasState::Migrating:
-          case RasState::Rebuilding:
-          case RasState::MigratingBack:
-            return true;
-          default:
-            return false;
-        }
-    };
+    m.sys.start();
+    m.sys.runUntil(tc.horizon);
     // A rebuild crossing the horizon (or a fallback/repair detected
     // late) gets bounded extra time; the state machine is otherwise
     // frozen where it stands and judged below.
-    if (transitional() ||
+    if (eng.inTransition() ||
         (tc.plan == SparePlan::SpareLoss && !mirror.completed()) ||
         (tc.plan == SparePlan::Repair && !mirror.repaired()))
-        sys.runUntil(tc.horizon + tc.slack);
+        m.sys.runUntil(tc.horizon + tc.slack);
 
-    mirror.finalCheck(tally);
-
-    const RasStats &es = eng.stats();
-    const RasMirror::Counts &mc = mirror.counts();
-    tally.patrolBursts = es.patrolBursts;
-    tally.patrolYields = es.patrolYields;
-    tally.scrubBits = es.scrubBitsFound;
-    tally.rowAlarms = es.rowAlarms;
-    tally.targetedScrubs = es.targetedScrubs;
-    tally.kills = es.killsDetected;
-    tally.failovers = mirror.completed() ? 1 : 0;
-    tally.migrated = es.migratedBlocks;
-    tally.drainedAtFailover = es.drainedAtFailover;
-    tally.rebuilds = es.rebuildsStarted;
-    tally.rebuiltBlocks = es.rebuiltBlocks;
-    tally.spared = mirror.spared() ? 1 : 0;
-    tally.spareAbandons = es.spareAbandons;
-    tally.repairs = es.repairs;
-    tally.demandReads = mc.demandReads;
-    tally.demandWrites = mc.demandWrites;
-    tally.rsFixes = mc.rsFixes;
-    tally.vlewFallbacks = mc.vlewFallbacks;
-    tally.chipRecovered = mc.chipRecovered;
-    tally.degradedReads = mc.degradedReads;
-    tally.degradedWrites = mc.degradedWrites;
-    tally.sdc = mc.sdc;
-    tally.ue += mc.ue;
-    if (const SpareChip *sp = mirror.spareChip())
-        tally.survivorBits = sp->survivorBitsFixed();
-
-    const std::uint64_t detect = mirror.detectAccesses();
+    RasTally tally = mirror.trialTally();
     switch (tc.plan) {
       case SparePlan::Unarmed:
         // The PR-9 baseline: degraded failover must complete.
@@ -381,130 +237,31 @@ runSpareTrial(const SpareTrialConfig &tc, Rng &rng)
             ++tally.missedRepairs;
         break;
     }
-    if (mirror.engaged() && detect != UINT64_MAX) {
-        tally.detectAccessesMax = detect;
-        if (detect > tc.detectAccessBound)
-            ++tally.engageOverruns;
-    }
+    mirror.judgeDetection(tally, tc.detectAccessBound);
+    tally.violations = tally.violationCount();
 
-    tally.violations = tally.sdc + tally.lostDurable + tally.ue +
-                       tally.missedFailovers + tally.missedSpares +
-                       tally.missedRepairs + tally.engageOverruns;
-
-    NVCK_ASSERT(sys.pendingStaleAcks() == 0,
+    NVCK_ASSERT(m.sys.pendingStaleAcks() == 0,
                 "stale persist acks without a power cut");
     return tally;
 }
 
 // Campaign ------------------------------------------------------------
 
-RasTally
-SpareTotals::total() const
-{
-    RasTally sum;
-    for (const auto &tech : cells) {
-        for (const auto &cell : tech)
-            sum += cell;
-    }
-    return sum;
-}
-
-namespace {
-
-/** One sweep point's result: which campaign cell it feeds. */
-struct SpareCellResult
-{
-    unsigned tech = 0;
-    unsigned plan = 0;
-    RasTally tally;
-};
-
-void
-spareTallyRow(Table &t, const std::string &label, const RasTally &c)
-{
-    t.row()
-        .cell(label)
-        .cell(c.trials)
-        .cell(c.kills)
-        .cell(c.rebuilds)
-        .cell(c.rebuiltBlocks)
-        .cell(c.spared)
-        .cell(c.spareAbandons)
-        .cell(c.repairs)
-        .cell(c.survivorBits)
-        .cell(c.failovers)
-        .cell(c.migrated)
-        .cell(c.detectAccessesMax)
-        .cell(c.sdc)
-        .cell(c.lostDurable)
-        .cell(c.ue)
-        .cell(c.missedSpares)
-        .cell(c.missedRepairs)
-        .cell(c.missedFailovers)
-        .cell(c.engageOverruns)
-        .cell(c.violations);
-}
-
-} // namespace
-
 SpareTotals
 spareCampaign(std::ostream &os, const SweepOptions &opts,
               const SpareCampaignConfig &cfg)
 {
-    NVCK_ASSERT(cfg.chunkTrials > 0, "empty campaign chunks");
-    static const PmTech techs[numRasTechs] = {PmTech::Reram,
-                                              PmTech::Pcm};
-    ParallelSweep<SpareCellResult> sweep(cfg.seed, opts);
-
-    const unsigned cells = numRasTechs * numSparePlans;
-    unsigned cell = 0;
-    for (unsigned ti = 0; ti < numRasTechs; ++ti) {
-        for (unsigned pi = 0; pi < numSparePlans; ++pi, ++cell) {
-            std::uint64_t remaining =
-                cfg.trials / cells +
-                (cell < cfg.trials % cells ? 1 : 0);
-            for (unsigned chunk = 0; remaining > 0; ++chunk) {
-                const auto batch =
-                    std::min<std::uint64_t>(remaining, cfg.chunkTrials);
-                remaining -= batch;
-                sweep.add(
-                    pmTechName(techs[ti]) + "/" +
-                        sparePlanName(static_cast<SparePlan>(pi)) +
-                        " #" + std::to_string(chunk),
-                    [&cfg, ti, pi, batch](Rng &rng) {
-                        SpareTrialConfig tc = cfg.trial;
-                        tc.tech = techs[ti];
-                        tc.plan = static_cast<SparePlan>(pi);
-                        SpareCellResult r;
-                        r.tech = ti;
-                        r.plan = pi;
-                        for (std::uint64_t t = 0; t < batch; ++t)
-                            r.tally += runSpareTrial(tc, rng);
-                        return r;
-                    });
-            }
-        }
-    }
-
-    SpareTotals totals{};
-    for (const auto &out : sweep.run())
-        totals.cells[out.value.tech][out.value.plan] += out.value.tally;
-
-    Table t({"spare plan", "trials", "kills", "rebuilds", "rebuilt",
-             "spared", "abandons", "repairs", "surv bits", "failover",
-             "migrated", "detect", "sdc", "lost", "UE", "no spare",
-             "no repair", "no failover", "late", "violations"});
-    for (unsigned ti = 0; ti < numRasTechs; ++ti) {
-        for (unsigned pi = 0; pi < numSparePlans; ++pi)
-            spareTallyRow(t,
-                          pmTechName(techs[ti]) + "/" +
-                              sparePlanName(
-                                  static_cast<SparePlan>(pi)),
-                          totals.cells[ti][pi]);
-    }
-    spareTallyRow(t, "total", totals.total());
-    t.print(os);
-    return totals;
+    using T = RasTally;
+    static const CampaignTable<T> table{
+        "spare plan",
+        {{&T::trials}, {&T::kills}, {&T::rebuilds}, {&T::rebuiltBlocks},
+         {&T::spared}, {&T::spareAbandons}, {&T::repairs}, {&T::survivorBits},
+         {&T::failovers}, {&T::migrated}, {&T::detectAccessesMax}, {&T::sdc},
+         {&T::lostDurable}, {&T::ue}, {&T::missedSpares}, {&T::missedRepairs},
+         {&T::missedFailovers, "no failover"}, {&T::engageOverruns},
+         {&T::violations}}};
+    return techPlanCampaign(os, opts, cfg, table, &SpareTrialConfig::plan,
+                            sparePlanNames, runSpareTrial);
 }
 
 } // namespace nvck

@@ -42,6 +42,7 @@
 #define NVCK_SIM_SPARE_HH
 
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <vector>
 
@@ -61,7 +62,14 @@ enum class SpareState
     Abandoned,   //!< failed mid-rebuild; degraded failover took over
 };
 
-const char *spareStateName(SpareState state);
+constexpr const char *spareStateNames[] = {
+    "armed", "rebuilding", "active", "copying-back", "abandoned"};
+
+inline const char *
+spareStateName(SpareState state)
+{
+    return spareStateNames[static_cast<unsigned>(state)];
+}
 
 /**
  * Bit-level model of the rank's spare device. Owns the rebuild and
@@ -89,6 +97,10 @@ class SpareChip
         return backCursor >= rank.blocks();
     }
 
+    /** End of a step of up to @p max_blocks from block @p from:
+     *  rounded up to whole VLEW spans, at least one. */
+    unsigned stepEnd(unsigned from, unsigned max_blocks) const;
+
     /** Blocks the rebuild had to poison (reported UE). */
     std::uint64_t poisonedBlocks() const { return poisonedCount; }
     /** Survivor bits the pre-fill scrubs corrected. */
@@ -107,7 +119,7 @@ class SpareChip
      * Rebuild up to @p max_blocks more blocks, rounded up to whole
      * VLEW spans (at least one span per call). Per span: scrub every
      * survivor's VLEW word (corrections land in @p survivors, -1 for
-     * uncorrectable, same convention as the patrol callback), then
+     * uncorrectable, same convention as the patrol check), then
      * RS-erasure-fill the dead lane and re-encode its code bits. A
      * span with an unvouched survivor is poisoned instead of filled.
      * Returns the blocks processed.
@@ -154,57 +166,32 @@ enum class SparePlan
     Repair,    //!< rebuild -> chip replaced -> migrate-back (Healthy)
 };
 
-constexpr unsigned numSparePlans = 4;
+/** Stable labels for tables, --filter selection, and logs, in
+ *  SparePlan order. */
+constexpr const char *sparePlanNames[] = {"unarmed", "rebuild",
+                                            "spare-loss", "repair"};
+constexpr unsigned numSparePlans = std::size(sparePlanNames);
 
-const char *sparePlanName(SparePlan plan);
-
-/** Shape knobs for one hot-sparing trial. */
-struct SpareTrialConfig
+inline const char *
+sparePlanName(SparePlan plan)
 {
-    PmTech tech = PmTech::Reram;
+    return sparePlanNames[static_cast<unsigned>(plan)];
+}
+
+/** Shape knobs for one hot-sparing trial (the kill lands at 3/10 of
+ *  the horizon; ras.spareEnabled is overwritten per plan). */
+struct SpareTrialConfig : LiveTrialShape
+{
     SparePlan plan = SparePlan::Rebuild;
-    /** Mirrored rank capacity (multiple of 32). */
-    unsigned rankBlocks = 1024;
-    unsigned banks = 4;
-    unsigned cores = 2;
-    /** Live-traffic horizon; the kill lands at 3/10 of it. */
-    Tick horizon = nsToTicks(16000);
-    /** Extra time allowed for late rebuilds/migrations to finish. */
-    Tick slack = nsToTicks(8000);
-    /** RS acceptance threshold. */
-    unsigned threshold = 2;
-    /** Engine policy; spareEnabled is overwritten per plan. */
-    RasConfig ras;
-    /** Max demand PM accesses from kill injection to engagement. */
-    std::uint64_t detectAccessBound = 512;
 };
 
 /** Run one seeded hot-sparing trial. */
 RasTally runSpareTrial(const SpareTrialConfig &tc, Rng &rng);
 
-/** Campaign shape; the defaults meet the acceptance bar (>= 5k). */
-struct SpareCampaignConfig
-{
-    std::uint64_t seed = 2018;
-    /** Trials, split across (technology x spare plan) cells. */
-    std::uint64_t trials = 6000;
-    /** Trials per sweep point (parallel work-item granularity). */
-    unsigned chunkTrials = 25;
-    SpareTrialConfig trial; //!< tech/plan overwritten per cell
-};
+using SpareCampaignConfig = TechPlanConfig<SpareTrialConfig>;
 
-/** Aggregated campaign outcome per (technology, spare plan) cell. */
-struct SpareTotals
-{
-    std::array<std::array<RasTally, numSparePlans>, numRasTechs> cells;
-
-    RasTally total() const;
-    std::uint64_t
-    violations() const
-    {
-        return total().violations;
-    }
-};
+/** Per (technology, spare plan) row. */
+using SpareTotals = CampaignTotals<RasTally>;
 
 /**
  * Run the hot-sparing campaign as a ParallelSweep, print the per-cell

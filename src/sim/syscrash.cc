@@ -5,25 +5,8 @@
 #include <string>
 
 #include "common/log.hh"
-#include "common/table.hh"
 
 namespace nvck {
-
-const char *
-cutSiteName(CutSite site)
-{
-    switch (site) {
-      case CutSite::RandomTick:
-        return "random-tick";
-      case CutSite::AtPmWrite:
-        return "at-pm-write";
-      case CutSite::AtRowClose:
-        return "at-row-close";
-      case CutSite::AtEurDrain:
-        return "at-eur-drain";
-    }
-    return "?";
-}
 
 // PersistOracle -------------------------------------------------------
 
@@ -154,20 +137,14 @@ CampaignWorkload::refill(CoreState &cs)
             push(TraceOp::Kind::Store, a, true, gap());
             push(TraceOp::Kind::Clean, a, true, 1);
         }
-        TraceOp fence;
-        fence.kind = TraceOp::Kind::Fence;
-        fence.gap = 1;
-        cs.ops.push_back(fence);
+        push(TraceOp::Kind::Fence, 0, false, 1);
     } else if (pick < 70) {
         // Hot-block rewrite: repeated persists to the same block
         // exercise EUR coalescing and write-queue merging.
         const Addr a = cs.hot[cs.rng.below(cs.hot.size())];
         push(TraceOp::Kind::Store, a, true, gap());
         push(TraceOp::Kind::Clean, a, true, 1);
-        TraceOp fence;
-        fence.kind = TraceOp::Kind::Fence;
-        fence.gap = 1;
-        cs.ops.push_back(fence);
+        push(TraceOp::Kind::Fence, 0, false, 1);
     } else if (pick < 82) {
         const unsigned n = 2 + static_cast<unsigned>(cs.rng.below(3));
         for (unsigned i = 0; i < n; ++i) {
@@ -205,73 +182,171 @@ CampaignWorkload::next(unsigned core)
     return op;
 }
 
-// SysCrashMirror ------------------------------------------------------
+// MirroredTrial -------------------------------------------------------
 
 namespace {
 
-/** Random chip subset; see CrashInjector for the fix-up rationale. */
-std::uint16_t
-randomChipMask(Rng &rng, unsigned chips, bool forbid_empty,
-               bool forbid_full)
+SystemConfig
+compactConfig(const MirroredTrialShape &shape, std::uint64_t seed)
 {
-    const std::uint16_t full =
-        static_cast<std::uint16_t>((1u << chips) - 1);
-    std::uint16_t mask = 0;
-    for (unsigned c = 0; c < chips; ++c) {
-        if (rng.chance(0.5))
-            mask |= static_cast<std::uint16_t>(1u << c);
-    }
-    if (forbid_empty && mask == 0)
-        mask = static_cast<std::uint16_t>(1u << rng.below(chips));
-    if (forbid_full && mask == full)
-        mask &= static_cast<std::uint16_t>(~(1u << rng.below(chips)));
-    return mask;
-}
-
-/**
- * Intended new 64B payload for a burst: a dense rewrite or a sparse
- * 1-3 bit update (the shape a VLEW rollback can undo); always differs
- * from @p old_data.
- */
-void
-makePayload(Rng &rng, const std::uint8_t *old_data, std::uint8_t *out)
-{
-    if (rng.chance(0.5)) {
-        for (unsigned i = 0; i < blockBytes; i += 8) {
-            const std::uint64_t word = rng.next();
-            std::memcpy(out + i, &word, 8);
-        }
-    } else {
-        std::memcpy(out, old_data, blockBytes);
-        const unsigned flips = 1 + static_cast<unsigned>(rng.below(3));
-        for (unsigned f = 0; f < flips; ++f) {
-            const unsigned byte =
-                static_cast<unsigned>(rng.below(blockBytes));
-            out[byte] ^= static_cast<std::uint8_t>(1u << rng.below(8));
-        }
-    }
-    if (std::memcmp(out, old_data, blockBytes) == 0)
-        out[0] ^= 1u;
+    NVCK_ASSERT(shape.rankBlocks >= 32 && shape.rankBlocks % 32 == 0,
+                "rank must hold whole VLEW spans");
+    SystemConfig cfg = SystemConfig::make(
+        shape.tech, proposalScheme(runtimeRberFor(shape.tech)), "echo",
+        seed);
+    cfg.cores = shape.cores;
+    cfg.cache.cores = shape.cores;
+    cfg.cache.l1Bytes = 8 * 1024;
+    cfg.cache.llcBytes = 64 * 1024;
+    cfg.cache.llcWays = 8;
+    // Few banks keep the whole rank mirrorable at 2 rows per bank so
+    // row conflicts (and therefore EUR drains) happen within a short
+    // horizon; aggressive drain thresholds keep bursts flowing.
+    cfg.mem.dram.banks = shape.banks;
+    cfg.mem.pm.banks = shape.banks;
+    cfg.mem.writeMaxAge = nsToTicks(400);
+    cfg.mem.writeIdleBurst = 4;
+    cfg.mem.writeDrainHigh = 24;
+    cfg.mem.writeDrainLow = 8;
+    cfg.space.pmBase = 0;
+    cfg.space.pmBytes =
+        static_cast<std::uint64_t>(shape.rankBlocks) * blockBytes;
+    cfg.space.dramBytes = 1u << 20;
+    return cfg;
 }
 
 } // namespace
 
+MirroredTrial::MirroredTrial(const MirroredTrialShape &shape, Rng &rng)
+    : cfg(compactConfig(shape, rng.next() | 1)),
+      sys(cfg, std::make_unique<CampaignWorkload>(cfg.space, shape.cores,
+                                                  rng.next())),
+      rank(shape.rankBlocks), oracle(shape.rankBlocks)
+{
+    rank.initialize(rng);
+    std::uint8_t buf[blockBytes];
+    for (unsigned b = 0; b < shape.rankBlocks; ++b) {
+        rank.goldenBlock(b, buf);
+        oracle.setBaseline(b, buf);
+    }
+}
+
+// MediaMirror ---------------------------------------------------------
+
+MediaMirror::MediaMirror(System &s, PmRank &r, PersistOracle &o,
+                         std::uint64_t value_seed)
+    : sys(s), rank(r), oracle(o),
+      spanBlocks(r.params().vlewDataBytes / chipBeatBytes), rng(value_seed)
+{
+    const MemControllerConfig &mc = sys.config().mem;
+    NVCK_ASSERT(mc.eurEnabled, "mirrored campaigns need the EUR path");
+    NVCK_ASSERT(sys.config().space.pmBase == 0,
+                "mirrored campaigns place PM at 0");
+    NVCK_ASSERT(rank.blocks() % spanBlocks == 0,
+                "rank must hold whole VLEW spans");
+    slotsPerBank = mc.pm.rowBytes / (mc.dataChips * mc.vlewDataBytes);
+    NVCK_ASSERT(mc.pm.banks > 0 && slotsPerBank > 0,
+                "degenerate PM geometry");
+    registers.assign(static_cast<std::size_t>(mc.pm.banks) * slotsPerBank,
+                     {});
+    const unsigned spans = rank.blocks() / spanBlocks;
+    spanRegister.assign(spans, UINT32_MAX);
+    spanHeld.assign(spans, 0);
+    settled.resize(rank.blocks());
+    for (unsigned b = 0; b < rank.blocks(); ++b)
+        rank.goldenBlock(b, settled[b].data());
+}
+
+unsigned
+MediaMirror::blockOf(Addr addr) const
+{
+    const std::uint64_t block = addr / blockBytes;
+    NVCK_ASSERT(block < rank.blocks(), "PM access beyond the mirrored rank");
+    return static_cast<unsigned>(block);
+}
+
+void
+MediaMirror::land(unsigned block, const std::uint8_t *value,
+                  std::uint16_t data_mask)
+{
+    rank.applyTornWrite(block, value, data_mask, 0);
+    oracle.recordBurst(block, value);
+}
+
+void
+MediaMirror::burst(unsigned block, std::uint16_t data_mask)
+{
+    std::uint8_t value[blockBytes];
+    payload(block, value);
+    land(block, value, data_mask);
+}
+
+std::uint32_t
+MediaMirror::reg(unsigned bank, unsigned slot) const
+{
+    NVCK_ASSERT(slot < slotsPerBank, "EUR slot out of range");
+    return bank * slotsPerBank + slot;
+}
+
+void
+MediaMirror::hold(unsigned block, unsigned bank, unsigned slot)
+{
+    const std::uint32_t r = reg(bank, slot);
+    auto &held_blocks = registers.at(r);
+    const unsigned span = spanOf(block);
+    if (held_blocks.empty())
+        spanRegister[span] = r;
+    else
+        // Open-row exclusivity: one register coalesces one VLEW span
+        // at a time; a conflicting span must have drained at the row
+        // switch before this burst.
+        NVCK_ASSERT(spanOf(held_blocks.front()) == span,
+                    "EUR register coalescing across spans");
+    if (std::find(held_blocks.begin(), held_blocks.end(), block) ==
+        held_blocks.end()) {
+        held_blocks.push_back(block);
+        ++spanHeld[span];
+    }
+}
+
+void
+MediaMirror::retire(unsigned block)
+{
+    // Second half of the two-phase write: bring the media code bits
+    // from the last settled image up to the current data.
+    rank.drainCodeBits(block, settled[block].data());
+    rank.goldenBlock(block, settled[block].data());
+    // A block a degraded-side write settled already stays settled.
+    if (oracle.pending(block))
+        oracle.recordDrain(block);
+    NVCK_ASSERT(spanHeld[spanOf(block)] > 0, "span held count underflow");
+    --spanHeld[spanOf(block)];
+}
+
+void
+MediaMirror::retireRegister(std::uint32_t r)
+{
+    for (const unsigned b : registers[r])
+        retire(b);
+    registers[r].clear();
+}
+
+void
+MediaMirror::retireSpan(unsigned span)
+{
+    if (spanHeld[span] == 0)
+        return;
+    retireRegister(spanRegister[span]);
+    NVCK_ASSERT(spanHeld[span] == 0, "span retire left stragglers");
+}
+
+// SysCrashMirror ------------------------------------------------------
+
 SysCrashMirror::SysCrashMirror(System &s, PmRank &r, PersistOracle &o,
                                CutSite st, std::uint64_t occ,
                                std::uint64_t value_seed)
-    : sys(s), rank(r), oracle(o), site(st), occurrence(occ),
-      rng(value_seed)
+    : MediaMirror(s, r, o, value_seed), site(st), occurrence(occ)
 {
-    const MemControllerConfig &mc = sys.config().mem;
-    NVCK_ASSERT(mc.eurEnabled, "campaign needs the EUR write path");
-    const unsigned banks = mc.pm.banks;
-    const unsigned slots =
-        mc.pm.rowBytes / (mc.dataChips * mc.vlewDataBytes);
-    NVCK_ASSERT(banks > 0 && slots > 0, "degenerate PM geometry");
-    pendingSlots.assign(
-        banks, std::vector<std::vector<unsigned>>(slots));
-    pendingChunk.assign(banks, std::vector<std::int64_t>(slots, -1));
-
     CrashHooks hooks;
     hooks.onPmWrite = [this](Addr a, unsigned bank, unsigned slot) {
         onPmWrite(a, bank, slot);
@@ -283,34 +358,6 @@ SysCrashMirror::SysCrashMirror(System &s, PmRank &r, PersistOracle &o,
     sys.memory().setCrashHooks(std::move(hooks));
 }
 
-unsigned
-SysCrashMirror::blockOf(Addr addr) const
-{
-    const AddressSpace &space = sys.config().space;
-    NVCK_ASSERT(addr >= space.pmBase, "PM write below the PM region");
-    const std::uint64_t block = (addr - space.pmBase) / blockBytes;
-    NVCK_ASSERT(block < rank.blocks(),
-                "PM write beyond the mirrored rank");
-    return static_cast<unsigned>(block);
-}
-
-std::uint16_t
-SysCrashMirror::partialChipMask()
-{
-    return randomChipMask(rng, rank.chips(), true, true);
-}
-
-void
-SysCrashMirror::burst(unsigned block, std::uint16_t data_mask)
-{
-    // The controller XORs against the OMV — the latest write intent —
-    // so the new payload chains off the latest pending value.
-    std::uint8_t value[blockBytes];
-    makePayload(rng, oracle.latest(block).data(), value);
-    rank.applyTornWrite(block, value, data_mask, 0);
-    oracle.recordBurst(block, value);
-}
-
 void
 SysCrashMirror::onPmWrite(Addr addr, unsigned bank, unsigned slot)
 {
@@ -320,28 +367,10 @@ SysCrashMirror::onPmWrite(Addr addr, unsigned bank, unsigned slot)
     const unsigned block = blockOf(addr);
     const bool tearing =
         site == CutSite::AtPmWrite && burstCount == occurrence;
-    const std::uint16_t full =
-        static_cast<std::uint16_t>((1u << rank.chips()) - 1);
-    burst(block, tearing ? partialChipMask() : full);
-
-    auto &pending = pendingSlots.at(bank).at(slot);
-    const MemControllerConfig &mc = sys.config().mem;
-    const std::int64_t chunk =
-        block / (mc.vlewDataBytes / chipBeatBytes);
-    if (pending.empty())
-        pendingChunk[bank][slot] = chunk;
-    else
-        // Open-row exclusivity: one register coalesces one VLEW chunk
-        // at a time; a conflicting chunk must have drained at the row
-        // switch before this burst.
-        NVCK_ASSERT(pendingChunk[bank][slot] == chunk,
-                    "EUR register coalescing across chunks");
-    if (std::find(pending.begin(), pending.end(), block) ==
-        pending.end())
-        pending.push_back(block);
-
+    burst(block, tearing ? partialChipMask()
+                               : fullMask());
+    hold(block, bank, slot);
     if (tearing) {
-        trig = true;
         cutNow();
     }
 }
@@ -352,26 +381,19 @@ SysCrashMirror::onEurDrain(unsigned bank, unsigned slot)
     if (cut)
         return;
     ++drainCount;
-    auto &pending = pendingSlots.at(bank).at(slot);
-    NVCK_ASSERT(!pending.empty(),
+    NVCK_ASSERT(!held(bank, slot).empty(),
                 "EUR drain for a register with no mirrored bursts");
     if (site == CutSite::AtEurDrain && drainCount == occurrence) {
         // Torn mid-drain: a strict chip subset retired the register's
         // coalesced code delta before the cut. The blocks stay pending
         // — recovery decides old/new/UE.
         const std::uint16_t mask = partialChipMask();
-        for (unsigned b : pending)
-            rank.drainCodeBits(b, oracle.settled(b).data(), mask);
-        trig = true;
+        for (unsigned b : held(bank, slot))
+            rank.drainCodeBits(b, settled[b].data(), mask);
         cutNow();
         return;
     }
-    for (unsigned b : pending) {
-        rank.drainCodeBits(b, oracle.settled(b).data());
-        oracle.recordDrain(b);
-    }
-    pending.clear();
-    pendingChunk[bank][slot] = -1;
+    drain(bank, slot);
 }
 
 void
@@ -384,7 +406,6 @@ SysCrashMirror::onRowClose(unsigned bank)
     if (site == CutSite::AtRowClose && rowCloseCount == occurrence) {
         // Cut before any register retires: the whole row's EUR state
         // dies; the subsequent onEurDrain calls see the frozen mirror.
-        trig = true;
         cutNow();
     }
 }
@@ -397,35 +418,38 @@ SysCrashMirror::cutNow()
     cut = true;
     // ADR stored energy flushes the queued PM writes' data bursts in
     // full; their code deltas die in the EUR like everyone else's.
-    const std::uint16_t full =
-        static_cast<std::uint16_t>((1u << rank.chips()) - 1);
     for (Addr a : sys.memory().queuedPmWrites()) {
         ++flushCount;
-        burst(blockOf(a), full);
+        burst(blockOf(a), fullMask());
     }
     sys.requestHalt();
 }
 
 // Trial ---------------------------------------------------------------
 
-SysCrashTally &
-SysCrashTally::operator+=(const SysCrashTally &other)
+std::span<const TallyField<SysCrashTally>>
+SysCrashTally::fields()
 {
-    trials += other.trials;
-    cutsAtSite += other.cutsAtSite;
-    bursts += other.bursts;
-    drains += other.drains;
-    flushedAtCut += other.flushedAtCut;
-    pendingAtCut += other.pendingAtCut;
-    tornOld += other.tornOld;
-    tornNew += other.tornNew;
-    tornIntermediate += other.tornIntermediate;
-    tornUe += other.tornUe;
-    collateralUe += other.collateralUe;
-    chipKills += other.chipKills;
-    staleAcksAbsorbed += other.staleAcksAbsorbed;
-    violations += other.violations;
-    return *this;
+    using T = SysCrashTally;
+    using R = TallyRule;
+    static constexpr TallyField<T> table[] = {
+        {"trials", "trials", &T::trials, R::Sum},
+        {"cuts_at_site", "@site", &T::cutsAtSite, R::Sum},
+        {"bursts", "bursts", &T::bursts, R::Sum},
+        {"drains", "drains", &T::drains, R::Sum},
+        {"flushed_at_cut", "flushed", &T::flushedAtCut, R::Sum},
+        {"pending_at_cut", "pending", &T::pendingAtCut, R::Sum},
+        {"torn_old", "-> old", &T::tornOld, R::Sum},
+        {"torn_new", "-> new", &T::tornNew, R::Sum},
+        {"torn_intermediate", "-> mid", &T::tornIntermediate, R::Sum},
+        {"torn_ue", "-> UE", &T::tornUe, R::Sum},
+        {"collateral_ue", "collateral", &T::collateralUe, R::Sum},
+        {"chip_kills", "kills", &T::chipKills, R::Sum},
+        {"stale_acks_absorbed", "stale acks", &T::staleAcksAbsorbed,
+         R::Sum},
+        {"block_violations", "violations", &T::violations, R::Violation},
+    };
+    return table;
 }
 
 namespace {
@@ -451,46 +475,10 @@ occurrenceFor(CutSite site, Rng &rng)
 SysCrashTally
 runSysCrashTrial(const SysCrashTrialConfig &tc, Rng &rng)
 {
-    NVCK_ASSERT(tc.rankBlocks >= 32 && tc.rankBlocks % 32 == 0,
-                "rank must hold whole VLEW spans");
+    MirroredTrial m(tc, rng);
+    auto &[cfg, sys, rank, oracle] = m;
     SysCrashTally tally;
     tally.trials = 1;
-
-    SystemConfig cfg = SystemConfig::make(
-        tc.tech, proposalScheme(runtimeRberFor(tc.tech)), "echo",
-        rng.next() | 1);
-    cfg.cores = tc.cores;
-    cfg.cache.cores = tc.cores;
-    cfg.cache.l1Bytes = 8 * 1024;
-    cfg.cache.llcBytes = 64 * 1024;
-    cfg.cache.llcWays = 8;
-    // Few banks keep the whole rank mirrorable at 2 rows per bank so
-    // row conflicts (and therefore EUR drains) happen within a short
-    // horizon; aggressive drain thresholds keep bursts flowing.
-    cfg.mem.dram.banks = tc.banks;
-    cfg.mem.pm.banks = tc.banks;
-    cfg.mem.writeMaxAge = nsToTicks(400);
-    cfg.mem.writeIdleBurst = 4;
-    cfg.mem.writeDrainHigh = 24;
-    cfg.mem.writeDrainLow = 8;
-    cfg.space.pmBase = 0;
-    cfg.space.pmBytes =
-        static_cast<std::uint64_t>(tc.rankBlocks) * blockBytes;
-    cfg.space.dramBytes = 1u << 20;
-
-    System sys(cfg, std::make_unique<CampaignWorkload>(
-                        cfg.space, tc.cores, rng.next()));
-
-    PmRank rank(tc.rankBlocks);
-    rank.initialize(rng);
-    PersistOracle oracle(tc.rankBlocks);
-    {
-        std::uint8_t buf[blockBytes];
-        for (unsigned b = 0; b < tc.rankBlocks; ++b) {
-            rank.goldenBlock(b, buf);
-            oracle.setBaseline(b, buf);
-        }
-    }
 
     SysCrashMirror mirror(sys, rank, oracle, tc.site,
                           occurrenceFor(tc.site, rng), rng.next());
@@ -585,107 +573,14 @@ runSysCrashTrial(const SysCrashTrialConfig &tc, Rng &rng)
 
 // Campaign ------------------------------------------------------------
 
-SysCrashTally
-SysCrashTotals::total() const
-{
-    SysCrashTally sum;
-    for (const auto &tech : cells) {
-        for (const auto &cell : tech)
-            sum += cell;
-    }
-    return sum;
-}
-
-namespace {
-
-/** One sweep point's result: which campaign cell it feeds. */
-struct CellResult
-{
-    unsigned tech = 0;
-    unsigned site = 0;
-    SysCrashTally tally;
-};
-
-void
-tallyRow(Table &t, const std::string &label, const SysCrashTally &c)
-{
-    t.row()
-        .cell(label)
-        .cell(c.trials)
-        .cell(c.cutsAtSite)
-        .cell(c.bursts)
-        .cell(c.drains)
-        .cell(c.flushedAtCut)
-        .cell(c.pendingAtCut)
-        .cell(c.tornOld)
-        .cell(c.tornNew)
-        .cell(c.tornIntermediate)
-        .cell(c.tornUe)
-        .cell(c.collateralUe)
-        .cell(c.chipKills)
-        .cell(c.staleAcksAbsorbed)
-        .cell(c.violations);
-}
-
-} // namespace
-
 SysCrashTotals
 systemCrashCampaign(std::ostream &os, const SweepOptions &opts,
                     const SysCrashCampaignConfig &cfg)
 {
-    NVCK_ASSERT(cfg.chunkTrials > 0, "empty campaign chunks");
-    static const PmTech techs[numSysCrashTechs] = {PmTech::Reram,
-                                                   PmTech::Pcm};
-    ParallelSweep<CellResult> sweep(cfg.seed, opts);
-
-    const unsigned cells = numSysCrashTechs * numCutSites;
-    unsigned cell = 0;
-    for (unsigned ti = 0; ti < numSysCrashTechs; ++ti) {
-        for (unsigned si = 0; si < numCutSites; ++si, ++cell) {
-            std::uint64_t remaining =
-                cfg.trials / cells +
-                (cell < cfg.trials % cells ? 1 : 0);
-            for (unsigned chunk = 0; remaining > 0; ++chunk) {
-                const auto batch =
-                    std::min<std::uint64_t>(remaining, cfg.chunkTrials);
-                remaining -= batch;
-                sweep.add(
-                    pmTechName(techs[ti]) + "/" +
-                        cutSiteName(static_cast<CutSite>(si)) + " #" +
-                        std::to_string(chunk),
-                    [&cfg, ti, si, batch](Rng &rng) {
-                        SysCrashTrialConfig tc = cfg.trial;
-                        tc.tech = techs[ti];
-                        tc.site = static_cast<CutSite>(si);
-                        CellResult r;
-                        r.tech = ti;
-                        r.site = si;
-                        for (std::uint64_t t = 0; t < batch; ++t)
-                            r.tally += runSysCrashTrial(tc, rng);
-                        return r;
-                    });
-            }
-        }
-    }
-
-    SysCrashTotals totals{};
-    for (const auto &out : sweep.run())
-        totals.cells[out.value.tech][out.value.site] += out.value.tally;
-
-    Table t({"cut site", "trials", "@site", "bursts", "drains",
-             "flushed", "pending", "-> old", "-> new", "-> mid",
-             "-> UE", "collateral", "kills", "stale acks",
-             "violations"});
-    for (unsigned ti = 0; ti < numSysCrashTechs; ++ti) {
-        for (unsigned si = 0; si < numCutSites; ++si)
-            tallyRow(t,
-                     pmTechName(techs[ti]) + "/" +
-                         cutSiteName(static_cast<CutSite>(si)),
-                     totals.cells[ti][si]);
-    }
-    tallyRow(t, "total", totals.total());
-    t.print(os);
-    return totals;
+    return techPlanCampaign(os, opts, cfg,
+                            CampaignTable<SysCrashTally>{"cut site", {}},
+                            &SysCrashTrialConfig::site, cutSiteNames,
+                            runSysCrashTrial);
 }
 
 } // namespace nvck

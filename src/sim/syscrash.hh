@@ -31,13 +31,16 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "chipkill/pm_rank.hh"
 #include "common/rng.hh"
+#include "sim/campaign.hh"
 #include "sim/configs.hh"
-#include "sim/parallel.hh"
+#include "sim/crash.hh"
 #include "sim/system.hh"
 #include "workload/workload.hh"
 
@@ -59,10 +62,17 @@ enum class CutSite
     AtEurDrain,
 };
 
-constexpr unsigned numCutSites = 4;
+/** Stable labels for tables, --filter selection, and logs, in
+ *  CutSite order. */
+constexpr const char *cutSiteNames[] = {
+    "random-tick", "at-pm-write", "at-row-close", "at-eur-drain"};
+constexpr unsigned numCutSites = std::size(cutSiteNames);
 
-/** Stable label for tables, --filter selection, and logs. */
-const char *cutSiteName(CutSite site);
+inline const char *
+cutSiteName(CutSite site)
+{
+    return cutSiteNames[static_cast<unsigned>(site)];
+}
 
 /**
  * Per-block persist-order bookkeeping. The timing mirror records
@@ -106,11 +116,6 @@ class PersistOracle
 
     /** Blocks currently pending. */
     unsigned pendingCount() const;
-
-    const Value &settled(unsigned block) const
-    {
-        return settledVal[block];
-    }
 
     /** Latest bursted value (the settled value when not pending). */
     const Value &latest(unsigned block) const;
@@ -162,25 +167,140 @@ class CampaignWorkload : public Workload
     std::vector<CoreState> coreStates;
 };
 
+/** The compact System shape every mirrored campaign trial runs. */
+struct MirroredTrialShape
+{
+    PmTech tech = PmTech::Reram;
+    /** Mirrored rank capacity; must cover >= 2 rows per bank so row
+     *  conflicts actually drain the EUR (multiple of 32). */
+    unsigned rankBlocks = 1024;
+    /** Banks per rank (both ranks; small keeps the rank mirrorable). */
+    unsigned banks = 4;
+    unsigned cores = 2;
+};
+
 /**
- * The timing<->bit-level bridge. Installs CrashHooks on the system's
- * controller and mirrors the PM write path onto @p rank:
- *
- *  - onPmWrite: generate the write's 64B value deterministically,
- *    apply the data burst (applyTornWrite with no code drain), record
- *    the burst in the oracle, and remember the block under its
- *    (bank, EUR slot) register;
- *  - onEurDrain: retire the register's coalesced code delta for every
- *    pending block of that slot (PmRank::drainCodeBits) and settle
- *    them in the oracle;
- *  - onRowClose / burst / drain occurrence counters arm the cut: at
- *    the chosen occurrence the mirror freezes (the media sees nothing
- *    past the cut), captures the controller's queued PM writes as the
- *    ADR flush set (their data lands, their code deltas die), and
- *    halts the event loop so no simulated time passes before
- *    System::powerFail().
+ * One mirrored trial's machine: a compact System running a
+ * CampaignWorkload over a PM space sized exactly to @ref rank, the
+ * initialized rank, and a persist oracle whose baseline is the rank's
+ * pristine contents. Draws, in order: the System seed, the workload
+ * seed, then the rank's initialization.
  */
-class SysCrashMirror
+struct MirroredTrial
+{
+    MirroredTrial(const MirroredTrialShape &shape, Rng &rng);
+
+    SystemConfig cfg;
+    System sys;
+    PmRank rank;
+    PersistOracle oracle;
+};
+
+/**
+ * The timing->PmRank bridge core both mirrored campaigns derive from
+ * (SysCrashMirror, RasMirror). It owns:
+ *
+ *  - the PM address -> rank block map;
+ *  - the write payload stream (one Rng, so payloads and torn chip
+ *    masks draw in call order);
+ *  - the per-(bank, EUR slot) register bookkeeping: which blocks each
+ *    register holds code deltas for, with open-row exclusivity (one
+ *    VLEW span per register at a time) asserted on every hold;
+ *  - drain-and-settle: a retired block's code bits move from its last
+ *    media-settled image to the current data, the image advances,
+ *    and the oracle settles the block.
+ *
+ * The derived mirror installs the CrashHooks and calls in; nothing
+ * here is virtual or type-erased.
+ */
+class MediaMirror
+{
+  protected:
+    /** @param value_seed seed of the write payload stream. */
+    MediaMirror(System &sys, PmRank &rank, PersistOracle &oracle,
+                std::uint64_t value_seed);
+
+    unsigned blockOf(Addr addr) const;
+    unsigned spanOf(unsigned block) const { return block / spanBlocks; }
+    std::uint16_t
+    fullMask() const
+    {
+        return static_cast<std::uint16_t>((1u << rank.chips()) - 1);
+    }
+    /** Non-empty strict chip subset: a torn phase. */
+    std::uint16_t
+    partialChipMask()
+    {
+        return randomChipMask(rng, rank.chips(), true, true);
+    }
+
+    /** Next intended 64B value of @p block, chained off its latest
+     *  write intent (the controller XORs against the OMV). */
+    void
+    payload(unsigned block, std::uint8_t *out)
+    {
+        makePayload(rng, oracle.latest(block).data(), out);
+    }
+    /** Land @p value's data burst on the chips in @p data_mask (code
+     *  delta EUR-held) and record it in the oracle. */
+    void land(unsigned block, const std::uint8_t *value,
+              std::uint16_t data_mask);
+    /** payload() then land(). */
+    void burst(unsigned block, std::uint16_t data_mask);
+
+    /** Register (bank, slot) now holds @p block's code delta. */
+    void hold(unsigned block, unsigned bank, unsigned slot);
+    /** Blocks register (bank, slot) holds. */
+    const std::vector<unsigned> &
+    held(unsigned bank, unsigned slot) const
+    {
+        return registers[reg(bank, slot)];
+    }
+    /** Register (bank, slot) retired: settle every block it held. */
+    void
+    drain(unsigned bank, unsigned slot)
+    {
+        retireRegister(reg(bank, slot));
+    }
+    /** Chip-internal EUR merge: settle @p span's held code deltas
+     *  ahead of a VLEW-touching operation. */
+    void retireSpan(unsigned span);
+
+    System &sys;
+    PmRank &rank;
+    PersistOracle &oracle;
+    const unsigned spanBlocks;
+    /** Per block, the image whose code bits the media last fully
+     *  drained. */
+    std::vector<PersistOracle::Value> settled;
+
+  private:
+    std::uint32_t reg(unsigned bank, unsigned slot) const;
+    void retire(unsigned block);
+    void retireRegister(std::uint32_t r);
+
+    Rng rng;
+    unsigned slotsPerBank;
+    /** Held blocks per flattened (bank * slotsPerBank + slot). */
+    std::vector<std::vector<unsigned>> registers;
+    /** Register holding each span's code deltas (valid while held). */
+    std::vector<std::uint32_t> spanRegister;
+    /** Per-span count of held blocks. */
+    std::vector<unsigned> spanHeld;
+};
+
+/**
+ * The whole-system crash bridge. Installs CrashHooks on the system's
+ * controller and mirrors the PM write path through a MediaMirror:
+ * each data burst lands on the rank and is held under its (bank, EUR
+ * slot) register until onEurDrain settles it. On top it adds the cut:
+ * onRowClose / burst / drain occurrence counters arm it, and at the
+ * chosen occurrence the mirror freezes (the media sees nothing past
+ * the cut), captures the controller's queued PM writes as the ADR
+ * flush set (their data lands, their code deltas die), and halts the
+ * event loop so no simulated time passes before System::powerFail().
+ */
+class SysCrashMirror : MediaMirror
 {
   public:
     /**
@@ -195,9 +315,6 @@ class SysCrashMirror
     /** True once the cut happened (armed site or cutNow()). */
     bool cutDone() const { return cut; }
 
-    /** True when the cut fired at the armed hook site. */
-    bool triggered() const { return trig; }
-
     /**
      * Cut power now: freeze the mirror, apply the ADR flush of the
      * controller's queued PM writes, and halt the event loop. Used
@@ -208,7 +325,6 @@ class SysCrashMirror
 
     std::uint64_t bursts() const { return burstCount; }
     std::uint64_t drains() const { return drainCount; }
-    std::uint64_t rowCloses() const { return rowCloseCount; }
     std::uint64_t flushedAtCut() const { return flushCount; }
 
   private:
@@ -216,35 +332,18 @@ class SysCrashMirror
     void onEurDrain(unsigned bank, unsigned slot);
     void onRowClose(unsigned bank);
 
-    unsigned blockOf(Addr addr) const;
-    /** Apply one data burst (masked chips) and record it. */
-    void burst(unsigned block, std::uint16_t data_mask);
-    /** Non-empty strict subset of the rank's chips. */
-    std::uint16_t partialChipMask();
-
-    System &sys;
-    PmRank &rank;
-    PersistOracle &oracle;
     CutSite site;
     std::uint64_t occurrence;
-    Rng rng;
-
-    /** Pending blocks per (bank, EUR slot) register. */
-    std::vector<std::vector<std::vector<unsigned>>> pendingSlots;
-    /** VLEW chunk each register currently coalesces (-1 = none);
-     *  open-row exclusivity means one chunk per register at a time. */
-    std::vector<std::vector<std::int64_t>> pendingChunk;
 
     std::uint64_t burstCount = 0;
     std::uint64_t drainCount = 0;
     std::uint64_t rowCloseCount = 0;
     std::uint64_t flushCount = 0;
     bool cut = false;
-    bool trig = false;
 };
 
 /** Tallies from a batch of whole-system crash trials. */
-struct SysCrashTally
+struct SysCrashTally : TallyBase<SysCrashTally>
 {
     std::uint64_t trials = 0;
     /** Cuts that fired at the armed hook site (vs horizon fallback). */
@@ -268,20 +367,13 @@ struct SysCrashTally
     /** Oracle violations: must be zero. */
     std::uint64_t violations = 0;
 
-    SysCrashTally &operator+=(const SysCrashTally &other);
+    static std::span<const TallyField<SysCrashTally>> fields();
 };
 
 /** Shape knobs for one whole-system trial. */
-struct SysCrashTrialConfig
+struct SysCrashTrialConfig : MirroredTrialShape
 {
-    PmTech tech = PmTech::Reram;
     CutSite site = CutSite::RandomTick;
-    /** Mirrored rank capacity; must cover >= 2 rows per bank so row
-     *  conflicts actually drain the EUR (multiple of 32). */
-    unsigned rankBlocks = 1024;
-    /** Banks per rank (both ranks; small keeps the rank mirrorable). */
-    unsigned banks = 4;
-    unsigned cores = 2;
     /** Simulated horizon; hook cuts that never trigger fall back to a
      *  cut here. */
     Tick horizon = nsToTicks(8000);
@@ -297,32 +389,64 @@ struct SysCrashTrialConfig
 /** Run one seeded whole-system crash trial. */
 SysCrashTally runSysCrashTrial(const SysCrashTrialConfig &tc, Rng &rng);
 
-/** Campaign shape; the defaults meet the acceptance bar (>= 5k). */
-struct SysCrashCampaignConfig
+/** Shape of a (technology x plan) campaign; the defaults meet the
+ *  acceptance bar (>= 5k trials). */
+template <typename Trial>
+struct TechPlanConfig
 {
     std::uint64_t seed = 2018;
-    /** Trials, split across (technology x cut site) cells. */
+    /** Trials, split across the (technology x plan) rows. */
     std::uint64_t trials = 6000;
     /** Trials per sweep point (parallel work-item granularity). */
     unsigned chunkTrials = 25;
-    SysCrashTrialConfig trial; //!< tech/site overwritten per cell
+    Trial trial; //!< tech and plan overwritten per row
 };
 
-constexpr unsigned numSysCrashTechs = 2;
+using SysCrashCampaignConfig = TechPlanConfig<SysCrashTrialConfig>;
 
-/** Aggregated campaign outcome per (technology, cut site) cell. */
-struct SysCrashTotals
+/** Technologies the mirrored campaigns sweep, in row order. */
+constexpr PmTech campaignTechs[] = {PmTech::Reram, PmTech::Pcm};
+
+/** Per (technology, cut site) row. */
+using SysCrashTotals = CampaignTotals<SysCrashTally>;
+
+/**
+ * A (technology x plan) campaign over runCampaign(): one row
+ * "<tech>/<plan>" per campaignTechs entry and plan name in
+ * @p plan_names, in that order, with @p cfg.trials split evenly. Each
+ * trial runs @p run_trial on @p cfg.trial with the row's technology
+ * and its plan stored in @p plan.
+ */
+template <typename Tally, typename Trial, typename Plan>
+CampaignTotals<Tally>
+techPlanCampaign(std::ostream &os, const SweepOptions &opts,
+                 const TechPlanConfig<Trial> &cfg,
+                 const CampaignTable<Tally> &table, Plan Trial::*plan,
+                 std::span<const char *const> plan_names,
+                 Tally (*run_trial)(const Trial &, Rng &))
 {
-    std::array<std::array<SysCrashTally, numCutSites>, numSysCrashTechs>
-        cells;
-
-    SysCrashTally total() const;
-    std::uint64_t
-    violations() const
-    {
-        return total().violations;
+    const std::size_t plans = plan_names.size();
+    std::vector<CampaignRow> rows;
+    for (const PmTech tech : campaignTechs) {
+        for (const char *name : plan_names) {
+            rows.push_back({pmTechName(tech) + "/" + name,
+                            evenShare(cfg.trials,
+                                      std::size(campaignTechs) * plans,
+                                      rows.size())});
+        }
     }
-};
+    return runCampaign(
+        os, opts, cfg.seed, cfg.chunkTrials, rows, table,
+        [&](std::size_t row, std::uint64_t batch, Rng &rng) {
+            Trial tc = cfg.trial;
+            tc.tech = campaignTechs[row / plans];
+            tc.*plan = static_cast<Plan>(row % plans);
+            Tally tally;
+            for (std::uint64_t t = 0; t < batch; ++t)
+                tally += run_trial(tc, rng);
+            return tally;
+        });
+}
 
 /**
  * Run the whole-system campaign as a ParallelSweep, print the per-cell

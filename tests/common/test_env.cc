@@ -99,14 +99,6 @@ TEST(EnvParseDeathTest, GarbageChoiceKnobExitsWithError)
 // through RasConfig::fromEnv(). (Test names deliberately avoid the
 // TSan CI regex tokens; see the file comment.)
 
-TEST(EnvParseDeathTest, GarbageArmedKnobExitsWithError)
-{
-    ::setenv("NVCK_SPARE_ARMED", "maybe", 1);
-    EXPECT_EXIT(RasConfig::fromEnv(), ::testing::ExitedWithCode(2),
-                "NVCK_SPARE_ARMED.*off, on.*'maybe'");
-    ::unsetenv("NVCK_SPARE_ARMED");
-}
-
 TEST(EnvParseDeathTest, GarbageRebuildBlocksKnobExitsWithError)
 {
     ::setenv("NVCK_SPARE_REBUILD_BLOCKS", "-32", 1);
@@ -129,4 +121,52 @@ TEST(EnvParseDeathTest, GarbagePatrolOrderKnobExitsWithError)
     EXPECT_EXIT(RasConfig::fromEnv(), ::testing::ExitedWithCode(2),
                 "NVCK_RAS_PATROL_ORDER.*wear, addr.*'hottest'");
     ::unsetenv("NVCK_RAS_PATROL_ORDER");
+}
+
+// Values that parse but overflow their field after conversion (ns to
+// ticks, or a 32-bit block count) are rejected, not wrapped.
+
+TEST(EnvParseDeathTest, PatrolKnobOverflowingTicksExitsWithError)
+{
+    ::setenv("NVCK_RAS_PATROL", "18446744073709551615", 1);
+    EXPECT_EXIT(RasConfig::fromEnv(), ::testing::ExitedWithCode(2),
+                "NVCK_RAS_PATROL.*'18446744073709551615'");
+    ::unsetenv("NVCK_RAS_PATROL");
+}
+
+TEST(EnvParseDeathTest, DecayKnobOverflowingTicksExitsWithError)
+{
+    ::setenv("NVCK_RAS_DECAY", "99999999999999999", 1);
+    EXPECT_EXIT(RasConfig::fromEnv(), ::testing::ExitedWithCode(2),
+                "NVCK_RAS_DECAY.*'99999999999999999'");
+    ::unsetenv("NVCK_RAS_DECAY");
+}
+
+TEST(EnvParseDeathTest, RebuildIntervalKnobOverflowingTicksExitsWithError)
+{
+    ::setenv("NVCK_SPARE_REBUILD_INTERVAL", "18446744073709552", 1);
+    EXPECT_EXIT(RasConfig::fromEnv(), ::testing::ExitedWithCode(2),
+                "NVCK_SPARE_REBUILD_INTERVAL.*'18446744073709552'");
+    ::unsetenv("NVCK_SPARE_REBUILD_INTERVAL");
+}
+
+TEST(EnvParseDeathTest, RebuildBlocksKnobOverflowingUnsignedExitsWithError)
+{
+    ::setenv("NVCK_SPARE_REBUILD_BLOCKS", "4294967296", 1);
+    EXPECT_EXIT(RasConfig::fromEnv(), ::testing::ExitedWithCode(2),
+                "NVCK_SPARE_REBUILD_BLOCKS.*'4294967296'");
+    ::unsetenv("NVCK_SPARE_REBUILD_BLOCKS");
+}
+
+TEST(EnvParse, RasTickKnobsAcceptTheLargestConvertibleValue)
+{
+    // UINT64_MAX / ticksPerNs is the largest ns count that still fits
+    // a Tick; it converts exactly.
+    ::setenv("NVCK_RAS_DECAY", "18446744073709551", 1);
+    ::setenv("NVCK_SPARE_REBUILD_BLOCKS", "4294967295", 1);
+    const RasConfig cfg = RasConfig::fromEnv();
+    EXPECT_EQ(cfg.decayInterval, 18446744073709551ull * ticksPerNs);
+    EXPECT_EQ(cfg.rebuildBlocksPerStep, 4294967295u);
+    ::unsetenv("NVCK_RAS_DECAY");
+    ::unsetenv("NVCK_SPARE_REBUILD_BLOCKS");
 }

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/crash.hh"
+#include "sim/ras.hh"
 #include "sim/spare.hh"
 #include "sweeps.hh"
 
@@ -55,6 +57,35 @@ spareCampaignAdapter(std::ostream &os, const SweepOptions &opts,
     spareCampaign(os, opts, cfg);
 }
 
+void
+rasCampaignAdapter(std::ostream &os, const SweepOptions &opts,
+                   const BenchScale &)
+{
+    // Tiny fault-lifecycle campaign: every (tech x fault plan) cell
+    // twice, the shape the RAS unit tests drive.
+    RasCampaignConfig cfg;
+    cfg.seed = 91;
+    cfg.trials = 16;
+    cfg.chunkTrials = 2;
+    cfg.trial.rankBlocks = 256;
+    cfg.trial.horizon = nsToTicks(12000);
+    rasCampaign(os, opts, cfg);
+}
+
+void
+crashCampaignAdapter(std::ostream &os, const SweepOptions &opts,
+                     const BenchScale &)
+{
+    // Tiny bit-level crash campaign, degraded-mode row included.
+    CrashCampaignConfig cfg;
+    cfg.seed = 77;
+    cfg.trials = 120;
+    cfg.degradedTrials = 24;
+    cfg.rankBlocks = 32;
+    cfg.chunkTrials = 10;
+    crashCampaign(os, opts, cfg);
+}
+
 struct GoldenCase
 {
     const char *name;
@@ -72,6 +103,8 @@ const GoldenCase kCases[] = {
     {"wear_leveling", wearLevelingCampaign},
     {"fault_sweep", faultSweep},
     {"spare_campaign", spareCampaignAdapter},
+    {"ras_campaign", rasCampaignAdapter},
+    {"crash_campaign", crashCampaignAdapter},
 };
 
 std::string

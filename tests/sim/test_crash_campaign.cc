@@ -44,7 +44,9 @@ TEST(CrashCampaign, OracleHoldsAndTalliesAddUp)
     // Every trial's torn block resolved exactly one way.
     EXPECT_EQ(sum.tornOld + sum.tornNew + sum.tornUe, sum.trials);
     for (unsigned p = 0; p < numCrashPoints; ++p)
-        EXPECT_EQ(totals.points[p].trials, cfg.trials / numCrashPoints)
+        EXPECT_EQ(totals.row(crashPointName(static_cast<CrashPoint>(p)))
+                      .trials,
+                  cfg.trials / numCrashPoints)
             << crashPointName(static_cast<CrashPoint>(p));
     EXPECT_NE(os.str().find("crash point"), std::string::npos);
     // The verdict block moved to the shared bench-side reporter

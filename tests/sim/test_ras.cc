@@ -13,7 +13,6 @@
 #include <memory>
 #include <sstream>
 
-#include "chipkill/schemes.hh"
 #include "common/threadpool.hh"
 #include "sim/ras.hh"
 
@@ -125,58 +124,26 @@ TEST(RasFailover, MatchesOfflineTakeOverBitIdentical)
 /** A booted System + mirrored rank, shaped like one campaign trial. */
 struct LiveRig
 {
-    SystemConfig cfg;
-    System sys;
-    PmRank rank;
-    PersistOracle oracle;
+    Rng rng;
+    MirroredTrial trial;
+    System &sys = trial.sys;
+    PmRank &rank = trial.rank;
+    PersistOracle &oracle = trial.oracle;
     RasMirror mirror;
 
-    static SystemConfig
-    makeCfg(unsigned blocks, std::uint64_t seed)
+    static MirroredTrialShape
+    shapeOf(unsigned blocks)
     {
-        SystemConfig cfg = SystemConfig::make(
-            PmTech::Reram, proposalScheme(runtimeRberFor(PmTech::Reram)),
-            "echo", seed | 1);
-        cfg.cores = 2;
-        cfg.cache.cores = 2;
-        cfg.cache.l1Bytes = 8 * 1024;
-        cfg.cache.llcBytes = 64 * 1024;
-        cfg.cache.llcWays = 8;
-        cfg.mem.dram.banks = 4;
-        cfg.mem.pm.banks = 4;
-        cfg.mem.writeMaxAge = nsToTicks(400);
-        cfg.mem.writeIdleBurst = 4;
-        cfg.mem.writeDrainHigh = 24;
-        cfg.mem.writeDrainLow = 8;
-        cfg.space.pmBase = 0;
-        cfg.space.pmBytes =
-            static_cast<std::uint64_t>(blocks) * blockBytes;
-        cfg.space.dramBytes = 1u << 20;
-        return cfg;
-    }
-
-    static PmRank
-    makeRank(unsigned blocks, std::uint64_t seed)
-    {
-        Rng rng(seed);
-        PmRank rank(blocks);
-        rank.initialize(rng);
-        return rank;
+        MirroredTrialShape shape;
+        shape.rankBlocks = blocks;
+        return shape;
     }
 
     LiveRig(unsigned blocks, std::uint64_t seed,
             const RasConfig &ras = RasConfig{})
-        : cfg(makeCfg(blocks, seed)),
-          sys(cfg,
-              std::make_unique<CampaignWorkload>(cfg.space, 2, seed + 1)),
-          rank(makeRank(blocks, seed + 2)), oracle(blocks),
+        : rng(seed), trial(shapeOf(blocks), rng),
           mirror(sys, rank, oracle, ras, 2, seed + 3)
     {
-        std::uint8_t buf[blockBytes];
-        for (unsigned b = 0; b < blocks; ++b) {
-            rank.goldenBlock(b, buf);
-            oracle.setBaseline(b, buf);
-        }
         mirror.engine().start();
         sys.start();
     }
@@ -289,8 +256,7 @@ TEST(RasCampaign, LifecycleOracleHoldsAndTalliesAddUp)
     EXPECT_GT(sum.patrolBursts, 0u);
     EXPECT_GT(sum.demandWrites, 0u);
     // Every chip-kill trial detected its kill and finished migrating.
-    const RasTally &reram_kill =
-        totals.cells[0][static_cast<unsigned>(FaultPlan::ChipKill)];
+    const RasTally &reram_kill = totals.row("ReRAM/chip-kill");
     EXPECT_EQ(reram_kill.failovers, reram_kill.trials);
     EXPECT_NE(os.str().find("chip-kill"), std::string::npos);
 }

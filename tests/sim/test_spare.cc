@@ -12,7 +12,6 @@
 #include <memory>
 #include <sstream>
 
-#include "chipkill/schemes.hh"
 #include "common/threadpool.hh"
 #include "sim/spare.hh"
 
@@ -158,57 +157,25 @@ TEST(SpareChip, UnvouchedSurvivorPoisonsTheSpanInsteadOfMixing)
 /** A booted System + mirrored rank, shaped like one campaign trial. */
 struct SpareRig
 {
-    SystemConfig cfg;
-    System sys;
-    PmRank rank;
-    PersistOracle oracle;
+    Rng rng;
+    MirroredTrial trial;
+    System &sys = trial.sys;
+    PmRank &rank = trial.rank;
+    PersistOracle &oracle = trial.oracle;
     RasMirror mirror;
 
-    static SystemConfig
-    makeCfg(unsigned blocks, std::uint64_t seed)
+    static MirroredTrialShape
+    shapeOf(unsigned blocks)
     {
-        SystemConfig cfg = SystemConfig::make(
-            PmTech::Reram, proposalScheme(runtimeRberFor(PmTech::Reram)),
-            "echo", seed | 1);
-        cfg.cores = 2;
-        cfg.cache.cores = 2;
-        cfg.cache.l1Bytes = 8 * 1024;
-        cfg.cache.llcBytes = 64 * 1024;
-        cfg.cache.llcWays = 8;
-        cfg.mem.dram.banks = 4;
-        cfg.mem.pm.banks = 4;
-        cfg.mem.writeMaxAge = nsToTicks(400);
-        cfg.mem.writeIdleBurst = 4;
-        cfg.mem.writeDrainHigh = 24;
-        cfg.mem.writeDrainLow = 8;
-        cfg.space.pmBase = 0;
-        cfg.space.pmBytes =
-            static_cast<std::uint64_t>(blocks) * blockBytes;
-        cfg.space.dramBytes = 1u << 20;
-        return cfg;
-    }
-
-    static PmRank
-    makeRank(unsigned blocks, std::uint64_t seed)
-    {
-        Rng rng(seed);
-        PmRank rank(blocks);
-        rank.initialize(rng);
-        return rank;
+        MirroredTrialShape shape;
+        shape.rankBlocks = blocks;
+        return shape;
     }
 
     SpareRig(unsigned blocks, std::uint64_t seed, const RasConfig &ras)
-        : cfg(makeCfg(blocks, seed)),
-          sys(cfg,
-              std::make_unique<CampaignWorkload>(cfg.space, 2, seed + 1)),
-          rank(makeRank(blocks, seed + 2)), oracle(blocks),
+        : rng(seed), trial(shapeOf(blocks), rng),
           mirror(sys, rank, oracle, ras, 2, seed + 3)
     {
-        std::uint8_t buf[blockBytes];
-        for (unsigned b = 0; b < blocks; ++b) {
-            rank.goldenBlock(b, buf);
-            oracle.setBaseline(b, buf);
-        }
         mirror.engine().start();
         sys.start();
     }
@@ -349,10 +316,9 @@ TEST(SpareCampaign, ServiceRoutesHoldTheOracle)
     // Every rebuild-plan trial reached Spared, every repair-plan trial
     // came all the way back to Healthy, and every spare-loss trial
     // fell back to a completed degraded migration.
-    for (unsigned ti = 0; ti < numRasTechs; ++ti) {
-        const auto &cells = totals.cells[ti];
-        const auto plan = [&cells](SparePlan p) -> const RasTally & {
-            return cells[static_cast<unsigned>(p)];
+    for (const PmTech tech : campaignTechs) {
+        const auto plan = [&](SparePlan p) -> const RasTally & {
+            return totals.row(pmTechName(tech) + "/" + sparePlanName(p));
         };
         EXPECT_EQ(plan(SparePlan::Unarmed).failovers,
                   plan(SparePlan::Unarmed).trials);
@@ -387,16 +353,13 @@ TEST(SpareCampaign, OutputIsByteIdenticalAcrossWorkerCounts)
 
 TEST(SpareEnv, FromEnvOverridesSpareKnobs)
 {
-    ::setenv("NVCK_SPARE_ARMED", "on", 1);
     ::setenv("NVCK_SPARE_REBUILD_BLOCKS", "48", 1);
     ::setenv("NVCK_SPARE_REBUILD_INTERVAL", "120", 1);
     ::setenv("NVCK_RAS_PATROL_ORDER", "addr", 1);
     const RasConfig cfg = RasConfig::fromEnv();
-    EXPECT_TRUE(cfg.spareEnabled);
     EXPECT_EQ(cfg.rebuildBlocksPerStep, 48u);
     EXPECT_EQ(cfg.rebuildStepInterval, nsToTicks(120));
     EXPECT_FALSE(cfg.wearAwarePatrol);
-    ::unsetenv("NVCK_SPARE_ARMED");
     ::unsetenv("NVCK_SPARE_REBUILD_BLOCKS");
     ::unsetenv("NVCK_SPARE_REBUILD_INTERVAL");
     ::unsetenv("NVCK_RAS_PATROL_ORDER");
