@@ -158,13 +158,13 @@ DegradedRank::readBlock(unsigned block, std::uint8_t *out)
         return result;
     }
 
-    // Without the RS tier every errored read needs the VLEW; check the
-    // stored block against a zero-cost syndrome first by decoding only
-    // when the word is dirty.
+    // Without the RS tier every errored read needs the VLEW. decode()
+    // reports a clean word after its residue pass alone, so only a
+    // dirty word counts as a VLEW use.
     BitVec cw = assembleVlew(vlew);
-    if (!vlewCodec.isCodeword(cw)) {
+    const auto res = vlewCodec.decode(cw);
+    if (res.status != DecodeStatus::Clean) {
         result.usedVlew = true;
-        const auto res = vlewCodec.decode(cw);
         if (res.status == DecodeStatus::Uncorrectable) {
             result.failed = true;
             result.outcome = RecoveryOutcome::DetectedUE;

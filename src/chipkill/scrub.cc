@@ -65,7 +65,7 @@ ScrubEngine::scrubPmWord(PmRank &rank, unsigned chip,
     if (codec.residueIsZero(res))
         return out; // clean: no syndrome work at all
 
-    const auto dec = codec.solveFromResidue(res, opts.decodePath);
+    const auto dec = codec.solveFromResidue(res);
     if (dec.status == DecodeStatus::Uncorrectable) {
         out.corrections = -1;
         return out;
@@ -158,7 +158,7 @@ ScrubEngine::scrubDegradedWord(DegradedRank &rank, unsigned vlew) const
     if (codec.residueIsZero(res))
         return out;
 
-    const auto dec = codec.solveFromResidue(res, opts.decodePath);
+    const auto dec = codec.solveFromResidue(res);
     if (dec.status == DecodeStatus::Uncorrectable) {
         out.corrections = -1;
         return out;

@@ -3,9 +3,8 @@
  * Batched whole-rank scrub engine (Section V-B made cheap).
  *
  * The word-at-a-time scrub paths assemble every VLEW into a fresh
- * BitVec, run the full decode pipeline (residue check, n-bit syndromes,
- * 2t Berlekamp-Massey steps, exhaustive Chien scan) and copy the word
- * back — even though at realistic RBERs almost every word is clean.
+ * BitVec, run BchCodec::decode on it and copy the word back — even
+ * though at realistic RBERs almost every word is clean.
  * The ScrubEngine restructures the sweep around that asymmetry:
  *
  *  - one streaming residue pass (BchCodec::residueAbsorb*) classifies
@@ -14,10 +13,8 @@
  *    clean words — the dominant cost becomes O(bytes streamed) through
  *    the 64-bit-wide sliced lanes;
  *  - dirty words are decoded from the already-computed r-bit residue
- *    (BchCodec::solveFromResidue) through the fast corrupt-word path
- *    (even-step-skipping Berlekamp-Massey, early-abort on length > t,
- *    root-count-bounded Chien scan) and corrected by flipping bits in
- *    place;
+ *    (BchCodec::solveFromResidue, the codec's one decode pipeline)
+ *    and corrected by flipping bits in place;
  *  - words are fanned out to ThreadPool workers in fixed-size batches
  *    with disjoint result slots, so outcomes are bit-identical for any
  *    worker count (the determinism contract of common/threadpool.hh).
@@ -33,8 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <vector>
-
-#include "ecc/kernel.hh"
 
 namespace nvck {
 
@@ -81,8 +76,6 @@ class ScrubEngine
         unsigned batchWords = 64;
         /** Worker pool; null means ThreadPool::global(). */
         ThreadPool *pool = nullptr;
-        /** Corrupt-word decode path (NVCK_SCRUB_DECODE overrides). */
-        ScrubDecodePath decodePath = defaultScrubDecodePath();
     };
 
     ScrubEngine() = default;

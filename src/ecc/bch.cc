@@ -339,18 +339,6 @@ BchCodec::stepBit(std::vector<std::uint64_t> &rem, bool in) const
     }
 }
 
-std::vector<std::uint64_t>
-BchCodec::scalarResidue(const std::vector<std::uint64_t> &words,
-                        std::size_t nbits) const
-{
-    // LFSR division: remainder of p(x) * x^r by g(x), processing bits
-    // from the highest coefficient downward.
-    std::vector<std::uint64_t> rem(remWords, 0);
-    for (std::size_t i = nbits; i-- > 0;)
-        stepBit(rem, ((words[i >> 6] >> (i & 63)) & 1) != 0);
-    return rem;
-}
-
 void
 BchCodec::byteStep(std::vector<std::uint64_t> &rem,
                    unsigned in_byte) const
@@ -398,38 +386,13 @@ BchCodec::shiftRemDown(std::vector<std::uint64_t> &rem) const
 }
 
 std::vector<std::uint64_t>
-BchCodec::slicedResidue(const std::vector<std::uint64_t> &words,
-                        std::size_t nbits) const
-{
-    std::vector<std::uint64_t> rem(remWords, 0);
-    if (checkBits < 8) {
-        for (std::size_t i = nbits; i-- > 0;)
-            stepBit(rem, ((words[i >> 6] >> (i & 63)) & 1) != 0);
-        return rem;
-    }
-
-    // Leading partial byte bit-serially, so the remaining length is a
-    // multiple of 8 and every input byte sits within one storage word.
-    std::size_t i = nbits;
-    while ((i & 7) != 0) {
-        --i;
-        stepBit(rem, ((words[i >> 6] >> (i & 63)) & 1) != 0);
-    }
-
-    while (i != 0) {
-        i -= 8;
-        byteStep(rem, static_cast<unsigned>(
-                          (words[i >> 6] >> (i & 63)) & 0xFF));
-    }
-    return rem;
-}
-
-std::vector<std::uint64_t>
 BchCodec::residue(const std::vector<std::uint64_t> &words,
                   std::size_t nbits) const
 {
-    return kern == CodecKernel::Sliced ? slicedResidue(words, nbits)
-                                       : scalarResidue(words, nbits);
+    BchResidue state;
+    residueStart(state);
+    residueAbsorbBits(state, words.data(), nbits);
+    return std::move(state.rem);
 }
 
 BitVec
@@ -476,20 +439,11 @@ bool
 BchCodec::isCodeword(const BitVec &codeword) const
 {
     NVCK_ASSERT(codeword.size() == n(), "BCH isCodeword: bad length");
-    if (kern == CodecKernel::Sliced) {
-        // Word-level residue check: c(x) * x^r mod g is zero exactly
-        // when c(x) mod g is (x is invertible mod g since g(0) = 1).
-        const std::vector<std::uint64_t> rem =
-            slicedResidue(codeword.raw(), n());
-        return std::all_of(rem.begin(), rem.end(),
-                           [](std::uint64_t w) { return w == 0; });
-    }
-    // Scalar reference: r(x) mod g(x) == 0 via BinPoly division.
-    BinPoly received;
-    for (unsigned i = 0; i < n(); ++i)
-        if (codeword.get(i))
-            received.setBit(i);
-    return BinPoly::mod(received, gen).isZero();
+    // c(x) * x^r mod g is zero exactly when c(x) mod g is (x is
+    // invertible mod g since g(0) = 1).
+    const std::vector<std::uint64_t> rem = residue(codeword.raw(), n());
+    return std::all_of(rem.begin(), rem.end(),
+                       [](std::uint64_t w) { return w == 0; });
 }
 
 std::vector<GfElem>
@@ -694,18 +648,17 @@ BchCodec::syndromesFromResidue(const BchResidue &state) const
             out[2 * idx] = gf.mul(acc, resFix[idx]);
         }
     } else {
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            std::uint64_t bits = words[w];
-            while (bits) {
-                const unsigned i = static_cast<unsigned>(
-                    w * 64 + std::countr_zero(bits));
-                bits &= bits - 1;
-                for (unsigned idx = 0; idx < correctBits; ++idx)
-                    out[2 * idx] ^= oddSynTables[idx][i];
-            }
+        // Plain Horner fold over the r remainder bits, high bit first:
+        // needs no kernel tables, so it serves the Scalar kernel and
+        // the tiny codes (r < 8) the byte tables do not cover.
+        for (unsigned idx = 0; idx < correctBits; ++idx) {
+            const GfElem step = gf.alphaPow(2ull * idx + 1);
+            GfElem acc = 0;
+            for (unsigned i = checkBits; i-- > 0;)
+                acc = gf.mul(acc, step) ^
+                      static_cast<GfElem>((words[i >> 6] >> (i & 63)) & 1);
+            out[2 * idx] = gf.mul(acc, resFix[idx]);
         }
-        for (unsigned idx = 0; idx < correctBits; ++idx)
-            out[2 * idx] = gf.mul(out[2 * idx], resFix[idx]);
     }
     for (unsigned j = 2; j <= 2 * correctBits; j += 2) {
         const GfElem half = out[j / 2 - 1];
@@ -715,8 +668,8 @@ BchCodec::syndromesFromResidue(const BchResidue &state) const
 }
 
 bool
-BchCodec::bmLocator(const std::vector<GfElem> &syn, bool fast,
-                    GfPoly &lambda, unsigned &len) const
+BchCodec::bmLocator(const std::vector<GfElem> &syn, GfPoly &lambda,
+                    unsigned &len) const
 {
     lambda = GfPoly::constant(1);
     GfPoly prev = GfPoly::constant(1);
@@ -724,7 +677,7 @@ BchCodec::bmLocator(const std::vector<GfElem> &syn, bool fast,
     unsigned shift = 1;
     GfElem prev_disc = 1;
     for (unsigned step = 0; step < 2 * correctBits; ++step) {
-        if (fast && (step & 1) != 0) {
+        if ((step & 1) != 0) {
             // Berlekamp's binary trick: this step consumes the even
             // syndrome S_{step+1} = S_{(step+1)/2}^2, whose
             // discrepancy is structurally zero for any received word
@@ -755,7 +708,7 @@ BchCodec::bmLocator(const std::vector<GfElem> &syn, bool fast,
         lambda = next;
         // The register length never shrinks, so once it exceeds t the
         // word is uncorrectable no matter what the remaining steps do.
-        if (fast && l > correctBits)
+        if (l > correctBits)
             break;
     }
     len = l;
@@ -763,10 +716,73 @@ BchCodec::bmLocator(const std::vector<GfElem> &syn, bool fast,
 }
 
 bool
-BchCodec::chienSearch(const GfPoly &lambda, unsigned nu, bool early_stop,
+BchCodec::locatorSplits(const GfPoly &lambda) const
+{
+    const int deg = lambda.degree();
+    if (deg < 2)
+        return true;
+    const auto nu = static_cast<unsigned>(deg);
+
+    // Reduction by the monic locator: x^nu = sum_{j<nu} mon_j x^j with
+    // mon_j = lambda_j / lambda_nu, kept as discrete logs (zero
+    // coefficients flagged) so each reduction product is one
+    // expSum lookup.
+    constexpr std::uint32_t zeroLog = ~0u;
+    const std::uint32_t ord = gf.order();
+    const std::uint32_t lead_inv = ord - gf.log(lambda.coeff(nu));
+    std::vector<std::uint32_t> mon_log(nu);
+    for (unsigned j = 0; j < nu; ++j) {
+        const GfElem c = lambda.coeff(j);
+        mon_log[j] = c == 0 ? zeroLog : (gf.log(c) + lead_inv) % ord;
+    }
+
+    // p <- p^2 mod lambda, m times, starting from p = x. Squaring is
+    // coefficient-wise in characteristic 2 (p_i x^i -> p_i^2 x^2i);
+    // the degree-(2nu-2) square is then reduced top-down.
+    std::vector<GfElem> sq(2 * nu - 1, 0);
+    std::vector<GfElem> p(nu, 0);
+    p[1] = 1;
+    for (unsigned s = 0; s < gf.m(); ++s) {
+        std::fill(sq.begin(), sq.end(), 0);
+        for (unsigned i = 0; i < nu; ++i) {
+            if (p[i] != 0) {
+                const std::uint32_t l = gf.log(p[i]);
+                sq[2 * i] = gf.expSum(l, l);
+            }
+        }
+        for (unsigned d = 2 * nu - 1; d-- > nu;) {
+            if (sq[d] == 0)
+                continue;
+            const std::uint32_t lc = gf.log(sq[d]);
+            GfElem *low = &sq[d - nu];
+            for (unsigned j = 0; j < nu; ++j)
+                if (mon_log[j] != zeroLog)
+                    low[j] ^= gf.expSum(lc, mon_log[j]);
+        }
+        std::copy_n(sq.begin(), nu, p.begin());
+    }
+
+    // lambda divides x^(2^m) - x, the product of (x - a) over the whole
+    // field, exactly when the reduced power is x itself.
+    for (unsigned i = 0; i < nu; ++i)
+        if (p[i] != (i == 1 ? 1 : 0))
+            return false;
+    return true;
+}
+
+bool
+BchCodec::chienSearch(const GfPoly &lambda, unsigned nu,
                       std::vector<std::uint32_t> &positions) const
 {
     positions.clear();
+    // A locator that does not split into distinct linear factors has
+    // fewer than nu distinct roots anywhere in the field, let alone in
+    // [0, n): reject it before the O(n * nu) scan. This is the common
+    // case for a dead chip's VLEW, whose random syndromes give a
+    // degree-t locator.
+    if (!locatorSplits(lambda))
+        return false;
+
     // term[j] tracks lambda_j * alpha^(-i*j) as i advances.
     std::vector<GfElem> term(nu + 1);
     for (unsigned j = 0; j <= nu; ++j)
@@ -781,36 +797,30 @@ BchCodec::chienSearch(const GfPoly &lambda, unsigned nu, bool early_stop,
             // A degree-nu locator has at most nu roots in the whole
             // field: after the nu-th one the rest of the scan can only
             // confirm there are no more.
-            if (early_stop && positions.size() == nu)
+            if (positions.size() == nu)
                 return true;
         }
         for (unsigned j = 1; j <= nu; ++j)
             term[j] = gf.mul(term[j], chienStride[j]);
     }
-    // Fewer than nu roots in the shortened range (or repeated roots):
-    // the pattern is uncorrectable.
+    // Fewer than nu roots in the shortened range: some root sits at a
+    // position >= n, so the pattern is uncorrectable.
     return positions.size() == nu;
 }
 
 BchDecodeResult
-BchCodec::solveFromResidue(const BchResidue &state,
-                           ScrubDecodePath path) const
+BchCodec::solveFromResidue(const BchResidue &state) const
 {
     BchDecodeResult result;
     if (residueIsZero(state))
         return result; // Clean
 
     const std::vector<GfElem> syn = syndromesFromResidue(state);
-    const bool fast = path == ScrubDecodePath::Fast;
-
     GfPoly lambda;
     unsigned nu = 0;
-    if (!bmLocator(syn, fast, lambda, nu)) {
-        result.status = DecodeStatus::Uncorrectable;
-        return result;
-    }
     std::vector<std::uint32_t> positions;
-    if (!chienSearch(lambda, nu, fast, positions)) {
+    if (!bmLocator(syn, lambda, nu) ||
+        !chienSearch(lambda, nu, positions)) {
         result.status = DecodeStatus::Uncorrectable;
         return result;
     }
@@ -824,37 +834,12 @@ BchDecodeResult
 BchCodec::decode(BitVec &codeword) const
 {
     NVCK_ASSERT(codeword.size() == n(), "BCH decode: bad length");
-    BchDecodeResult result;
-
-    if (isCodeword(codeword)) {
-        result.status = DecodeStatus::Clean;
-        return result;
-    }
-
-    const std::vector<GfElem> syn = syndromes(codeword);
-
-    // Berlekamp-Massey over GF(2^m), then the exhaustive Chien scan:
-    // the reference pipeline (ScrubDecodePath::Full semantics).
-    GfPoly lambda;
-    unsigned nu = 0;
-    if (!bmLocator(syn, /*fast=*/false, lambda, nu)) {
-        result.status = DecodeStatus::Uncorrectable;
-        return result;
-    }
-
-    std::vector<std::uint32_t> error_positions;
-    if (!chienSearch(lambda, nu, /*early_stop=*/false,
-                     error_positions)) {
-        result.status = DecodeStatus::Uncorrectable;
-        return result;
-    }
-
-    for (std::uint32_t pos : error_positions)
+    BchResidue state;
+    residueStart(state);
+    residueAbsorbBits(state, codeword.raw().data(), n());
+    BchDecodeResult result = solveFromResidue(state);
+    for (const std::uint32_t pos : result.positions)
         codeword.flip(pos);
-
-    result.status = DecodeStatus::Corrected;
-    result.corrections = nu;
-    result.positions = std::move(error_positions);
     return result;
 }
 

@@ -1,17 +1,19 @@
 /**
  * @file
  * Binary BCH codec: systematic encoding via LFSR division by the
- * generator polynomial, decoding via syndromes, Berlekamp-Massey, and
- * Chien search. Supports shortened codes (k smaller than the natural
- * 2^m - 1 - r), which is how both the per-block 14-EC code and the
- * per-chip 22-EC VLEW code of the paper are realised.
+ * generator polynomial, decoding via one residue-based pipeline
+ * (remainder -> syndromes -> binary Berlekamp-Massey -> Frobenius
+ * split test -> early-stop Chien search). Supports shortened codes
+ * (k smaller than the natural 2^m - 1 - r), which is how both the
+ * per-block 14-EC code and the per-chip 22-EC VLEW code of the paper
+ * are realised.
  *
  * Two interchangeable kernel implementations back the hot loops (see
  * kernel.hh): the Scalar reference (one bit per LFSR step, per-set-bit
- * syndrome accumulation) and the default Sliced kernel (CRC-style
- * slicing-by-8 remainder tables, per-byte partial-syndrome tables with
- * alpha^(8j) Horner strides). Both produce bit-identical codewords,
- * syndromes, and decode results; the differential tests enforce it.
+ * syndrome accumulation) and the default Sliced kernel (64-bit-wide
+ * remainder lanes, per-byte partial-syndrome tables with alpha^(8j)
+ * Horner strides). Both produce bit-identical codewords, syndromes,
+ * and decode results; the differential tests enforce it.
  */
 
 #ifndef NVCK_ECC_BCH_HH
@@ -119,7 +121,9 @@ class BchCodec
     /**
      * Decode @p codeword in place (n bits). Corrects up to t bit errors;
      * reports Uncorrectable when the syndrome is inconsistent with any
-     * pattern of weight <= t.
+     * pattern of weight <= t. Runs the residue pass
+     * (residueAbsorbBits) and solveFromResidue, then flips the
+     * returned positions.
      */
     BchDecodeResult decode(BitVec &codeword) const;
 
@@ -175,14 +179,24 @@ class BchCodec
      * Decode from a fully absorbed residue without materialising the
      * codeword: returns the same status/corrections/positions decode()
      * would, but applies no bit flips (the caller owns the storage).
-     * The Fast path skips the provably zero-discrepancy even-syndrome
-     * BM steps, aborts as soon as the register length exceeds t, and
-     * stops the Chien scan at the nu-th root; Full mirrors decode()
-     * step for step. Both are bit-identical (pinned by tests).
+     * Berlekamp-Massey skips the provably zero-discrepancy
+     * even-syndrome steps and aborts as soon as the register length
+     * exceeds t; a locator that fails the split test
+     * (locatorSplits) is rejected before any Chien work, and the
+     * Chien scan stops at the nu-th root. The tests pin the result
+     * against a textbook reference decoder.
      */
-    BchDecodeResult
-    solveFromResidue(const BchResidue &state,
-                     ScrubDecodePath path = defaultScrubDecodePath()) const;
+    BchDecodeResult solveFromResidue(const BchResidue &state) const;
+
+    /**
+     * Frobenius split test: true when @p lambda (nonzero constant term)
+     * is a product of distinct linear factors over GF(2^m), i.e. when
+     * x^(2^m) = x mod lambda. Computed by m squarings modulo lambda
+     * (about m * nu^2 multiplies for degree nu). A locator that fails
+     * it cannot have nu distinct roots, so the Chien scan could only
+     * report Uncorrectable. Degrees below 2 always pass.
+     */
+    bool locatorSplits(const GfPoly &lambda) const;
 
     /**
      * Lookup-table bytes held by this instance for its current kernel
@@ -196,16 +210,8 @@ class BchCodec
     /** Sliced (per-byte table + Horner stride) syndromes. */
     std::vector<GfElem> syndromesSliced(const BitVec &codeword) const;
 
-    /** Bit-serial LFSR remainder of the first @p nbits of @p words
-     *  times x^r, modulo g. */
-    std::vector<std::uint64_t>
-    scalarResidue(const std::vector<std::uint64_t> &words,
-                  std::size_t nbits) const;
-    /** Slicing-by-8 version of scalarResidue (identical result). */
-    std::vector<std::uint64_t>
-    slicedResidue(const std::vector<std::uint64_t> &words,
-                  std::size_t nbits) const;
-    /** Dispatch to the active residue kernel. */
+    /** Remainder of the first @p nbits of @p words times x^r, modulo
+     *  g, through the active kernel's residueAbsorbBits. */
     std::vector<std::uint64_t>
     residue(const std::vector<std::uint64_t> &words,
             std::size_t nbits) const;
@@ -213,7 +219,11 @@ class BchCodec
     /** One LFSR step: rem <- (rem * x + in * x^r) mod g. */
     void stepBit(std::vector<std::uint64_t> &rem, bool in) const;
 
-    /** One slicing-by-8 step: rem <- (rem * x^8 + byte * x^r) mod g. */
+    /**
+     * One slicing-by-8 step: rem <- (rem * x^8 + byte * x^r) mod g.
+     * Only the sub-chunk tail of a wide run (or whole words when
+     * r < 64) takes it.
+     */
     void byteStep(std::vector<std::uint64_t> &rem, unsigned in_byte) const;
 
     /**
@@ -226,22 +236,23 @@ class BchCodec
     void shiftRemDown(std::vector<std::uint64_t> &rem) const;
 
     /**
-     * Berlekamp-Massey: fill @p lambda / @p len from the syndromes and
-     * report whether they describe a correctable pattern (len <= t and
-     * deg(lambda) == len). @p fast skips the even-syndrome steps whose
-     * discrepancy is structurally zero for binary BCH and aborts once
-     * len exceeds t (len never shrinks); both modes are bit-identical.
+     * Binary Berlekamp-Massey: fill @p lambda / @p len from the
+     * syndromes and report whether they describe a correctable pattern
+     * (len <= t and deg(lambda) == len). Skips the even-syndrome steps
+     * whose discrepancy is structurally zero for binary BCH and aborts
+     * once len exceeds t (len never shrinks).
      */
-    bool bmLocator(const std::vector<GfElem> &syn, bool fast,
-                   GfPoly &lambda, unsigned &len) const;
+    bool bmLocator(const std::vector<GfElem> &syn, GfPoly &lambda,
+                   unsigned &len) const;
 
     /**
-     * Chien search over the shortened positions [0, n): fill
-     * @p positions with the roots of @p lambda and report whether
-     * exactly @p nu distinct in-range roots exist. @p early_stop ends
-     * the scan at the nu-th root (a degree-nu locator has no more).
+     * Root search over the shortened positions [0, n): reject a
+     * locator that fails locatorSplits, otherwise fill @p positions
+     * with the roots of @p lambda, stopping at the @p nu-th (a
+     * degree-nu locator has no more), and report whether exactly
+     * @p nu distinct in-range roots exist.
      */
-    bool chienSearch(const GfPoly &lambda, unsigned nu, bool early_stop,
+    bool chienSearch(const GfPoly &lambda, unsigned nu,
                      std::vector<std::uint32_t> &positions) const;
 
     /** Build the scalar per-bit syndrome tables (idempotent). */

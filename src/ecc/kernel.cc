@@ -25,23 +25,4 @@ defaultCodecKernel()
     return kernel;
 }
 
-const char *
-scrubDecodePathName(ScrubDecodePath path)
-{
-    return path == ScrubDecodePath::Full ? "full" : "fast";
-}
-
-ScrubDecodePath
-defaultScrubDecodePath()
-{
-    static const ScrubDecodePath path = [] {
-        const auto idx =
-            envChoice("NVCK_SCRUB_DECODE", {"full", "fast"});
-        if (idx && *idx == 0)
-            return ScrubDecodePath::Full;
-        return ScrubDecodePath::Fast;
-    }();
-    return path;
-}
-
 } // namespace nvck

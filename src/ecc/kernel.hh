@@ -39,39 +39,6 @@ const char *codecKernelName(CodecKernel kernel);
  */
 CodecKernel defaultCodecKernel();
 
-/**
- * Which corrupt-word decode path the batched scrub engine runs once a
- * residue pass has flagged a word as dirty:
- *
- *  - Full: the reference pipeline decode() uses — whole-codeword
- *    syndromes, all 2t Berlekamp-Massey steps, exhaustive Chien scan.
- *  - Fast: syndromes evaluated from the already-computed r-bit
- *    residue, the binary-BCH Berlekamp iteration (even-indexed
- *    syndrome steps have provably zero discrepancy and are skipped,
- *    and the iteration aborts as soon as the register length exceeds
- *    the error bound t), and a Chien search that stops at the nu-th
- *    root (a degree-nu locator has no further roots to find).
- *
- * Both paths produce bit-identical decode results by construction;
- * the ScrubEngine differential tests pin them against each other.
- */
-enum class ScrubDecodePath
-{
-    Full, //!< reference decode pipeline
-    Fast, //!< residue-reuse + early-exit decode (default)
-};
-
-/** Human-readable path name ("full" / "fast"). */
-const char *scrubDecodePathName(ScrubDecodePath path);
-
-/**
- * The process-wide default scrub decode path: Fast, unless the
- * environment variable NVCK_SCRUB_DECODE is set to "full". Any other
- * value is rejected with a one-line error and exit(2). Read once and
- * cached.
- */
-ScrubDecodePath defaultScrubDecodePath();
-
 } // namespace nvck
 
 #endif // NVCK_ECC_KERNEL_HH

@@ -2,10 +2,11 @@
  * @file
  * Differential pins for the batched scrub engine (chipkill/scrub.hh):
  *
- *  - the fast corrupt-word decode (residue-reuse syndromes, even-step
- *    skipping Berlekamp-Massey, root-count-bounded Chien search) must
- *    be bit-identical to the reference decode() across the KernelDiff
- *    parameter points with 0..t+2 injected errors;
+ *  - the residue-based corrupt-word decode (solveFromResidue, and
+ *    decode() which runs it) must be bit-identical to the textbook
+ *    reference decoder (tests/ecc/bch_reference.hh) across the
+ *    KernelDiff parameter points plus two r < 8 codes, with 0..t+2
+ *    injected errors;
  *  - a whole-rank engine sweep must leave byte-identical media and
  *    report identical per-word outcomes as the word-at-a-time
  *    reference path, over random error / burst / torn-write mixes,
@@ -23,6 +24,7 @@
 #include "common/threadpool.hh"
 #include "common/types.hh"
 #include "ecc/bch.hh"
+#include "ecc/bch_reference.hh"
 
 namespace nvck {
 namespace {
@@ -63,16 +65,15 @@ TEST_P(ScrubFastDecode, SolveFromResidueMatchesDecode)
                         << "errors=" << errors;
                 }
 
+                const auto ref = referenceDecode(codec, noisy);
                 BitVec decoded = noisy;
-                const auto ref = codec.decode(decoded);
-                for (const ScrubDecodePath path :
-                     {ScrubDecodePath::Full, ScrubDecodePath::Fast}) {
-                    const auto fast = codec.solveFromResidue(res, path);
-                    EXPECT_EQ(fast.status, ref.status)
-                        << "errors=" << errors << " path="
-                        << scrubDecodePathName(path);
-                    EXPECT_EQ(fast.corrections, ref.corrections);
-                    EXPECT_EQ(fast.positions, ref.positions);
+                const auto dec = codec.decode(decoded);
+                const auto fast = codec.solveFromResidue(res);
+                for (const auto *got : {&dec, &fast}) {
+                    EXPECT_EQ(got->status, ref.status)
+                        << "errors=" << errors;
+                    EXPECT_EQ(got->corrections, ref.corrections);
+                    EXPECT_EQ(got->positions, ref.positions);
                 }
             }
         }
@@ -124,7 +125,8 @@ TEST_P(ScrubFastDecode, SegmentedAbsorbMatchesWholeWord)
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodePoints, ScrubFastDecode,
-    ::testing::Values(BchPoint{64, 2}, BchPoint{128, 3},
+    ::testing::Values(BchPoint{32, 1}, BchPoint{64, 1},
+                      BchPoint{64, 2}, BchPoint{128, 3},
                       BchPoint{512, 5}, BchPoint{512, 8},
                       BchPoint{512, 14}, BchPoint{2048, 22}),
     [](const auto &info) {
@@ -252,25 +254,6 @@ TEST(ScrubEngineDiff, WorkerCountAndBatchSizeAreByteIdentical)
         EXPECT_EQ(outcomes[i], outcomes[0]) << "config " << i;
         EXPECT_TRUE(sameMedia(media[i], media[0])) << "config " << i;
     }
-}
-
-TEST(ScrubEngineDiff, FullAndFastDecodePathsAgreeOnRankSweeps)
-{
-    PmRank rank = messyRank(77);
-    const auto dirty = rank.snapshot();
-
-    ScrubEngine::Options full_opts;
-    full_opts.decodePath = ScrubDecodePath::Full;
-    const auto full = ScrubEngine(full_opts).sweep(rank);
-    const auto media_full = rank.snapshot();
-
-    rank.restore(dirty);
-    ScrubEngine::Options fast_opts;
-    fast_opts.decodePath = ScrubDecodePath::Fast;
-    const auto fast = ScrubEngine(fast_opts).sweep(rank);
-
-    EXPECT_EQ(full, fast);
-    EXPECT_TRUE(sameMedia(media_full, rank.snapshot()));
 }
 
 TEST(ScrubEngineDiff, StuckCellsReassertedLikeReference)
