@@ -1,12 +1,13 @@
 /**
  * @file
  * Throughput benchmark for the batched whole-rank scrub engine
- * (chipkill/scrub.hh) against the word-at-a-time reference path, plus
- * a corrupt-word decode micro timing the residue-based solve
- * (BchCodec::solveFromResidue) the engine runs on dirty words. Every
- * timed sweep is also cross-checked for identical outcomes and media
- * before the numbers are reported, and every timed solve must correct
- * exactly the injected errors; any divergence fails the run.
+ * (chipkill/scrub.hh) against the word-at-a-time reference path
+ * (tests/chipkill/scrub_reference.hh), plus a corrupt-word decode
+ * micro timing the residue-based solve (BchCodec::solveFromResidue)
+ * the engine runs on dirty words. Every timed sweep is also
+ * cross-checked for identical outcomes and media before the numbers
+ * are reported, and every timed solve must correct exactly the
+ * injected errors; any divergence fails the run.
  *
  * MB/s counts scanned media: every scrub word covers its data span
  * plus its code bits ((256 + 33)B for the paper's VLEW geometry).
@@ -28,6 +29,7 @@
 
 #include "chipkill/pm_rank.hh"
 #include "chipkill/scrub.hh"
+#include "chipkill/scrub_reference.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "common/types.hh"
@@ -87,23 +89,17 @@ scannedBytes(const PmRank &rank)
 
 /** Engine sweep vs reference sweep must agree exactly (exit 1). */
 void
-checkIdentical(PmRank &rank, const RankSnapshot &dirty,
-               const std::string &scenario)
+checkIdentical(const VlewStore &dirty, const std::string &scenario)
 {
-    rank.restore(dirty);
-    const auto batched = ScrubEngine().sweep(rank);
-    const auto media = rank.snapshot();
-    rank.restore(dirty);
-    const auto reference = ScrubEngine().sweepReference(rank);
-    const auto ref_media = rank.snapshot();
-    const bool same_media = media.chipStore == ref_media.chipStore &&
-                            media.codeStore == ref_media.codeStore;
-    if (batched != reference || !same_media) {
+    VlewStore media = dirty;
+    const auto batched = ScrubEngine().sweep(media);
+    const auto reference = scrubReference(dirty);
+    if (batched != reference.outcomes ||
+        !matchesReference(media, reference)) {
         std::cerr << "FATAL: engine/reference divergence in "
                   << scenario << "\n";
         std::exit(1);
     }
-    rank.restore(dirty);
 }
 
 void
@@ -118,38 +114,37 @@ benchSweeps(std::vector<Record> &records, unsigned blocks,
 
     // Clean sweep: the dominant scrub regime — every word passes the
     // residue check, no decode work at all.
-    checkIdentical(rank, rank.snapshot(), "clean_sweep_" + size_tag);
+    VlewStore media = rank.snapshot().media;
+    checkIdentical(media, "clean_sweep_" + size_tag);
     records.push_back({"clean_sweep_" + size_tag, "engine",
                        measure(min_seconds, bytes, [&] {
                            g_sink = g_sink +
-                                    ScrubEngine().sweep(rank).size();
+                                    ScrubEngine().sweep(media).size();
                        })});
-    records.push_back(
-        {"clean_sweep_" + size_tag, "per_word",
-         measure(min_seconds, bytes, [&] {
-             g_sink =
-                 g_sink + ScrubEngine().sweepReference(rank).size();
-         })});
+    records.push_back({"clean_sweep_" + size_tag, "per_word",
+                       measure(min_seconds, bytes, [&] {
+                           g_sink = g_sink + scrubReference(media)
+                                                 .outcomes.size();
+                       })});
 
     // Dirty sweep at a realistic boot RBER: a few words need the
-    // corrupt-word decode. Both paths pay the identical restore, so
-    // the comparison stays apples-to-apples.
+    // corrupt-word decode. Both paths pay the identical copy of the
+    // dirty image, so the comparison stays apples-to-apples.
     rank.injectErrors(rng, 1e-5);
-    const auto dirty = rank.snapshot();
-    checkIdentical(rank, dirty, "dirty_sweep_" + size_tag);
+    const VlewStore dirty = rank.snapshot().media;
+    checkIdentical(dirty, "dirty_sweep_" + size_tag);
     records.push_back({"dirty_sweep_" + size_tag, "engine",
                        measure(min_seconds, bytes, [&] {
-                           rank.restore(dirty);
+                           media = dirty;
                            g_sink = g_sink +
-                                    ScrubEngine().sweep(rank).size();
+                                    ScrubEngine().sweep(media).size();
                        })});
-    records.push_back(
-        {"dirty_sweep_" + size_tag, "per_word",
-         measure(min_seconds, bytes, [&] {
-             rank.restore(dirty);
-             g_sink =
-                 g_sink + ScrubEngine().sweepReference(rank).size();
-         })});
+    records.push_back({"dirty_sweep_" + size_tag, "per_word",
+                       measure(min_seconds, bytes, [&] {
+                           media = dirty;
+                           g_sink = g_sink + scrubReference(media)
+                                                 .outcomes.size();
+                       })});
 }
 
 /** Corrupt-word decode micro: the residue solve on dirty words. */

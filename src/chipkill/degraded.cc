@@ -1,5 +1,6 @@
 #include "degraded.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "chipkill/pm_rank.hh"
@@ -8,37 +9,28 @@
 
 namespace nvck {
 
-DegradedRank::DegradedRank(unsigned num_blocks,
-                           const ProposalParams &params)
-    : geom(params),
-      numBlocks(num_blocks),
-      vlewCodec(params.vlewDataBytes * 8, params.vlewT)
+DegradedRank::DegradedRank(unsigned num_blocks)
+    : numBlocks(num_blocks),
+      numVlews(num_blocks / blocksPerVlew()),
+      media(std::make_shared<const BchCodec>(geom.vlewDataBytes * 8,
+                                             geom.vlewT),
+            numVlews, blockBytes),
+      poisonedVlew(numVlews, false)
 {
     NVCK_ASSERT(numBlocks % blocksPerVlew() == 0,
                 "block count must be a multiple of the striped span");
-    numVlews = numBlocks / blocksPerVlew();
-    store.assign(static_cast<std::size_t>(numBlocks) * blockBytes, 0);
-    golden = store;
-    codeStore.assign(numVlews, BitVec(vlewCodec.r()));
-    goldenCode = codeStore;
-    poisonedVlew.assign(numVlews, false);
 }
 
 void
 DegradedRank::initialize(Rng &rng)
 {
-    for (auto &byte : golden)
-        byte = static_cast<std::uint8_t>(rng.next() & 0xFF);
-    for (unsigned v = 0; v < numVlews; ++v) {
-        BitVec data(vlewCodec.k());
-        data.setBytes(
-            0, &golden[static_cast<std::size_t>(v) * geom.vlewDataBytes],
-            geom.vlewDataBytes);
-        const BitVec check = vlewCodec.encodeDelta(data);
-        goldenCode[v].copyRange(0, check, 0, vlewCodec.r());
+    std::uint8_t data[blockBytes];
+    for (unsigned b = 0; b < numBlocks; ++b) {
+        for (auto &byte : data)
+            byte = static_cast<std::uint8_t>(rng.next() & 0xFF);
+        media.setBeat(b, data, VlewStore::Golden);
     }
-    store = golden;
-    codeStore = goldenCode;
+    media.loadGolden();
 }
 
 DegradedRank
@@ -49,70 +41,19 @@ DegradedRank::takeOver(const PmRank &healthy, unsigned failed_chip)
     DegradedRank out(healthy.blocks());
     // The scrub has already rebuilt the failed chip's contents; carry
     // the logical block data over and re-encode the striped VLEWs.
-    for (unsigned b = 0; b < healthy.blocks(); ++b)
-        healthy.goldenBlock(
-            b, &out.golden[static_cast<std::size_t>(b) * blockBytes]);
-    for (unsigned v = 0; v < out.numVlews; ++v) {
-        BitVec data(out.vlewCodec.k());
-        data.setBytes(0,
-                      &out.golden[static_cast<std::size_t>(v) *
-                                  out.geom.vlewDataBytes],
-                      out.geom.vlewDataBytes);
-        const BitVec check = out.vlewCodec.encodeDelta(data);
-        out.goldenCode[v].copyRange(0, check, 0, out.vlewCodec.r());
+    std::uint8_t data[blockBytes];
+    for (unsigned b = 0; b < healthy.blocks(); ++b) {
+        healthy.goldenBlock(b, data);
+        out.media.setBeat(b, data, VlewStore::Golden);
     }
-    out.store = out.golden;
-    out.codeStore = out.goldenCode;
+    out.media.loadGolden();
     return out;
-}
-
-BitVec
-DegradedRank::assembleVlew(unsigned vlew) const
-{
-    const unsigned r = vlewCodec.r();
-    BitVec cw(vlewCodec.n());
-    cw.copyRange(0, codeStore[vlew], 0, r);
-    cw.setBytes(
-        r, &store[static_cast<std::size_t>(vlew) * geom.vlewDataBytes],
-        geom.vlewDataBytes);
-    return cw;
-}
-
-void
-DegradedRank::storeVlew(unsigned vlew, const BitVec &cw)
-{
-    const unsigned r = vlewCodec.r();
-    codeStore[vlew].copyRange(0, cw, 0, r);
-    cw.getBytes(
-        r, &store[static_cast<std::size_t>(vlew) * geom.vlewDataBytes],
-        geom.vlewDataBytes);
 }
 
 void
 DegradedRank::writeBlock(unsigned block, const std::uint8_t *new_data)
 {
-    NVCK_ASSERT(block < numBlocks, "block out of range");
-    const unsigned vlew = block / blocksPerVlew();
-    const unsigned offset =
-        (block % blocksPerVlew()) * blockBytes;
-
-    std::uint8_t delta[blockBytes];
-    std::uint8_t *gold =
-        &golden[static_cast<std::size_t>(block) * blockBytes];
-    std::uint8_t *stored =
-        &store[static_cast<std::size_t>(block) * blockBytes];
-    for (unsigned b = 0; b < blockBytes; ++b) {
-        delta[b] = new_data[b] ^ gold[b];
-        gold[b] ^= delta[b];
-        stored[b] ^= delta[b];
-    }
-
-    BitVec delta_word(vlewCodec.k());
-    delta_word.setBytes(static_cast<std::size_t>(offset) * 8, delta,
-                        blockBytes);
-    const BitVec code_delta = vlewCodec.encodeDelta(delta_word);
-    codeStore[vlew] ^= code_delta;
-    goldenCode[vlew] ^= code_delta;
+    applyTornWrite(block, new_data, /*code_applied=*/true);
 }
 
 void
@@ -121,27 +62,13 @@ DegradedRank::applyTornWrite(unsigned block,
                              bool code_applied)
 {
     NVCK_ASSERT(block < numBlocks, "block out of range");
-    const unsigned vlew = block / blocksPerVlew();
-    const unsigned offset = (block % blocksPerVlew()) * blockBytes;
-
     std::uint8_t delta[blockBytes];
-    std::uint8_t *gold =
-        &golden[static_cast<std::size_t>(block) * blockBytes];
-    std::uint8_t *stored =
-        &store[static_cast<std::size_t>(block) * blockBytes];
-    for (unsigned b = 0; b < blockBytes; ++b) {
+    const std::uint8_t *gold = media.goldenBeat(block);
+    for (unsigned b = 0; b < blockBytes; ++b)
         delta[b] = new_data[b] ^ gold[b];
-        gold[b] ^= delta[b];
-        stored[b] ^= delta[b];
-    }
-
-    BitVec delta_word(vlewCodec.k());
-    delta_word.setBytes(static_cast<std::size_t>(offset) * 8, delta,
-                        blockBytes);
-    const BitVec code_delta = vlewCodec.encodeDelta(delta_word);
-    goldenCode[vlew] ^= code_delta;
-    if (code_applied)
-        codeStore[vlew] ^= code_delta;
+    media.applyDelta(block, delta,
+                     VlewStore::Data | VlewStore::Golden |
+                         (code_applied ? VlewStore::Code : 0u));
 }
 
 DegradedReadResult
@@ -158,32 +85,25 @@ DegradedRank::readBlock(unsigned block, std::uint8_t *out)
         return result;
     }
 
-    // Without the RS tier every errored read needs the VLEW. decode()
-    // reports a clean word after its residue pass alone, so only a
-    // dirty word counts as a VLEW use.
-    BitVec cw = assembleVlew(vlew);
-    const auto res = vlewCodec.decode(cw);
-    if (res.status != DecodeStatus::Clean) {
+    // Without the RS tier every errored read needs the VLEW. The word
+    // scrub reports a clean word after its residue pass alone, so only
+    // a dirty word counts as a VLEW use.
+    const auto res = media.scrubWord(vlew);
+    if (res.corrections != 0) {
         result.usedVlew = true;
-        if (res.status == DecodeStatus::Uncorrectable) {
+        if (res.corrections < 0) {
             result.failed = true;
             result.outcome = RecoveryOutcome::DetectedUE;
             recCounters.count(result.outcome);
             return result;
         }
-        result.corrections = res.corrections;
-        storeVlew(vlew, cw);
+        result.corrections = static_cast<unsigned>(res.corrections);
         result.outcome = RecoveryOutcome::FellBackToVlew;
         recCounters.count(result.outcome);
     }
-    std::memcpy(out,
-                &store[static_cast<std::size_t>(block) * blockBytes],
-                blockBytes);
+    std::memcpy(out, media.beat(block), blockBytes);
     result.dataCorrect =
-        std::memcmp(out,
-                    &golden[static_cast<std::size_t>(block) *
-                            blockBytes],
-                    blockBytes) == 0;
+        std::memcmp(out, media.goldenBeat(block), blockBytes) == 0;
     return result;
 }
 
@@ -192,10 +112,11 @@ DegradedRank::scrub()
 {
     bool any_lost = false;
     // Batched sweep (scrub.hh): bit errors and in-budget torn writes
-    // are corrected in place; only the uncorrectable spans come back
-    // for policy. Poisoning happens here, after the parallel barrier,
-    // because the bit-packed flag vector must not see racing writers.
-    const auto outcomes = ScrubEngine().sweep(*this);
+    // are corrected in place; poisoned spans are skipped and only the
+    // uncorrectable spans come back for policy. Poisoning happens here,
+    // after the parallel barrier, because the bit-packed flag vector
+    // must not see racing writers.
+    const auto outcomes = ScrubEngine().sweep(media, poisonedVlew);
     for (unsigned v = 0; v < numVlews; ++v) {
         if (poisonedVlew[v])
             continue;
@@ -203,10 +124,7 @@ DegradedRank::scrub()
             // Without an RS tier there is nothing left to resolve the
             // span with; zero it and report the loss instead of
             // leaving silent garbage behind.
-            std::memset(&store[static_cast<std::size_t>(v) *
-                               geom.vlewDataBytes],
-                        0, geom.vlewDataBytes);
-            codeStore[v] = BitVec(vlewCodec.r());
+            media.zeroWord(v, VlewStore::Data | VlewStore::Code);
             poisonedVlew[v] = true;
             any_lost = true;
             recCounters.count(RecoveryOutcome::DetectedUE);
@@ -214,8 +132,7 @@ DegradedRank::scrub()
     }
     // The survivors are the ground truth now (a torn write may have
     // legitimately rolled back to the old data).
-    golden = store;
-    goldenCode = codeStore;
+    media.adoptMedia();
     return any_lost ? RecoveryOutcome::DetectedUE
                     : RecoveryOutcome::Corrected;
 }
@@ -232,14 +149,8 @@ DegradedRank::poisonSpan(unsigned vlew)
     NVCK_ASSERT(vlew < numVlews, "span out of range");
     if (poisonedVlew[vlew])
         return;
-    std::memset(
-        &store[static_cast<std::size_t>(vlew) * geom.vlewDataBytes], 0,
-        geom.vlewDataBytes);
-    std::memset(
-        &golden[static_cast<std::size_t>(vlew) * geom.vlewDataBytes],
-        0, geom.vlewDataBytes);
-    codeStore[vlew] = BitVec(vlewCodec.r());
-    goldenCode[vlew] = codeStore[vlew];
+    media.zeroWord(vlew, VlewStore::Data | VlewStore::Code |
+                             VlewStore::Golden);
     poisonedVlew[vlew] = true;
     recCounters.count(RecoveryOutcome::DetectedUE);
 }
@@ -247,65 +158,29 @@ DegradedRank::poisonSpan(unsigned vlew)
 unsigned
 DegradedRank::poisonedSpans() const
 {
-    unsigned n = 0;
-    for (const bool p : poisonedVlew)
-        if (p)
-            ++n;
-    return n;
+    return static_cast<unsigned>(
+        std::count(poisonedVlew.begin(), poisonedVlew.end(), true));
 }
 
 DegradedSnapshot
 DegradedRank::snapshot() const
 {
-    DegradedSnapshot snap;
-    snap.store = store;
-    snap.golden = golden;
-    snap.codeStore = codeStore;
-    snap.goldenCode = goldenCode;
-    snap.poisonedVlew = poisonedVlew;
-    return snap;
+    return {media, poisonedVlew};
 }
 
 void
 DegradedRank::restore(const DegradedSnapshot &snap)
 {
-    NVCK_ASSERT(snap.store.size() == store.size(),
+    NVCK_ASSERT(snap.media.words() == media.words(),
                 "snapshot from a different rank geometry");
-    store = snap.store;
-    golden = snap.golden;
-    codeStore = snap.codeStore;
-    goldenCode = snap.goldenCode;
+    media = snap.media;
     poisonedVlew = snap.poisonedVlew;
 }
 
 std::uint64_t
 DegradedRank::injectErrors(Rng &rng, double rber)
 {
-    if (rber <= 0.0)
-        return 0;
-    std::uint64_t flipped = 0;
-    const std::uint64_t data_bits =
-        static_cast<std::uint64_t>(store.size()) * 8;
-    const std::uint64_t total_bits =
-        data_bits +
-        static_cast<std::uint64_t>(numVlews) * vlewCodec.r();
-    std::uint64_t pos = 0;
-    for (;;) {
-        pos += rng.geometric(rber);
-        if (pos > total_bits)
-            break;
-        const std::uint64_t idx = pos - 1;
-        if (idx < data_bits)
-            store[idx / 8] ^= static_cast<std::uint8_t>(1u
-                                                        << (idx % 8));
-        else {
-            const std::uint64_t cidx = idx - data_bits;
-            codeStore[cidx / vlewCodec.r()].flip(
-                static_cast<std::size_t>(cidx % vlewCodec.r()));
-        }
-        ++flipped;
-    }
-    return flipped;
+    return media.injectErrors(rng, rber);
 }
 
 unsigned
@@ -319,15 +194,13 @@ DegradedRank::correctionFetchBlocks() const
 bool
 DegradedRank::isPristine() const
 {
-    return store == golden && codeStore == goldenCode;
+    return media.isPristine();
 }
 
 void
 DegradedRank::goldenBlock(unsigned block, std::uint8_t *out) const
 {
-    std::memcpy(out,
-                &golden[static_cast<std::size_t>(block) * blockBytes],
-                blockBytes);
+    std::memcpy(out, media.goldenBeat(block), blockBytes);
 }
 
 } // namespace nvck

@@ -27,10 +27,9 @@
 #include <vector>
 
 #include "chipkill/recovery.hh"
-#include "common/bitvec.hh"
+#include "chipkill/vlew_store.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "ecc/bch.hh"
 #include "ecc/code_params.hh"
 
 namespace nvck {
@@ -52,11 +51,11 @@ struct DegradedReadResult
 /** Persistent image of a degraded rank (see RankSnapshot). */
 struct DegradedSnapshot
 {
-    std::vector<std::uint8_t> store;
-    std::vector<std::uint8_t> golden;
-    std::vector<BitVec> codeStore;
-    std::vector<BitVec> goldenCode;
+    /** One striped VLEW word per four blocks, 64B beats. */
+    VlewStore media;
     std::vector<bool> poisonedVlew;
+
+    bool operator==(const DegradedSnapshot &) const = default;
 };
 
 /** A rank running without per-block RS protection after chip loss. */
@@ -64,11 +63,10 @@ class DegradedRank
 {
   public:
     /**
-     * @param num_blocks capacity in 64B blocks (multiple of 4).
-     * @param params geometry; the VLEW length/strength are unchanged.
+     * @param num_blocks capacity in 64B blocks (multiple of 4); the
+     *        VLEW length/strength are the paper's (ProposalParams).
      */
-    explicit DegradedRank(unsigned num_blocks,
-                          const ProposalParams &params = ProposalParams{});
+    explicit DegradedRank(unsigned num_blocks);
 
     /** Random golden content + encode the striped VLEWs. */
     void initialize(Rng &rng);
@@ -159,22 +157,11 @@ class DegradedRank
     void goldenBlock(unsigned block, std::uint8_t *out) const;
 
   private:
-    /** The batched scrub engine streams the stores directly. */
-    friend class ScrubEngine;
-
-    BitVec assembleVlew(unsigned vlew) const;
-    void storeVlew(unsigned vlew, const BitVec &cw);
-
     ProposalParams geom;
     unsigned numBlocks;
     unsigned numVlews;
-    BchCodec vlewCodec;
-    /** Block-major data: numBlocks x 64B. */
-    std::vector<std::uint8_t> store;
-    std::vector<std::uint8_t> golden;
-    /** Striped VLEW code bits. */
-    std::vector<BitVec> codeStore;
-    std::vector<BitVec> goldenCode;
+    /** Block-major data: beat b = block b, word v = blocks [4v, 4v+4). */
+    VlewStore media;
     /** Spans scrub() declared lost (zeroed + reported UE). */
     std::vector<bool> poisonedVlew;
     RecoveryCounters recCounters;

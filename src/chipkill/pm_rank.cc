@@ -9,90 +9,21 @@
 
 namespace nvck {
 
-PmRank::PmRank(unsigned num_blocks, const ProposalParams &params)
-    : geom(params),
-      numBlocks(num_blocks),
-      dataChips(params.dataChips),
-      blocksPerVlew(params.blocksPerVlew()),
-      vlewCodec(params.vlewDataBytes * 8, params.vlewT),
-      rsCodec(params.rsDataBytes, params.rsCheckBytes),
+PmRank::PmRank(unsigned num_blocks)
+    : numBlocks(num_blocks),
+      dataChips(geom.dataChips),
+      blocksPerVlew(geom.blocksPerVlew()),
+      numVlews(num_blocks / blocksPerVlew),
+      rsCodec(geom.rsDataBytes, geom.rsCheckBytes),
+      media(std::make_shared<const BchCodec>(geom.vlewDataBytes * 8,
+                                             geom.vlewT),
+            static_cast<std::size_t>(dataChips + 1) * numVlews,
+            chipBeatBytes),
       disabled(num_blocks, false),
       poisoned(num_blocks, false)
 {
     NVCK_ASSERT(numBlocks % blocksPerVlew == 0,
                 "block count must be a multiple of the VLEW span");
-    numVlews = numBlocks / blocksPerVlew;
-
-    const unsigned total_chips = dataChips + 1;
-    chipStore.assign(total_chips, std::vector<std::uint8_t>(
-                                      numBlocks * chipBeatBytes, 0));
-    goldenStore = chipStore;
-    stuckMask = chipStore;
-    stuckVal = chipStore;
-    codeStore.assign(total_chips,
-                     std::vector<BitVec>(numVlews, BitVec(vlewCodec.r())));
-    goldenCode = codeStore;
-}
-
-std::uint8_t *
-PmRank::chipBeat(unsigned chip, unsigned block)
-{
-    return &chipStore[chip][block * chipBeatBytes];
-}
-
-const std::uint8_t *
-PmRank::chipBeat(unsigned chip, unsigned block) const
-{
-    return &chipStore[chip][block * chipBeatBytes];
-}
-
-std::uint8_t *
-PmRank::goldenBeat(unsigned chip, unsigned block)
-{
-    return &goldenStore[chip][block * chipBeatBytes];
-}
-
-const std::uint8_t *
-PmRank::goldenBeat(unsigned chip, unsigned block) const
-{
-    return &goldenStore[chip][block * chipBeatBytes];
-}
-
-BitVec
-PmRank::assembleVlew(unsigned chip, unsigned vlew) const
-{
-    const unsigned r = vlewCodec.r();
-    BitVec cw(vlewCodec.n());
-    cw.copyRange(0, codeStore[chip][vlew], 0, r);
-    cw.setBytes(r, &chipStore[chip][vlew * geom.vlewDataBytes],
-                geom.vlewDataBytes);
-    return cw;
-}
-
-void
-PmRank::storeVlew(unsigned chip, unsigned vlew, const BitVec &cw)
-{
-    const unsigned r = vlewCodec.r();
-    codeStore[chip][vlew].copyRange(0, cw, 0, r);
-    cw.getBytes(r, &chipStore[chip][vlew * geom.vlewDataBytes],
-                geom.vlewDataBytes);
-    enforceStuck(chip,
-                 static_cast<std::uint64_t>(vlew) * geom.vlewDataBytes,
-                 static_cast<std::uint64_t>(vlew + 1) *
-                     geom.vlewDataBytes);
-}
-
-void
-PmRank::enforceStuck(unsigned chip, std::uint64_t lo, std::uint64_t hi)
-{
-    const auto &mask = stuckMask[chip];
-    const auto &val = stuckVal[chip];
-    auto &stored = chipStore[chip];
-    for (std::uint64_t i = lo; i < hi; ++i) {
-        if (mask[i] != 0)
-            stored[i] = static_cast<std::uint8_t>(
-                (stored[i] & ~mask[i]) | (val[i] & mask[i]));
-    }
 }
 
 void
@@ -100,17 +31,11 @@ PmRank::setStuckBit(unsigned chip, std::uint64_t byte_index,
                     unsigned bit, bool value)
 {
     NVCK_ASSERT(chip <= dataChips, "chip out of range");
-    NVCK_ASSERT(byte_index < chipStore[chip].size(),
+    NVCK_ASSERT(byte_index <
+                    static_cast<std::uint64_t>(numBlocks) * chipBeatBytes,
                 "byte index out of range");
-    NVCK_ASSERT(bit < 8, "bit out of range");
-    stuckMask[chip][byte_index] |= static_cast<std::uint8_t>(1u << bit);
-    if (value)
-        stuckVal[chip][byte_index] |=
-            static_cast<std::uint8_t>(1u << bit);
-    else
-        stuckVal[chip][byte_index] &=
-            static_cast<std::uint8_t>(~(1u << bit));
-    enforceStuck(chip, byte_index, byte_index + 1);
+    media.setStuckBit(beatOf(chip, 0) * chipBeatBytes + byte_index, bit,
+                      value);
 }
 
 unsigned
@@ -135,61 +60,70 @@ PmRank::writeVerify(unsigned block, const std::uint8_t *new_data)
     return bad_bits;
 }
 
+unsigned
+PmRank::firstSymbol(unsigned chip) const
+{
+    return chip == dataChips ? 0 : geom.rsCheckBytes + chip * chipBeatBytes;
+}
+
 std::vector<GfElem>
 PmRank::assembleRsWord(unsigned block) const
 {
-    // Layout: symbols [0, r) = parity-chip beat (check symbols);
-    // symbols [r + c*8, r + (c+1)*8) = data chip c's beat.
     std::vector<GfElem> word(rsCodec.n());
-    const std::uint8_t *parity = chipBeat(dataChips, block);
-    for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-        word[b] = parity[b];
-    for (unsigned c = 0; c < dataChips; ++c) {
-        const std::uint8_t *beat = chipBeat(c, block);
+    for (unsigned chip = 0; chip <= dataChips; ++chip) {
+        const std::uint8_t *beat = chipBeat(chip, block);
         for (unsigned b = 0; b < chipBeatBytes; ++b)
-            word[geom.rsCheckBytes + c * chipBeatBytes + b] = beat[b];
+            word[firstSymbol(chip) + b] = beat[b];
     }
     return word;
 }
 
 void
-PmRank::encodeGoldenRs(unsigned block)
+PmRank::beatFromWord(const std::vector<GfElem> &word, unsigned chip,
+                     std::uint8_t *out8) const
 {
-    std::vector<GfElem> data(rsCodec.k());
-    for (unsigned c = 0; c < dataChips; ++c) {
-        const std::uint8_t *beat = goldenBeat(c, block);
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            data[c * chipBeatBytes + b] = beat[b];
-    }
-    const auto cw = rsCodec.encode(data);
-    std::uint8_t *parity = goldenBeat(dataChips, block);
+    for (unsigned b = 0; b < chipBeatBytes; ++b)
+        out8[b] = static_cast<std::uint8_t>(word[firstSymbol(chip) + b]);
+}
+
+std::vector<std::uint32_t>
+PmRank::chipErasures(unsigned chip) const
+{
+    std::vector<std::uint32_t> erasures(chipBeatBytes);
+    for (unsigned b = 0; b < chipBeatBytes; ++b)
+        erasures[b] = firstSymbol(chip) + b;
+    return erasures;
+}
+
+void
+PmRank::rsParity(const std::uint8_t *data, std::uint8_t *parity8) const
+{
+    const std::vector<GfElem> syms(data, data + rsCodec.k());
+    const auto cw = rsCodec.encode(syms);
     for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-        parity[b] = static_cast<std::uint8_t>(cw[b]);
+        parity8[b] = static_cast<std::uint8_t>(cw[b]);
 }
 
 void
 PmRank::initialize(Rng &rng)
 {
-    // Random golden data across the data chips.
-    for (unsigned c = 0; c < dataChips; ++c)
-        for (auto &byte : goldenStore[c])
-            byte = static_cast<std::uint8_t>(rng.next() & 0xFF);
-    // Parity chip contents.
-    for (unsigned block = 0; block < numBlocks; ++block)
-        encodeGoldenRs(block);
-    // VLEW code bits for every chip (including the parity chip).
-    const unsigned r = vlewCodec.r();
-    for (unsigned chip = 0; chip <= dataChips; ++chip) {
-        for (unsigned v = 0; v < numVlews; ++v) {
-            BitVec data(vlewCodec.k());
-            data.setBytes(0, &goldenStore[chip][v * geom.vlewDataBytes],
-                          geom.vlewDataBytes);
-            const BitVec check = vlewCodec.encodeDelta(data);
-            goldenCode[chip][v].copyRange(0, check, 0, r);
+    // Random golden data across the data chips, then the parity chip's
+    // RS check bytes; loadGolden() encodes every chip's VLEWs.
+    std::uint8_t beat[chipBeatBytes];
+    for (unsigned c = 0; c < dataChips; ++c) {
+        for (unsigned block = 0; block < numBlocks; ++block) {
+            for (auto &byte : beat)
+                byte = static_cast<std::uint8_t>(rng.next() & 0xFF);
+            media.setBeat(beatOf(c, block), beat, VlewStore::Golden);
         }
     }
-    chipStore = goldenStore;
-    codeStore = goldenCode;
+    std::uint8_t data[blockBytes];
+    for (unsigned block = 0; block < numBlocks; ++block) {
+        goldenBlock(block, data);
+        rsParity(data, beat);
+        media.setBeat(beatOf(dataChips, block), beat, VlewStore::Golden);
+    }
+    media.loadGolden();
     std::fill(disabled.begin(), disabled.end(), false);
     std::fill(poisoned.begin(), poisoned.end(), false);
 }
@@ -233,47 +167,39 @@ PmRank::transmit(std::uint8_t *beat)
 
 void
 PmRank::applyChipDelta(unsigned chip, unsigned block,
-                       const std::uint8_t *delta8,
-                       const std::uint8_t *intended8)
+                       const std::uint8_t *wire,
+                       const std::uint8_t *intended)
 {
-    if (intended8 == nullptr)
-        intended8 = delta8;
-    bool nonzero = false;
-    for (unsigned b = 0; b < chipBeatBytes; ++b)
-        nonzero = nonzero || delta8[b] != 0 || intended8[b] != 0;
-    if (!nonzero)
+    const auto zero = [](const std::uint8_t *beat) {
+        return std::all_of(beat, beat + chipBeatBytes,
+                           [](std::uint8_t b) { return b == 0; });
+    };
+    if (zero(wire) && zero(intended))
         return;
-
-    // The chip internally XORs the received sum into the stored data:
-    // pre-existing cell errors propagate one-to-one without spreading.
-    std::uint8_t *stored = chipBeat(chip, block);
-    std::uint8_t *golden = goldenBeat(chip, block);
-    for (unsigned b = 0; b < chipBeatBytes; ++b) {
-        stored[b] ^= delta8[b];
-        golden[b] ^= intended8[b];
-    }
-    enforceStuck(chip,
-                 static_cast<std::uint64_t>(block) * chipBeatBytes,
-                 static_cast<std::uint64_t>(block + 1) * chipBeatBytes);
-
-    // Linear code-bit update: f(x) ^ f(x') = f(x ^ x') (Fig 11). The
-    // chip encodes what it actually received; the golden code tracks
-    // the intended value.
-    const unsigned vlew = block / blocksPerVlew;
-    const unsigned offset_bytes =
-        (block % blocksPerVlew) * chipBeatBytes;
-    BitVec delta_word(vlewCodec.k());
-    delta_word.setBytes(offset_bytes * 8, delta8, chipBeatBytes);
-    const BitVec code_delta = vlewCodec.encodeDelta(delta_word);
-    codeStore[chip][vlew] ^= code_delta;
-    if (intended8 == delta8) {
-        goldenCode[chip][vlew] ^= code_delta;
+    // The chip encodes what it actually received; the golden copy
+    // tracks the intended value.
+    const std::size_t beat = beatOf(chip, block);
+    if (std::memcmp(wire, intended, chipBeatBytes) == 0) {
+        media.applyDelta(beat, wire,
+                         VlewStore::Data | VlewStore::Code |
+                             VlewStore::Golden);
     } else {
-        BitVec intended_word(vlewCodec.k());
-        intended_word.setBytes(offset_bytes * 8, intended8,
-                               chipBeatBytes);
-        goldenCode[chip][vlew] ^= vlewCodec.encodeDelta(intended_word);
+        media.applyDelta(beat, wire, VlewStore::Data | VlewStore::Code);
+        media.applyDelta(beat, intended, VlewStore::Golden);
     }
+}
+
+void
+PmRank::chipDeltas(unsigned block, const std::uint8_t *other,
+                   std::uint8_t *delta) const
+{
+    for (unsigned c = 0; c < dataChips; ++c) {
+        const std::uint8_t *gold = goldenBeat(c, block);
+        for (unsigned b = 0; b < chipBeatBytes; ++b)
+            delta[c * chipBeatBytes + b] =
+                gold[b] ^ other[c * chipBeatBytes + b];
+    }
+    rsParity(delta, &delta[dataChips * chipBeatBytes]);
 }
 
 void
@@ -292,35 +218,16 @@ PmRank::writeBlock(unsigned block, const std::uint8_t *new_data)
     NVCK_ASSERT(block < numBlocks, "block out of range");
     NVCK_ASSERT(!disabled[block], "write to disabled block");
 
-    // Per-chip data deltas (new XOR old, the OMV supplying "old").
-    std::uint8_t delta[8 * chipBeatBytes];
-    for (unsigned c = 0; c < dataChips; ++c) {
-        const std::uint8_t *old_beat = goldenBeat(c, block);
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            delta[c * chipBeatBytes + b] =
-                new_data[c * chipBeatBytes + b] ^ old_beat[b];
-    }
-
-    // RS is linear too: the parity chip receives the check bytes of
-    // the delta as its own delta.
-    std::vector<GfElem> delta_syms(rsCodec.k());
-    for (unsigned i = 0; i < rsCodec.k(); ++i)
-        delta_syms[i] = delta[i];
-    const auto delta_cw = rsCodec.encode(delta_syms);
-    std::uint8_t parity_delta[chipBeatBytes];
-    for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-        parity_delta[b] = static_cast<std::uint8_t>(delta_cw[b]);
-
-    for (unsigned c = 0; c < dataChips; ++c) {
+    // Per-chip deltas (new XOR old, the OMV supplying "old"); each
+    // chip receives its own across the bus.
+    std::uint8_t delta[9 * chipBeatBytes];
+    chipDeltas(block, new_data, delta);
+    for (unsigned c = 0; c <= dataChips; ++c) {
         std::uint8_t wire[chipBeatBytes];
         std::memcpy(wire, &delta[c * chipBeatBytes], chipBeatBytes);
         transmit(wire);
         applyChipDelta(c, block, wire, &delta[c * chipBeatBytes]);
     }
-    std::uint8_t parity_wire[chipBeatBytes];
-    std::memcpy(parity_wire, parity_delta, chipBeatBytes);
-    transmit(parity_wire);
-    applyChipDelta(dataChips, block, parity_wire, parity_delta);
     // A completed rewrite re-validates a block boot declared UE.
     poisoned[block] = false;
 }
@@ -342,52 +249,19 @@ PmRank::applyTornWrite(unsigned block, const std::uint8_t *new_data,
     NVCK_ASSERT(code_mask == 0 || data_mask == all,
                 "EUR drains only after the whole burst latched");
 
-    // Per-chip deltas exactly as writeBlock() forms them: new XOR old
-    // for the data chips, the RS check bytes of that delta for the
-    // parity chip.
+    // Per-chip deltas exactly as writeBlock() forms them. Golden state
+    // tracks the full write intent; the oracle for what the media may
+    // legally resolve to is the crash campaign's own pre-crash images.
     std::uint8_t delta[9 * chipBeatBytes];
-    for (unsigned c = 0; c < dataChips; ++c) {
-        const std::uint8_t *old_beat = goldenBeat(c, block);
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            delta[c * chipBeatBytes + b] =
-                new_data[c * chipBeatBytes + b] ^ old_beat[b];
-    }
-    std::vector<GfElem> delta_syms(rsCodec.k());
-    for (unsigned i = 0; i < rsCodec.k(); ++i)
-        delta_syms[i] = delta[i];
-    const auto delta_cw = rsCodec.encode(delta_syms);
-    for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-        delta[dataChips * chipBeatBytes + b] =
-            static_cast<std::uint8_t>(delta_cw[b]);
-
-    const unsigned vlew = block / blocksPerVlew;
-    const unsigned offset_bytes = (block % blocksPerVlew) * chipBeatBytes;
+    chipDeltas(block, new_data, delta);
     for (unsigned chip = 0; chip < total_chips; ++chip) {
-        const std::uint8_t *d8 = &delta[chip * chipBeatBytes];
-        BitVec delta_word(vlewCodec.k());
-        delta_word.setBytes(offset_bytes * 8, d8, chipBeatBytes);
-        const BitVec code_delta = vlewCodec.encodeDelta(delta_word);
-
-        if (data_mask & (1u << chip)) {
-            std::uint8_t *stored = chipBeat(chip, block);
-            for (unsigned b = 0; b < chipBeatBytes; ++b)
-                stored[b] ^= d8[b];
-            enforceStuck(chip,
-                         static_cast<std::uint64_t>(block) *
-                             chipBeatBytes,
-                         static_cast<std::uint64_t>(block + 1) *
-                             chipBeatBytes);
-        }
+        unsigned landed = VlewStore::Golden;
+        if (data_mask & (1u << chip))
+            landed |= VlewStore::Data;
         if (code_mask & (1u << chip))
-            codeStore[chip][vlew] ^= code_delta;
-
-        // Golden state tracks the full write intent; the oracle for
-        // what the media may legally resolve to is the crash
-        // campaign's own pre-crash images.
-        std::uint8_t *golden = goldenBeat(chip, block);
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            golden[b] ^= d8[b];
-        goldenCode[chip][vlew] ^= code_delta;
+            landed |= VlewStore::Code;
+        media.applyDelta(beatOf(chip, block), &delta[chip * chipBeatBytes],
+                         landed);
     }
     poisoned[block] = false;
 }
@@ -409,53 +283,13 @@ PmRank::drainCodeBits(unsigned block, const std::uint8_t *settled_data,
     // updated at every burst). Chips never see absolute values — only
     // the linear delta f(settled ^ intent) reaches the code array.
     std::uint8_t delta[9 * chipBeatBytes];
-    for (unsigned c = 0; c < dataChips; ++c) {
-        const std::uint8_t *intent = goldenBeat(c, block);
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            delta[c * chipBeatBytes + b] =
-                intent[b] ^ settled_data[c * chipBeatBytes + b];
-    }
-    std::vector<GfElem> delta_syms(rsCodec.k());
-    for (unsigned i = 0; i < rsCodec.k(); ++i)
-        delta_syms[i] = delta[i];
-    const auto delta_cw = rsCodec.encode(delta_syms);
-    for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-        delta[dataChips * chipBeatBytes + b] =
-            static_cast<std::uint8_t>(delta_cw[b]);
-
-    const unsigned vlew = block / blocksPerVlew;
-    const unsigned offset_bytes =
-        (block % blocksPerVlew) * chipBeatBytes;
+    chipDeltas(block, settled_data, delta);
     for (unsigned chip = 0; chip < total_chips; ++chip) {
-        if (!(chip_mask & (1u << chip)))
-            continue;
-        const std::uint8_t *d8 = &delta[chip * chipBeatBytes];
-        bool nonzero = false;
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            nonzero = nonzero || d8[b] != 0;
-        if (!nonzero)
-            continue;
-        BitVec delta_word(vlewCodec.k());
-        delta_word.setBytes(offset_bytes * 8, d8, chipBeatBytes);
-        codeStore[chip][vlew] ^= vlewCodec.encodeDelta(delta_word);
+        if (chip_mask & (1u << chip))
+            media.applyDelta(beatOf(chip, block),
+                             &delta[chip * chipBeatBytes],
+                             VlewStore::Code);
     }
-}
-
-int
-PmRank::correctVlew(unsigned chip, unsigned vlew)
-{
-    BitVec cw = assembleVlew(chip, vlew);
-    const auto res = vlewCodec.decode(cw);
-    switch (res.status) {
-      case DecodeStatus::Clean:
-        return 0;
-      case DecodeStatus::Corrected:
-        storeVlew(chip, vlew, cw);
-        return static_cast<int>(res.corrections);
-      case DecodeStatus::Uncorrectable:
-        return -1;
-    }
-    NVCK_PANIC("unreachable");
 }
 
 BlockReadResult
@@ -524,19 +358,14 @@ PmRank::readBlock(unsigned block, std::uint8_t *out, unsigned threshold)
     const unsigned vlew = block / blocksPerVlew;
     std::vector<std::uint32_t> erasures;
     for (unsigned chip = 0; chip <= dataChips; ++chip) {
-        const int corrected = correctVlew(chip, vlew);
+        const int corrected = scrubWord(chip, vlew).corrections;
         if (corrected < 0) {
             // Whole-chip fault: erase its beat for RS.
             result.chipErasureMask |=
                 static_cast<std::uint16_t>(1u << chip);
-            if (chip == dataChips) {
-                for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-                    erasures.push_back(b);
-            } else {
-                for (unsigned b = 0; b < chipBeatBytes; ++b)
-                    erasures.push_back(geom.rsCheckBytes +
-                                       chip * chipBeatBytes + b);
-            }
+            const auto chip_erasures = chipErasures(chip);
+            erasures.insert(erasures.end(), chip_erasures.begin(),
+                            chip_erasures.end());
         } else if (corrected > 0) {
             result.chipCorrectionMask |=
                 static_cast<std::uint16_t>(1u << chip);
@@ -586,13 +415,11 @@ PmRank::bootScrub()
     // VLEWs cost only the streaming residue, dirty ones the fast
     // corrupt-word decode. An uncorrectable VLEW marks its chip for
     // the wholesale rebuild below.
-    const auto outcomes = ScrubEngine().sweep(*this);
+    const auto outcomes = ScrubEngine().sweep(media);
     for (unsigned chip = 0; chip <= dataChips; ++chip) {
         for (unsigned v = 0; v < numVlews; ++v) {
             ++report.vlewsScanned;
-            const auto &o =
-                outcomes[static_cast<std::size_t>(chip) * numVlews +
-                         v];
+            const auto &o = outcomes[wordOf(chip, v)];
             if (o.corrections < 0) {
                 chip_failed[chip] = true;
             } else if (o.corrections > 0) {
@@ -614,7 +441,7 @@ PmRank::bootScrub()
     if (failed_data == 1) {
         for (unsigned c = 0; c < dataChips; ++c) {
             if (chip_failed[c]) {
-                if (rebuildDataChip(c, report) ==
+                if (rebuildDataChip(c) ==
                     RecoveryOutcome::DetectedUE)
                     report.uncorrectable = true;
                 ++report.chipsRecovered;
@@ -622,7 +449,10 @@ PmRank::bootScrub()
         }
     }
     if (parity_failed) {
-        rebuildParityChip();
+        for (unsigned block = 0; block < numBlocks; ++block)
+            recomputeParityBeat(block);
+        for (unsigned v = 0; v < numVlews; ++v)
+            media.reencode(wordOf(dataChips, v));
         report.parityChipRebuilt = true;
         ++report.chipsRecovered;
     }
@@ -630,13 +460,9 @@ PmRank::bootScrub()
 }
 
 RecoveryOutcome
-PmRank::rebuildDataChip(unsigned chip, ScrubReport &report)
+PmRank::rebuildDataChip(unsigned chip)
 {
-    (void)report;
-    std::vector<std::uint32_t> erasures;
-    for (unsigned b = 0; b < chipBeatBytes; ++b)
-        erasures.push_back(geom.rsCheckBytes + chip * chipBeatBytes + b);
-
+    const auto erasures = chipErasures(chip);
     for (unsigned block = 0; block < numBlocks; ++block) {
         std::vector<GfElem> word = assembleRsWord(block);
         const auto res = rsCodec.decode(word, erasures, -1);
@@ -644,45 +470,27 @@ PmRank::rebuildDataChip(unsigned chip, ScrubReport &report)
             recCounters.count(RecoveryOutcome::DetectedUE);
             return RecoveryOutcome::DetectedUE;
         }
-        std::uint8_t *beat = chipBeat(chip, block);
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            beat[b] = static_cast<std::uint8_t>(
-                word[geom.rsCheckBytes + chip * chipBeatBytes + b]);
+        std::uint8_t beat[chipBeatBytes];
+        beatFromWord(word, chip, beat);
+        media.setBeat(beatOf(chip, block), beat, VlewStore::Data);
     }
     // Re-encode the rebuilt chip's VLEW code bits.
-    for (unsigned v = 0; v < numVlews; ++v) {
-        BitVec data(vlewCodec.k());
-        data.setBytes(0, &chipStore[chip][v * geom.vlewDataBytes],
-                      geom.vlewDataBytes);
-        const BitVec check = vlewCodec.encodeDelta(data);
-        codeStore[chip][v].copyRange(0, check, 0, vlewCodec.r());
-    }
+    for (unsigned v = 0; v < numVlews; ++v)
+        media.reencode(wordOf(chip, v));
     recCounters.count(RecoveryOutcome::FellBackToVlew);
     return RecoveryOutcome::FellBackToVlew;
 }
 
 void
-PmRank::rebuildParityChip()
+PmRank::recomputeParityBeat(unsigned block)
 {
-    for (unsigned block = 0; block < numBlocks; ++block) {
-        std::vector<GfElem> data(rsCodec.k());
-        for (unsigned c = 0; c < dataChips; ++c) {
-            const std::uint8_t *beat = chipBeat(c, block);
-            for (unsigned b = 0; b < chipBeatBytes; ++b)
-                data[c * chipBeatBytes + b] = beat[b];
-        }
-        const auto cw = rsCodec.encode(data);
-        std::uint8_t *parity = chipBeat(dataChips, block);
-        for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-            parity[b] = static_cast<std::uint8_t>(cw[b]);
-    }
-    for (unsigned v = 0; v < numVlews; ++v) {
-        BitVec data(vlewCodec.k());
-        data.setBytes(0, &chipStore[dataChips][v * geom.vlewDataBytes],
-                      geom.vlewDataBytes);
-        const BitVec check = vlewCodec.encodeDelta(data);
-        codeStore[dataChips][v].copyRange(0, check, 0, vlewCodec.r());
-    }
+    std::uint8_t data[blockBytes];
+    std::uint8_t parity[chipBeatBytes];
+    for (unsigned c = 0; c < dataChips; ++c)
+        std::memcpy(data + c * chipBeatBytes, chipBeat(c, block),
+                    chipBeatBytes);
+    rsParity(data, parity);
+    media.setBeat(beatOf(dataChips, block), parity, VlewStore::Data);
 }
 
 PmRank::LaneRebuildReport
@@ -703,11 +511,7 @@ PmRank::rebuildLaneSpan(unsigned chip, unsigned vlew,
         (distrust_mask & static_cast<std::uint16_t>(
                              ~(1u << chip))) != 0;
 
-    std::vector<std::uint32_t> erasures;
-    erasures.reserve(chipBeatBytes);
-    for (unsigned b = 0; b < chipBeatBytes; ++b)
-        erasures.push_back(geom.rsCheckBytes + chip * chipBeatBytes + b);
-
+    const auto erasures = chipErasures(chip);
     for (unsigned i = 0; i < blocksPerVlew; ++i) {
         const unsigned block = first + i;
         if (poisoned[block])
@@ -722,16 +526,7 @@ PmRank::rebuildLaneSpan(unsigned chip, unsigned vlew,
         if (chip == dataChips) {
             // Parity lane: recompute the RS check bytes from the
             // (just-scrubbed) data beats.
-            std::vector<GfElem> data(rsCodec.k());
-            for (unsigned c = 0; c < dataChips; ++c) {
-                const std::uint8_t *beat = chipBeat(c, block);
-                for (unsigned b = 0; b < chipBeatBytes; ++b)
-                    data[c * chipBeatBytes + b] = beat[b];
-            }
-            const auto cw = rsCodec.encode(data);
-            std::uint8_t *parity = chipBeat(dataChips, block);
-            for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-                parity[b] = static_cast<std::uint8_t>(cw[b]);
+            recomputeParityBeat(block);
             ++report.blocksFilled;
             continue;
         }
@@ -745,10 +540,9 @@ PmRank::rebuildLaneSpan(unsigned chip, unsigned vlew,
             poisoned_any = true;
             continue;
         }
-        std::uint8_t *beat = chipBeat(chip, block);
-        for (unsigned b = 0; b < chipBeatBytes; ++b)
-            beat[b] = static_cast<std::uint8_t>(
-                word[geom.rsCheckBytes + chip * chipBeatBytes + b]);
+        std::uint8_t beat[chipBeatBytes];
+        beatFromWord(word, chip, beat);
+        media.setBeat(beatOf(chip, block), beat, VlewStore::Data);
         ++report.blocksFilled;
     }
 
@@ -758,24 +552,12 @@ PmRank::rebuildLaneSpan(unsigned chip, unsigned vlew,
     // be resynchronized, exactly like crashRecovery() phase 3. The
     // zero RS parity a poison leaves is already consistent (the code
     // is linear), so only VLEW code bits need work.
-    auto reencode = [&](unsigned c) {
-        BitVec data(vlewCodec.k());
-        data.setBytes(0, &chipStore[c][vlew * geom.vlewDataBytes],
-                      geom.vlewDataBytes);
-        const BitVec check = vlewCodec.encodeDelta(data);
-        codeStore[c][vlew].copyRange(0, check, 0, vlewCodec.r());
-    };
     if (poisoned_any) {
-        for (unsigned c = 0; c <= dataChips; ++c) {
-            reencode(c);
-            BitVec g(vlewCodec.k());
-            g.setBytes(0, &goldenStore[c][vlew * geom.vlewDataBytes],
-                       geom.vlewDataBytes);
-            const BitVec gcheck = vlewCodec.encodeDelta(g);
-            goldenCode[c][vlew].copyRange(0, gcheck, 0, vlewCodec.r());
-        }
+        for (unsigned c = 0; c <= dataChips; ++c)
+            media.reencode(wordOf(c, vlew),
+                           VlewStore::Code | VlewStore::Golden);
     } else {
-        reencode(chip);
+        media.reencode(wordOf(chip, vlew));
     }
     return report;
 }
@@ -784,60 +566,21 @@ void
 PmRank::clearStuckCells(unsigned chip)
 {
     NVCK_ASSERT(chip <= dataChips, "chip out of range");
-    std::fill(stuckMask[chip].begin(), stuckMask[chip].end(),
-              static_cast<std::uint8_t>(0));
-    std::fill(stuckVal[chip].begin(), stuckVal[chip].end(),
-              static_cast<std::uint8_t>(0));
+    media.clearStuck(wordOf(chip, 0), numVlews);
 }
 
 std::uint64_t
 PmRank::injectErrors(Rng &rng, double rber)
 {
-    if (rber <= 0.0)
-        return 0;
-    std::uint64_t flipped = 0;
-    const unsigned total_chips = dataChips + 1;
-    const std::uint64_t data_bits_per_chip =
-        static_cast<std::uint64_t>(numBlocks) * chipBeatBytes * 8;
-    const std::uint64_t code_bits_per_chip =
-        static_cast<std::uint64_t>(numVlews) * vlewCodec.r();
-    const std::uint64_t data_bits = total_chips * data_bits_per_chip;
-    const std::uint64_t total_bits =
-        data_bits + total_chips * code_bits_per_chip;
-
-    std::uint64_t pos = 0;
-    for (;;) {
-        pos += rng.geometric(rber);
-        if (pos > total_bits)
-            break;
-        const std::uint64_t idx = pos - 1;
-        if (idx < data_bits) {
-            const unsigned chip =
-                static_cast<unsigned>(idx / data_bits_per_chip);
-            const std::uint64_t bit = idx % data_bits_per_chip;
-            chipStore[chip][bit / 8] ^=
-                static_cast<std::uint8_t>(1u << (bit % 8));
-        } else {
-            const std::uint64_t cidx = idx - data_bits;
-            const unsigned chip =
-                static_cast<unsigned>(cidx / code_bits_per_chip);
-            const std::uint64_t bit = cidx % code_bits_per_chip;
-            codeStore[chip][bit / vlewCodec.r()].flip(
-                static_cast<std::size_t>(bit % vlewCodec.r()));
-        }
-        ++flipped;
-    }
-    return flipped;
+    // Chip-major words: all data bits chip by chip, then all code bits.
+    return media.injectErrors(rng, rber);
 }
 
 void
 PmRank::failChip(unsigned chip, Rng &rng)
 {
     NVCK_ASSERT(chip <= dataChips, "chip out of range");
-    for (auto &byte : chipStore[chip])
-        byte = static_cast<std::uint8_t>(rng.next() & 0xFF);
-    for (auto &code : codeStore[chip])
-        code.randomize(rng);
+    media.randomize(wordOf(chip, 0), numVlews, rng);
 }
 
 void
@@ -848,12 +591,11 @@ PmRank::disableBlock(unsigned block)
         return;
     // Logically replace the block's bits with zeros in every chip's
     // VLEW and in the RS word (Section V-E).
-    std::uint8_t zeros[blockBytes] = {};
+    const std::uint8_t zeros[blockBytes] = {};
     writeBlock(block, zeros);
-    for (unsigned chip = 0; chip <= dataChips; ++chip) {
-        std::memset(chipBeat(chip, block), 0, chipBeatBytes);
-        std::memset(goldenBeat(chip, block), 0, chipBeatBytes);
-    }
+    for (unsigned chip = 0; chip <= dataChips; ++chip)
+        media.setBeat(beatOf(chip, block), zeros,
+                      VlewStore::Data | VlewStore::Golden);
     disabled[block] = true;
 }
 
@@ -874,7 +616,7 @@ PmRank::goldenBlock(unsigned block, std::uint8_t *out) const
 bool
 PmRank::isPristine() const
 {
-    return chipStore == goldenStore && codeStore == goldenCode;
+    return media.isPristine();
 }
 
 bool
@@ -886,30 +628,16 @@ PmRank::isPoisoned(unsigned block) const
 RankSnapshot
 PmRank::snapshot() const
 {
-    RankSnapshot snap;
-    snap.chipStore = chipStore;
-    snap.codeStore = codeStore;
-    snap.goldenStore = goldenStore;
-    snap.goldenCode = goldenCode;
-    snap.stuckMask = stuckMask;
-    snap.stuckVal = stuckVal;
-    snap.disabled = disabled;
-    snap.poisoned = poisoned;
-    return snap;
+    return {media, disabled, poisoned};
 }
 
 void
 PmRank::restore(const RankSnapshot &snap)
 {
-    NVCK_ASSERT(snap.chipStore.size() == chipStore.size() &&
+    NVCK_ASSERT(snap.media.words() == media.words() &&
                     snap.disabled.size() == disabled.size(),
                 "snapshot from a different rank geometry");
-    chipStore = snap.chipStore;
-    codeStore = snap.codeStore;
-    goldenStore = snap.goldenStore;
-    goldenCode = snap.goldenCode;
-    stuckMask = snap.stuckMask;
-    stuckVal = snap.stuckVal;
+    media = snap.media;
     disabled = snap.disabled;
     poisoned = snap.poisoned;
 }
@@ -920,27 +648,22 @@ PmRank::corruptByte(unsigned chip, unsigned block, unsigned byte,
 {
     NVCK_ASSERT(chip <= dataChips, "chip out of range");
     NVCK_ASSERT(block < numBlocks, "block out of range");
-    NVCK_ASSERT(byte < chipBeatBytes, "byte out of range");
-    chipBeat(chip, block)[byte] ^= mask;
+    media.corruptByte(beatOf(chip, block), byte, mask);
 }
 
 void
 PmRank::storeRsWord(unsigned block, const std::vector<GfElem> &word)
 {
-    std::uint8_t *parity = chipBeat(dataChips, block);
-    for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-        parity[b] = static_cast<std::uint8_t>(word[b]);
-    for (unsigned c = 0; c < dataChips; ++c) {
-        std::uint8_t *beat = chipBeat(c, block);
+    // A data-only rewrite: stuck cells are re-asserted, the code bits
+    // wait for crashRecovery()'s phase-3 re-encode.
+    for (unsigned chip = 0; chip <= dataChips; ++chip) {
+        std::uint8_t delta[chipBeatBytes];
+        beatFromWord(word, chip, delta);
+        const std::uint8_t *stored = chipBeat(chip, block);
         for (unsigned b = 0; b < chipBeatBytes; ++b)
-            beat[b] = static_cast<std::uint8_t>(
-                word[geom.rsCheckBytes + c * chipBeatBytes + b]);
+            delta[b] ^= stored[b];
+        media.applyDelta(beatOf(chip, block), delta, VlewStore::Data);
     }
-    for (unsigned chip = 0; chip <= dataChips; ++chip)
-        enforceStuck(chip,
-                     static_cast<std::uint64_t>(block) * chipBeatBytes,
-                     static_cast<std::uint64_t>(block + 1) *
-                         chipBeatBytes);
 }
 
 void
@@ -949,10 +672,10 @@ PmRank::poisonBlock(unsigned block)
     // Zero the block everywhere (like disableBlock) so the media stays
     // self-consistent; golden follows because the zeros are now the
     // block's (known-lost) contents. The flag is what readers see.
-    for (unsigned chip = 0; chip <= dataChips; ++chip) {
-        std::memset(chipBeat(chip, block), 0, chipBeatBytes);
-        std::memset(goldenBeat(chip, block), 0, chipBeatBytes);
-    }
+    const std::uint8_t zeros[chipBeatBytes] = {};
+    for (unsigned chip = 0; chip <= dataChips; ++chip)
+        media.setBeat(beatOf(chip, block), zeros,
+                      VlewStore::Data | VlewStore::Golden);
     poisoned[block] = true;
 }
 
@@ -973,13 +696,11 @@ PmRank::crashRecovery(unsigned threshold)
     std::vector<unsigned> torn_count(total_chips, 0);
     std::vector<std::vector<bool>> rolled_back(
         total_chips, std::vector<bool>(numBlocks, false));
-    const auto outcomes = ScrubEngine().sweep(*this);
+    const auto outcomes = ScrubEngine().sweep(media);
     for (unsigned chip = 0; chip < total_chips; ++chip) {
         for (unsigned v = 0; v < numVlews; ++v) {
             ++report.vlewsScanned;
-            const auto &o =
-                outcomes[static_cast<std::size_t>(chip) * numVlews +
-                         v];
+            const auto &o = outcomes[wordOf(chip, v)];
             if (o.corrections < 0) {
                 torn[chip][v] = true;
                 ++torn_count[chip];
@@ -1004,18 +725,6 @@ PmRank::crashRecovery(unsigned threshold)
             report.deadChips.push_back(chip);
         }
     }
-
-    auto beat_from_word = [&](const std::vector<GfElem> &word,
-                              unsigned chip, std::uint8_t *out8) {
-        if (chip == dataChips) {
-            for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-                out8[b] = static_cast<std::uint8_t>(word[b]);
-        } else {
-            for (unsigned b = 0; b < chipBeatBytes; ++b)
-                out8[b] = static_cast<std::uint8_t>(
-                    word[geom.rsCheckBytes + chip * chipBeatBytes + b]);
-        }
-    };
 
     // Phase 2, span by span: verify every block's RS word and resolve
     // it to a consistent value — or poison it as a reported UE.
@@ -1071,15 +780,7 @@ PmRank::crashRecovery(unsigned threshold)
             // rebuilt beats verify against the torn chip's own stale
             // code bits (a rollback proof, checked after the loop).
             if (bad.size() == 1) {
-                std::vector<std::uint32_t> erasures;
-                if (bad[0] == dataChips) {
-                    for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-                        erasures.push_back(b);
-                } else {
-                    for (unsigned b = 0; b < chipBeatBytes; ++b)
-                        erasures.push_back(geom.rsCheckBytes +
-                                           bad[0] * chipBeatBytes + b);
-                }
+                const auto erasures = chipErasures(bad[0]);
                 std::vector<GfElem> word2 = assembleRsWord(block);
                 const auto res2 = rsCodec.decode(
                     word2, erasures, static_cast<int>(threshold));
@@ -1121,16 +822,17 @@ PmRank::crashRecovery(unsigned threshold)
         // the chip held before the torn write (rollback to old).
         if (!pending.empty()) {
             const unsigned chip = torn_chip;
-            const unsigned r = vlewCodec.r();
-            BitVec cw = assembleVlew(chip, v);
+            const BchCodec &codec = media.codec();
+            const unsigned r = codec.r();
+            BitVec cw = media.codeword(wordOf(chip, v));
             for (const auto &p : pending) {
                 std::uint8_t beat[chipBeatBytes];
-                beat_from_word(p.word, chip, beat);
+                beatFromWord(p.word, chip, beat);
                 cw.setBytes(r + (p.block % blocksPerVlew) *
                                     chipBeatBytes * 8,
                             beat, chipBeatBytes);
             }
-            const auto bch = vlewCodec.decode(cw);
+            const auto bch = codec.decode(cw);
             const bool decodable =
                 bch.status != DecodeStatus::Uncorrectable;
             for (const auto &p : pending) {
@@ -1138,7 +840,7 @@ PmRank::crashRecovery(unsigned threshold)
                 if (verified) {
                     std::uint8_t cand[chipBeatBytes];
                     std::uint8_t post[chipBeatBytes];
-                    beat_from_word(p.word, chip, cand);
+                    beatFromWord(p.word, chip, cand);
                     cw.getBytes(r + (p.block % blocksPerVlew) *
                                         chipBeatBytes * 8,
                                 post, chipBeatBytes);
@@ -1169,20 +871,14 @@ PmRank::crashRecovery(unsigned threshold)
     for (unsigned v = 0; v < numVlews; ++v) {
         if (!span_touched[v])
             continue;
-        for (unsigned chip = 0; chip < total_chips; ++chip) {
-            BitVec data(vlewCodec.k());
-            data.setBytes(0, &chipStore[chip][v * geom.vlewDataBytes],
-                          geom.vlewDataBytes);
-            const BitVec check = vlewCodec.encodeDelta(data);
-            codeStore[chip][v].copyRange(0, check, 0, vlewCodec.r());
-        }
+        for (unsigned chip = 0; chip < total_chips; ++chip)
+            media.reencode(wordOf(chip, v));
     }
 
     // Recovery defines the new ground truth: the write intent died
     // with the machine, so whatever consistent state the pass settled
     // on *is* the memory's contents from here on.
-    goldenStore = chipStore;
-    goldenCode = codeStore;
+    media.adoptMedia();
     return report;
 }
 

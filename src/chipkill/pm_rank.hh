@@ -35,11 +35,10 @@
 #include <vector>
 
 #include "chipkill/recovery.hh"
-#include "common/bitvec.hh"
+#include "chipkill/vlew_store.hh"
 #include "common/rng.hh"
-#include "ecc/bch.hh"
-#include "ecc/code_params.hh"
 #include "common/types.hh"
+#include "ecc/code_params.hh"
 #include "ecc/rs.hh"
 
 namespace nvck {
@@ -94,20 +93,18 @@ struct ScrubReport
 /**
  * Persistent-media image of a rank: everything that survives a power
  * cut (chip data arrays, per-chip BCH code regions, golden references,
- * block health flags). Deliberately excludes all volatile state — the
- * LLC-held OMVs and the chips' EUR registerfiles live in the timing
- * model and are dropped by a crash, never snapshotted.
+ * stuck cells, block health flags). Deliberately excludes all volatile
+ * state — the LLC-held OMVs and the chips' EUR registerfiles live in
+ * the timing model and are dropped by a crash, never snapshotted.
  */
 struct RankSnapshot
 {
-    std::vector<std::vector<std::uint8_t>> chipStore;
-    std::vector<std::vector<BitVec>> codeStore;
-    std::vector<std::vector<std::uint8_t>> goldenStore;
-    std::vector<std::vector<BitVec>> goldenCode;
-    std::vector<std::vector<std::uint8_t>> stuckMask;
-    std::vector<std::vector<std::uint8_t>> stuckVal;
+    /** chips() x vlewsPerChip() words, chip-major, 8B beats. */
+    VlewStore media;
     std::vector<bool> disabled;
     std::vector<bool> poisoned;
+
+    bool operator==(const RankSnapshot &) const = default;
 };
 
 /** What crashRecovery() did to bring the rank back to consistency. */
@@ -130,12 +127,11 @@ class PmRank
 {
   public:
     /**
-     * @param num_blocks Capacity in 64B blocks; must be a multiple of
-     *        the VLEW span (32).
-     * @param params Geometry (defaults to the paper's).
+     * @param num_blocks Capacity in 64B blocks under the paper's
+     *        geometry (ProposalParams); must be a multiple of the VLEW
+     *        span (32).
      */
-    explicit PmRank(unsigned num_blocks,
-                    const ProposalParams &params = ProposalParams{});
+    explicit PmRank(unsigned num_blocks);
 
     /** Fill with random golden content and encode all ECC. */
     void initialize(Rng &rng);
@@ -201,6 +197,17 @@ class PmRank
 
     /** Boot-time scrub of every VLEW, with chip-failure recovery. */
     ScrubReport bootScrub();
+
+    /**
+     * Scrub one (chip, VLEW) word in place — the patrol-scrub granule
+     * of the runtime RAS engine (sim/ras.hh) and the spare's
+     * copy-verify step (VlewStore::scrubWord).
+     */
+    ScrubWordResult
+    scrubWord(unsigned chip, unsigned vlew)
+    {
+        return media.scrubWord(wordOf(chip, vlew));
+    }
 
     /**
      * Post-crash recovery (Section V-B applied to torn writes): scrub
@@ -320,6 +327,7 @@ class PmRank
     static double scrubSeconds(double capacity_bytes,
                                double bus_bytes_per_sec);
 
+    /** The fixed geometry: the paper's layout (ProposalParams). */
     const ProposalParams &params() const { return geom; }
 
     /** Recovery verdict tallies (reads + crash recovery). */
@@ -335,54 +343,80 @@ class PmRank
     void resetRecoveryStats() { recCounters.reset(); }
 
   private:
-    /** The batched scrub engine streams the stores directly. */
-    friend class ScrubEngine;
+    /** Flat VlewStore beat of @p chip at @p block. */
+    std::size_t
+    beatOf(unsigned chip, unsigned block) const
+    {
+        return static_cast<std::size_t>(chip) * numBlocks + block;
+    }
+
+    /** VlewStore word of (@p chip, @p vlew). */
+    std::size_t
+    wordOf(unsigned chip, unsigned vlew) const
+    {
+        return static_cast<std::size_t>(chip) * numVlews + vlew;
+    }
 
     /** Stored (possibly erroneous) 8B beat of @p chip at @p block. */
-    std::uint8_t *chipBeat(unsigned chip, unsigned block);
-    const std::uint8_t *chipBeat(unsigned chip, unsigned block) const;
+    const std::uint8_t *
+    chipBeat(unsigned chip, unsigned block) const
+    {
+        return media.beat(beatOf(chip, block));
+    }
 
     /** Golden 8B beat. */
-    std::uint8_t *goldenBeat(unsigned chip, unsigned block);
-    const std::uint8_t *goldenBeat(unsigned chip, unsigned block) const;
+    const std::uint8_t *
+    goldenBeat(unsigned chip, unsigned block) const
+    {
+        return media.goldenBeat(beatOf(chip, block));
+    }
 
-    /** Build the VLEW codeword [code|data] for (chip, vlew) from store. */
-    BitVec assembleVlew(unsigned chip, unsigned vlew) const;
-    /** Write a (corrected) VLEW codeword back to the store. */
-    void storeVlew(unsigned chip, unsigned vlew, const BitVec &cw);
+    /**
+     * First RS symbol of @p chip's 8B beat: the parity chip's check
+     * bytes lead the word, data chip c follows at 8 + 8c.
+     */
+    unsigned firstSymbol(unsigned chip) const;
 
     /** Assemble the stored RS codeword for a block. */
     std::vector<GfElem> assembleRsWord(unsigned block) const;
 
-    /** Recompute golden RS check bytes for a block into the golden
-     *  parity store. */
-    void encodeGoldenRs(unsigned block);
+    /** @p chip's beat (RS check bytes for the parity chip) of an RS
+     *  codeword. */
+    void beatFromWord(const std::vector<GfElem> &word, unsigned chip,
+                      std::uint8_t *out8) const;
+
+    /** RS erasure positions covering @p chip's beat. */
+    std::vector<std::uint32_t> chipErasures(unsigned chip) const;
+
+    /** RS check bytes of 64B of @p data into @p parity8. */
+    void rsParity(const std::uint8_t *data, std::uint8_t *parity8) const;
+
+    /**
+     * Per-chip deltas golden XOR @p other for the data chips, plus the
+     * RS check bytes of that delta for the parity chip (RS is linear
+     * too): @p delta receives chips() beats.
+     */
+    void chipDeltas(unsigned block, const std::uint8_t *other,
+                    std::uint8_t *delta) const;
 
     /**
      * Apply an 8-byte delta to a chip beat and its VLEW code bits.
-     * @param delta8 what the chip actually received and applied.
-     * @param intended8 what the controller meant to send (golden
-     *        tracking); null means identical to delta8.
+     * @param wire what the chip actually received and applied.
+     * @param intended what the controller meant to send (golden
+     *        tracking).
      */
     void applyChipDelta(unsigned chip, unsigned block,
-                        const std::uint8_t *delta8,
-                        const std::uint8_t *intended8 = nullptr);
+                        const std::uint8_t *wire,
+                        const std::uint8_t *intended);
 
     /** Transmit a beat across the faulty bus (with CRC retries). */
     void transmit(std::uint8_t *beat);
 
-    /** Correct (chip, vlew) in place; returns corrections or -1. */
-    int correctVlew(unsigned chip, unsigned vlew);
-
-    /** Re-apply stuck cells to a chip's stored bytes in [lo, hi). */
-    void enforceStuck(unsigned chip, std::uint64_t lo,
-                      std::uint64_t hi);
-
     /** Rebuild a dead data chip via RS erasure correction. */
-    RecoveryOutcome rebuildDataChip(unsigned chip,
-                                    ScrubReport &report);
-    /** Recompute the parity chip from (corrected) data chips. */
-    void rebuildParityChip();
+    RecoveryOutcome rebuildDataChip(unsigned chip);
+    /** Recompute the parity chip's beat of @p block from the data
+     *  chips' stored beats (code bits left to the caller). */
+    void recomputeParityBeat(unsigned block);
 
     /** Write an RS word's beats (data + parity) back to the store. */
     void storeRsWord(unsigned block, const std::vector<GfElem> &word);
@@ -393,26 +427,18 @@ class PmRank
     ProposalParams geom;
     unsigned numBlocks;
     unsigned dataChips;
-    unsigned numVlews;
     unsigned blocksPerVlew;
+    unsigned numVlews;
 
-    BchCodec vlewCodec;
     RsCodec rsCodec;
 
-    /** chipStore[c]: numBlocks * 8 bytes (parity chip = RS bytes). */
-    std::vector<std::vector<std::uint8_t>> chipStore;
-    /** VLEW code bits: [chip][vlew] -> r-bit vector. */
-    std::vector<std::vector<BitVec>> codeStore;
-    /** Golden copies (no errors) for verification and OMV emulation. */
-    std::vector<std::vector<std::uint8_t>> goldenStore;
-    std::vector<std::vector<BitVec>> goldenCode;
+    /** chips() x numVlews words, chip-major; the parity chip's beats
+     *  hold the RS check bytes. */
+    VlewStore media;
     std::vector<bool> disabled;
     /** Blocks crashRecovery() declared uncorrectable (reported UE). */
     std::vector<bool> poisoned;
     RecoveryCounters recCounters;
-    /** Per-chip stuck-cell masks and stuck values (data bytes). */
-    std::vector<std::vector<std::uint8_t>> stuckMask;
-    std::vector<std::vector<std::uint8_t>> stuckVal;
     /** Bus fault model. */
     double busBer = 0.0;
     bool busCrc = true;

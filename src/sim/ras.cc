@@ -729,7 +729,7 @@ RasMirror::patrolCheck(unsigned span, std::vector<int> &per_chip)
     retireSpan(span);
     per_chip.assign(rank.chips(), 0);
     for (unsigned c = 0; c < rank.chips(); ++c)
-        per_chip[c] = scrub.scrubWord(rank, c, span).corrections;
+        per_chip[c] = rank.scrubWord(c, span).corrections;
 }
 
 unsigned

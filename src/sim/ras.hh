@@ -21,7 +21,7 @@
  *    bounded burst of patrol reads through the real MemController
  *    (isPatrol overhead traffic) and, when the last read completes,
  *    scrubs the covered VLEW span word-by-word through the
- *    ScrubEngine's fast residue path, feeding findings to the ledger.
+ *    rank's residue-first word scrub, feeding findings to the ledger.
  *    A row bucket crossing its (lower) threshold schedules an
  *    immediate targeted scrub of that span — latent errors are
  *    repaired before they can accumulate past the RS budget;
@@ -61,7 +61,6 @@
 
 #include "chipkill/degraded.hh"
 #include "chipkill/pm_rank.hh"
-#include "chipkill/scrub.hh"
 #include "common/event.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -483,7 +482,7 @@ class SpareChip;
  * MediaMirror that installs CrashHooks to replay every demand PM
  * access on the PmRank (feeding the ledger from real read outcomes and
  * the persist oracle from the write path), does the engine's
- * bit-level steps (patrol scrub via ScrubEngine::scrubWord, migration
+ * bit-level steps (patrol scrub via PmRank::scrubWord, migration
  * via OnlineFailover, spare rebuild and copy-back via SpareChip), and
  * routes accesses across the migration watermark once failover starts.
  */
@@ -552,7 +551,6 @@ class RasMirror : MediaMirror
      *  span blocks [@p start, @p end) touch. */
     void retireSpans(unsigned start, unsigned end);
 
-    ScrubEngine scrub;
     RasConfig rasCfg;
     unsigned threshold;
     std::unique_ptr<OnlineFailover> failover;

@@ -57,7 +57,7 @@ SpareChip::rebuildStep(unsigned max_blocks, std::vector<int> *survivors)
         for (unsigned c = 0; c < rank.chips(); ++c) {
             if (c == chip)
                 continue;
-            const auto res = scrub.scrubWord(rank, c, span);
+            const auto res = rank.scrubWord(c, span);
             if (res.corrections < 0) {
                 distrust |= static_cast<std::uint16_t>(1u << c);
                 if (survivors)
@@ -113,7 +113,7 @@ SpareChip::migrateBackStep(unsigned max_blocks)
         // device — under canonical lane storage, exactly a scrub of
         // the span. Latent spare errors are fixed on the way instead
         // of being copied onto the new chip.
-        const auto res = scrub.scrubWord(rank, chip, span);
+        const auto res = rank.scrubWord(chip, span);
         if (res.corrections > 0)
             latentBits += static_cast<std::uint64_t>(res.corrections);
     }

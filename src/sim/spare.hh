@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "chipkill/pm_rank.hh"
-#include "chipkill/scrub.hh"
 #include "sim/ras.hh"
 
 namespace nvck {
@@ -146,7 +145,6 @@ class SpareChip
 
   private:
     PmRank &rank;
-    ScrubEngine scrub;
     unsigned thresh;
     SpareState st = SpareState::Armed;
     unsigned chip = 0;

@@ -9,17 +9,19 @@
  *    injected errors;
  *  - a whole-rank engine sweep must leave byte-identical media and
  *    report identical per-word outcomes as the word-at-a-time
- *    reference path, over random error / burst / torn-write mixes,
- *    for 1 and 8 workers and odd batch sizes.
+ *    reference (scrub_reference.hh), over random error / burst /
+ *    torn-write mixes, for 1 and 8 workers.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "chipkill/degraded.hh"
 #include "chipkill/pm_rank.hh"
 #include "chipkill/scrub.hh"
+#include "chipkill/scrub_reference.hh"
 #include "common/rng.hh"
 #include "common/threadpool.hh"
 #include "common/types.hh"
@@ -136,14 +138,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 constexpr unsigned testBlocks = 256; // 8 VLEWs per chip
 
-bool
-sameMedia(const RankSnapshot &a, const RankSnapshot &b)
-{
-    return a.chipStore == b.chipStore && a.codeStore == b.codeStore &&
-           a.goldenStore == b.goldenStore &&
-           a.goldenCode == b.goldenCode && a.poisoned == b.poisoned;
-}
-
 /** A rank with bit errors, one hopeless burst, and torn writes. */
 PmRank
 messyRank(std::uint64_t seed)
@@ -182,6 +176,31 @@ messyRank(std::uint64_t seed)
     return rank;
 }
 
+/**
+ * Sweep a copy of @p dirty with the engine and pin the outcomes and
+ * the scrubbed media (golden copies and stuck cells untouched) to the
+ * reference; returns the engine's outcomes.
+ */
+std::vector<ScrubWordResult>
+sweepMatchesReference(const VlewStore &dirty,
+                      const std::vector<bool> &skip = {},
+                      ThreadPool *pool = nullptr)
+{
+    VlewStore media = dirty;
+    const auto batched = ScrubEngine(pool).sweep(media, skip);
+    const auto ref = scrubReference(dirty, skip);
+    EXPECT_EQ(batched, ref.outcomes);
+    EXPECT_TRUE(matchesReference(media, ref));
+    // Only the stored bits may move.
+    const std::size_t beats = dirty.words() * dirty.beatsPerWord();
+    for (std::size_t b = 0; b < beats; ++b)
+        EXPECT_EQ(std::memcmp(media.goldenBeat(b), dirty.goldenBeat(b),
+                              dirty.beatBytes()),
+                  0)
+            << "beat " << b;
+    return batched;
+}
+
 TEST(ScrubEngineDiff, CleanRankStaysUntouched)
 {
     PmRank rank(testBlocks);
@@ -189,7 +208,8 @@ TEST(ScrubEngineDiff, CleanRankStaysUntouched)
     rank.initialize(rng);
     const auto before = rank.snapshot();
 
-    const auto outcomes = ScrubEngine().sweep(rank);
+    VlewStore media = before.media;
+    const auto outcomes = ScrubEngine().sweep(media);
     ASSERT_EQ(outcomes.size(),
               static_cast<std::size_t>(rank.chips()) *
                   rank.vlewsPerChip());
@@ -197,10 +217,14 @@ TEST(ScrubEngineDiff, CleanRankStaysUntouched)
         EXPECT_EQ(o.corrections, 0);
         EXPECT_EQ(o.changedBlocks, 0u);
     }
-    EXPECT_TRUE(sameMedia(rank.snapshot(), before));
-    EXPECT_TRUE(rank.isPristine());
+    EXPECT_TRUE(media == before.media);
+    EXPECT_TRUE(media.isPristine());
 
-    const auto stats = ScrubEngine::tally(outcomes);
+    // The rank's own boot scrub runs the same sweep.
+    EXPECT_EQ(rank.bootScrub().vlewsWithErrors, 0u);
+    EXPECT_TRUE(rank.snapshot() == before);
+
+    const auto stats = tally(outcomes);
     EXPECT_EQ(stats.wordsScanned, outcomes.size());
     EXPECT_EQ(stats.wordsDirty, 0u);
     EXPECT_EQ(stats.bitsCorrected, 0u);
@@ -209,51 +233,30 @@ TEST(ScrubEngineDiff, CleanRankStaysUntouched)
 TEST(ScrubEngineDiff, ErrorMixesMatchReference)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
         PmRank rank = messyRank(seed);
-        const auto dirty = rank.snapshot();
-
-        const auto batched = ScrubEngine().sweep(rank);
-        const auto media_batched = rank.snapshot();
-
-        rank.restore(dirty);
-        const auto reference = ScrubEngine().sweepReference(rank);
-
-        ASSERT_EQ(batched.size(), reference.size()) << "seed=" << seed;
-        for (std::size_t w = 0; w < batched.size(); ++w)
-            EXPECT_EQ(batched[w], reference[w])
-                << "seed=" << seed << " word=" << w;
-        EXPECT_TRUE(sameMedia(media_batched, rank.snapshot()))
-            << "seed=" << seed;
-
-        const auto stats = ScrubEngine::tally(batched);
-        EXPECT_GT(stats.wordsDirty, 0u) << "seed=" << seed;
-        EXPECT_GT(stats.wordsUncorrectable, 0u) << "seed=" << seed;
+        const auto batched = sweepMatchesReference(rank.snapshot().media);
+        const auto stats = tally(batched);
+        EXPECT_GT(stats.wordsDirty, 0u);
+        EXPECT_GT(stats.wordsUncorrectable, 0u);
     }
 }
 
-TEST(ScrubEngineDiff, WorkerCountAndBatchSizeAreByteIdentical)
+TEST(ScrubEngineDiff, WorkerCountIsByteIdentical)
 {
-    PmRank rank = messyRank(42);
-    const auto dirty = rank.snapshot();
+    const VlewStore dirty = messyRank(42).snapshot().media;
 
     ThreadPool one(1);
     ThreadPool eight(8);
     std::vector<std::vector<ScrubWordResult>> outcomes;
-    std::vector<RankSnapshot> media;
+    std::vector<VlewStore> media;
     for (ThreadPool *pool : {&one, &eight}) {
-        for (const unsigned batch : {1u, 3u, 64u, 4096u}) {
-            ScrubEngine::Options opts;
-            opts.pool = pool;
-            opts.batchWords = batch;
-            rank.restore(dirty);
-            outcomes.push_back(ScrubEngine(opts).sweep(rank));
-            media.push_back(rank.snapshot());
-        }
+        media.push_back(dirty);
+        outcomes.push_back(ScrubEngine(pool).sweep(media.back()));
     }
-    for (std::size_t i = 1; i < outcomes.size(); ++i) {
-        EXPECT_EQ(outcomes[i], outcomes[0]) << "config " << i;
-        EXPECT_TRUE(sameMedia(media[i], media[0])) << "config " << i;
-    }
+    EXPECT_EQ(outcomes[1], outcomes[0]);
+    EXPECT_TRUE(media[1] == media[0]);
+    sweepMatchesReference(dirty, {}, &eight);
 }
 
 TEST(ScrubEngineDiff, StuckCellsReassertedLikeReference)
@@ -266,15 +269,7 @@ TEST(ScrubEngineDiff, StuckCellsReassertedLikeReference)
     rank.setStuckBit(2, 17, 4, false);
     rank.setStuckBit(5, 900, 0, true);
     rank.injectErrors(rng, 5e-4);
-    const auto dirty = rank.snapshot();
-
-    const auto batched = ScrubEngine().sweep(rank);
-    const auto media_batched = rank.snapshot();
-    rank.restore(dirty);
-    const auto reference = ScrubEngine().sweepReference(rank);
-
-    EXPECT_EQ(batched, reference);
-    EXPECT_TRUE(sameMedia(media_batched, rank.snapshot()));
+    sweepMatchesReference(rank.snapshot().media);
 }
 
 /** A degraded rank with bit errors plus in- and out-of-budget tears. */
@@ -304,32 +299,20 @@ messyDegraded(std::uint64_t seed)
 TEST(ScrubEngineDiff, DegradedRankMatchesReference)
 {
     for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+        SCOPED_TRACE(seed);
         DegradedRank rank = messyDegraded(seed);
         const auto dirty = rank.snapshot();
-
-        const auto batched = ScrubEngine().sweep(rank);
-        const auto media_batched = rank.snapshot();
-
-        rank.restore(dirty);
-        const auto reference = ScrubEngine().sweepReference(rank);
-
-        EXPECT_EQ(batched, reference) << "seed=" << seed;
-        const auto after = rank.snapshot();
-        EXPECT_EQ(media_batched.store, after.store) << "seed=" << seed;
-        EXPECT_EQ(media_batched.codeStore, after.codeStore);
-
-        const auto stats = ScrubEngine::tally(batched);
-        EXPECT_GT(stats.wordsUncorrectable, 0u) << "seed=" << seed;
+        const auto batched = sweepMatchesReference(dirty.media);
+        EXPECT_GT(tally(batched).wordsUncorrectable, 0u);
 
         // The full scrub (engine + poisoning policy) must be
         // deterministic across repeated runs from the same image.
-        rank.restore(dirty);
         rank.scrub();
         const auto scrubbed = rank.snapshot();
         EXPECT_TRUE(rank.isPristine());
         rank.restore(dirty);
         rank.scrub();
-        EXPECT_EQ(rank.snapshot().store, scrubbed.store);
+        EXPECT_TRUE(rank.snapshot() == scrubbed);
     }
 }
 
@@ -348,11 +331,16 @@ TEST(ScrubEngineDiff, DegradedPoisonedSpansAreSkipped)
     ASSERT_TRUE(rank.isPoisoned(0));
 
     // Subsequent sweeps leave the poisoned span untouched and report
-    // it clean/skipped through both paths.
-    const auto batched = ScrubEngine().sweep(rank);
-    const auto reference = ScrubEngine().sweepReference(rank);
+    // it clean/skipped through both paths; a second torn write into
+    // the skipped span proves the skip is an input, not a clean word.
+    auto snap = rank.snapshot();
+    snap.media.applyDelta(1, junk, VlewStore::Data);
+    const auto batched =
+        sweepMatchesReference(snap.media, snap.poisonedVlew);
     EXPECT_EQ(batched[0].corrections, 0);
-    EXPECT_EQ(batched, reference);
+    VlewStore media = snap.media;
+    ScrubEngine().sweep(media, snap.poisonedVlew);
+    EXPECT_TRUE(media == snap.media);
 }
 
 } // namespace

@@ -109,14 +109,7 @@ TEST(RasFailover, MatchesOfflineTakeOverBitIdentical)
     EXPECT_EQ(online.poisonedBlocks(), 0u);
 
     const DegradedSnapshot live = online.degraded().snapshot();
-    EXPECT_EQ(live.store, offline.store);
-    EXPECT_EQ(live.golden, offline.golden);
-    EXPECT_EQ(live.poisonedVlew, offline.poisonedVlew);
-    ASSERT_EQ(live.codeStore.size(), offline.codeStore.size());
-    for (std::size_t v = 0; v < live.codeStore.size(); ++v) {
-        EXPECT_TRUE(live.codeStore[v] == offline.codeStore[v]) << v;
-        EXPECT_TRUE(live.goldenCode[v] == offline.goldenCode[v]) << v;
-    }
+    EXPECT_TRUE(live == offline);
 }
 
 // Live-system edge cases ----------------------------------------------
