@@ -1,16 +1,17 @@
 /**
  * @file
- * Throughput microbenchmark of the software codec substrate across
- * both codec kernels (Scalar reference vs the default Sliced
- * table-driven kernels). For each of the paper's three code points —
+ * Throughput microbenchmark of the software codec substrate (the
+ * table-driven BCH and RS codecs). For each of the paper's three code
+ * points —
  * the 22-EC VLEW BCH(2048+264), the baseline per-block 14-EC
  * BCH(512+140), and the per-block RS(72,64) — it measures encode,
  * clean-word decode (syndrome check), and corrupt-word decode (t
  * errors: BM + Chien) in MB/s of protected data; for the two BCH codes
  * also dead-chip decode (a uniformly random word, the VLEW a failed
- * chip returns, which must come out Uncorrectable). It prints a
- * comparison table with per-op speedups and emits a machine-readable
- * JSON file for trend tracking in CI.
+ * chip returns, which must come out Uncorrectable). It prints a table
+ * and emits a machine-readable JSON file for trend tracking in CI.
+ * Every JSON record keeps the "kernel": "sliced" tag, part of the key
+ * the checked-in baselines are compared by.
  *
  * Usage: bench_codec_throughput [--quick] [--json PATH]
  *   --quick    shorter timing windows (CI smoke).
@@ -20,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <iterator>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -28,7 +28,6 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "ecc/bch.hh"
-#include "ecc/kernel.hh"
 #include "ecc/rs.hh"
 
 namespace {
@@ -45,11 +44,10 @@ struct OpResult
     std::uint64_t iters = 0;
 };
 
-/** One timing record: code point x kernel x operation. */
+/** One timing record: code point x operation. */
 struct Record
 {
     std::string code;
-    std::string kernel;
     std::string op;
     OpResult res;
 };
@@ -81,9 +79,9 @@ measure(double min_seconds, double bytes_per_op, F &&op)
 /** Encode / decode-clean / decode-corrupt for one BCH instance. */
 void
 benchBch(std::vector<Record> &records, const std::string &name,
-         unsigned k, unsigned t, CodecKernel kernel, double min_seconds)
+         unsigned k, unsigned t, double min_seconds)
 {
-    const BchCodec codec(k, t, 0, kernel);
+    const BchCodec codec(k, t);
     const double data_bytes = k / 8.0;
     Rng rng(0xB37 + k + t);
     BitVec data(k);
@@ -96,21 +94,20 @@ benchBch(std::vector<Record> &records, const std::string &name,
     for (auto &w : pool)
         w.injectExactErrors(rng, t);
 
-    const char *kname = codecKernelName(kernel);
     records.push_back(
-        {name, kname, "encode",
+        {name, "encode",
          measure(min_seconds, data_bytes, [&] {
              g_sink = g_sink + codec.encodeDelta(data).popcount();
          })});
     records.push_back(
-        {name, kname, "decode_clean",
+        {name, "decode_clean",
          measure(min_seconds, data_bytes, [&] {
              BitVec w = clean;
              g_sink = g_sink + codec.decode(w).corrections;
          })});
     std::size_t next = 0;
     records.push_back(
-        {name, kname, "decode_corrupt",
+        {name, "decode_corrupt",
          measure(min_seconds, data_bytes, [&] {
              BitVec w = pool[next++ % pool.size()];
              g_sink = g_sink + codec.decode(w).corrections;
@@ -123,7 +120,7 @@ benchBch(std::vector<Record> &records, const std::string &name,
         w.randomize(rng);
     next = 0;
     records.push_back(
-        {name, kname, "decode_dead_chip",
+        {name, "decode_dead_chip",
          measure(min_seconds, data_bytes, [&] {
              BitVec w = dead[next++ % dead.size()];
              g_sink = g_sink +
@@ -134,9 +131,9 @@ benchBch(std::vector<Record> &records, const std::string &name,
 /** Same three operations for the RS code point. */
 void
 benchRs(std::vector<Record> &records, const std::string &name,
-        unsigned k, unsigned r, CodecKernel kernel, double min_seconds)
+        unsigned k, unsigned r, double min_seconds)
 {
-    const RsCodec codec(k, r, 8, kernel);
+    const RsCodec codec(k, r);
     const double data_bytes = k;
     Rng rng(0x25 + k + r);
     std::vector<GfElem> data(k);
@@ -150,39 +147,21 @@ benchRs(std::vector<Record> &records, const std::string &name,
             w[rng.below(w.size())] ^=
                 static_cast<GfElem>(rng.below(255) + 1);
 
-    const char *kname = codecKernelName(kernel);
-    records.push_back({name, kname, "encode",
+    records.push_back({name, "encode",
                        measure(min_seconds, data_bytes, [&] {
                            g_sink = g_sink + codec.encode(data).back();
                        })});
-    records.push_back({name, kname, "decode_clean",
+    records.push_back({name, "decode_clean",
                        measure(min_seconds, data_bytes, [&] {
                            auto w = clean;
                            g_sink = g_sink + codec.decode(w).corrections;
                        })});
     std::size_t next = 0;
-    records.push_back({name, kname, "decode_corrupt",
+    records.push_back({name, "decode_corrupt",
                        measure(min_seconds, data_bytes, [&] {
                            auto w = pool[next++ % pool.size()];
                            g_sink = g_sink + codec.decode(w).corrections;
                        })});
-}
-
-/** Code points and operations, in report order (RS has no dead-chip
- *  op: its erasure path is the RS tier's, not a whole-word decode). */
-const char *const codeNames[] = {"bch_vlew_2048_22", "bch_base_512_14",
-                                 "rs_72_64"};
-const char *const opNames[] = {"encode", "decode_clean", "decode_corrupt",
-                               "decode_dead_chip"};
-
-const Record *
-find(const std::vector<Record> &records, const std::string &code,
-     const std::string &kernel, const std::string &op)
-{
-    for (const auto &r : records)
-        if (r.code == code && r.kernel == kernel && r.op == op)
-            return &r;
-    return nullptr;
 }
 
 void
@@ -196,30 +175,14 @@ writeJson(const std::vector<Record> &records, const std::string &path)
     os << "{\n  \"benchmark\": \"codec_throughput\",\n  \"results\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const auto &r = records[i];
-        os << "    {\"code\": \"" << r.code << "\", \"kernel\": \""
-           << r.kernel << "\", \"op\": \"" << r.op
+        os << "    {\"code\": \"" << r.code
+           << "\", \"kernel\": \"sliced\", \"op\": \"" << r.op
            << "\", \"mbps\": " << r.res.mbps
            << ", \"iters\": " << r.res.iters
            << ", \"seconds\": " << r.res.seconds << "}"
            << (i + 1 < records.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"speedup\": {\n";
-    for (std::size_t c = 0; c < std::size(codeNames); ++c) {
-        os << "    \"" << codeNames[c] << "\": {";
-        const char *sep = "";
-        for (const char *op : opNames) {
-            const Record *s = find(records, codeNames[c], "scalar", op);
-            const Record *f = find(records, codeNames[c], "sliced", op);
-            if (!s || !f)
-                continue;
-            const double speedup =
-                s->res.mbps > 0 ? f->res.mbps / s->res.mbps : 0.0;
-            os << sep << "\"" << op << "\": " << speedup;
-            sep = ", ";
-        }
-        os << "}" << (c + 1 < std::size(codeNames) ? "," : "") << "\n";
-    }
-    os << "  }\n}\n";
+    os << "  ]\n}\n";
     std::cout << "wrote " << path << "\n";
 }
 
@@ -243,48 +206,17 @@ main(int argc, char **argv)
         }
     }
 
+    // RS has no dead-chip op: its erasure path is the RS tier's, not
+    // a whole-word decode.
     std::vector<Record> records;
-    for (const CodecKernel kernel :
-         {CodecKernel::Scalar, CodecKernel::Sliced}) {
-        benchBch(records, "bch_vlew_2048_22", 2048, 22, kernel,
-                 min_seconds);
-        benchBch(records, "bch_base_512_14", 512, 14, kernel,
-                 min_seconds);
-        benchRs(records, "rs_72_64", 64, 8, kernel, min_seconds);
-    }
+    benchBch(records, "bch_vlew_2048_22", 2048, 22, min_seconds);
+    benchBch(records, "bch_base_512_14", 512, 14, min_seconds);
+    benchRs(records, "rs_72_64", 64, 8, min_seconds);
 
-    Table table({"code", "op", "scalar MB/s", "sliced MB/s", "speedup"});
-    for (const char *code : codeNames) {
-        for (const char *op : opNames) {
-            const Record *s = find(records, code, "scalar", op);
-            const Record *f = find(records, code, "sliced", op);
-            if (!s || !f)
-                continue;
-            table.row()
-                .cell(code)
-                .cell(op)
-                .cell(s->res.mbps)
-                .cell(f->res.mbps)
-                .cell(f->res.mbps / s->res.mbps);
-        }
-    }
+    Table table({"code", "op", "MB/s"});
+    for (const Record &r : records)
+        table.row().cell(r.code).cell(r.op).cell(r.res.mbps);
     table.print(std::cout);
-
-    const double enc = find(records, "bch_vlew_2048_22", "sliced",
-                            "encode")
-                           ->res.mbps /
-                       find(records, "bch_vlew_2048_22", "scalar",
-                            "encode")
-                           ->res.mbps;
-    const double dec = find(records, "bch_vlew_2048_22", "sliced",
-                            "decode_clean")
-                           ->res.mbps /
-                       find(records, "bch_vlew_2048_22", "scalar",
-                            "decode_clean")
-                           ->res.mbps;
-    std::cout << "VLEW BCH(2048,t=22) sliced speedup: encode "
-              << Table::formatNumber(enc, 3) << "x, clean decode "
-              << Table::formatNumber(dec, 3) << "x\n";
 
     writeJson(records, json_path);
     return 0;

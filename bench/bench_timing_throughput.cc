@@ -1,9 +1,7 @@
 /**
  * @file
  * Throughput benchmark for the discrete-event timing kernel
- * (common/event.hh): the pooled two-tier calendar queue against the
- * legacy heap kernel (`NVCK_EVENT_QUEUE=heap`), run side by side in
- * one process via the SystemConfig::kernel override.
+ * (common/event.hh), the pooled two-tier calendar queue.
  *
  * Four scenarios:
  *   - churn_ring:  self-rescheduling event sources whose delays all
@@ -16,10 +14,12 @@
  *   - fig17_pcm_hashmap: fig17's costliest point end to end — the
  *     two-pass PCM proposal run of the write-only hashmap queries.
  *
- * Every scenario is identity-cross-checked before it is timed: the
- * churn scripts must drain in the same order under both kernels (an
- * order hash over (tick, source) pairs) and the end-to-end runs must
- * agree on every RunMetrics field; any divergence fails the run.
+ * Execution order is pinned elsewhere: the property suite and the
+ * random-script differential tests (tests/common/test_event_queue.cc)
+ * hold the calendar queue to a reference binary heap, and the
+ * fig16/fig17 goldens hold the end-to-end runs. Every JSON record
+ * keeps the "path": "calendar" tag, part of the key the checked-in
+ * baselines are compared by.
  *
  * The gated figure of merit ("mbps" in the JSON, which
  * scripts/check_bench.py compares) is Mevents/s for the churn scripts,
@@ -72,11 +72,10 @@ struct OpResult
     std::uint64_t poolHighWater = 0;
 };
 
-/** One timing record: scenario x kernel. */
+/** One timing record per scenario. */
 struct Record
 {
     std::string scenario;
-    std::string path;
     OpResult res;
     bool endToEnd = false;
 
@@ -94,8 +93,8 @@ struct Record
  * calendar window except every ~@p longEvery-th draw, which jumps past
  * ringSpan into the overflow tier (0 disables long jumps). The handler
  * captures {state pointer, source id} — 16 bytes, well inside
- * InlineAction's budget and std::function's SSO, so neither kernel
- * allocates per event and the comparison is pure queue mechanics.
+ * InlineAction's budget, so the queue allocates nothing per event and
+ * the rate is pure queue mechanics.
  */
 struct ChurnScript
 {
@@ -103,22 +102,15 @@ struct ChurnScript
     Rng rng;
     Tick horizon;
     unsigned longEvery;
-    bool trace;
-    std::uint64_t orderHash = 0xcbf29ce484222325ull; //!< FNV-1a basis
 
     ChurnScript(EventQueue &queue, std::uint64_t seed, Tick limit,
-                unsigned long_every, bool want_trace)
-        : eq(queue), rng(seed), horizon(limit), longEvery(long_every),
-          trace(want_trace)
+                unsigned long_every)
+        : eq(queue), rng(seed), horizon(limit), longEvery(long_every)
     {}
 
     void
     fire(unsigned id)
     {
-        if (trace) {
-            orderHash ^= eq.now() * 0x9e3779b97f4a7c15ull + id;
-            orderHash *= 0x100000001b3ull;
-        }
         Tick delta = 1 + rng.below(64);
         if (longEvery && rng.below(longEvery) == 0)
             delta = EventQueue::ringSpan + rng.below(1024);
@@ -128,14 +120,13 @@ struct ChurnScript
     }
 };
 
-/** One full churn drain; returns the queue's counters + order hash. */
+/** One full churn drain; returns the queue's counters. */
 OpResult
-runChurn(EventKernel kernel, std::uint64_t seed, Tick horizon,
-         unsigned long_every, bool trace, std::uint64_t *hash_out)
+runChurn(std::uint64_t seed, Tick horizon, unsigned long_every)
 {
     constexpr unsigned sources = 1024;
-    EventQueue eq(kernel);
-    ChurnScript script(eq, seed, horizon, long_every, trace);
+    EventQueue eq;
+    ChurnScript script(eq, seed, horizon, long_every);
     for (unsigned id = 0; id < sources; ++id)
         eq.schedule(1 + id % 64, [&script, id] { script.fire(id); });
     eq.run();
@@ -144,8 +135,6 @@ runChurn(EventKernel kernel, std::uint64_t seed, Tick horizon,
     out.promotions = eq.stats().overflowPromotions.value();
     out.peakPending = eq.stats().peakPending;
     out.poolHighWater = eq.stats().poolHighWater;
-    if (hash_out)
-        *hash_out = script.orderHash;
     g_sink = g_sink + eq.now();
     return out;
 }
@@ -182,57 +171,13 @@ benchChurn(std::vector<Record> &records, const std::string &scenario,
            std::uint64_t seed, Tick horizon, unsigned long_every,
            double min_seconds)
 {
-    // Identity gate: both kernels must drain the same script in the
-    // same order before either is timed.
-    std::uint64_t calendar_hash = 0, heap_hash = 0;
-    const OpResult a = runChurn(EventKernel::Calendar, seed, horizon,
-                                long_every, true, &calendar_hash);
-    const OpResult b = runChurn(EventKernel::Heap, seed, horizon,
-                                long_every, true, &heap_hash);
-    if (calendar_hash != heap_hash || a.events != b.events) {
-        std::cerr << "FATAL: calendar/heap drain divergence in "
-                  << scenario << "\n";
-        std::exit(1);
-    }
-
-    for (const EventKernel kernel :
-         {EventKernel::Heap, EventKernel::Calendar}) {
-        records.push_back({scenario, eventKernelName(kernel),
-                           measure(min_seconds, 0.0,
-                                   [&] {
-                                       return runChurn(kernel, seed,
-                                                       horizon,
-                                                       long_every, false,
-                                                       nullptr);
-                                   }),
-                           false});
-    }
-}
-
-/** Exact-equality check over every RunMetrics field (exit 1). */
-void
-checkSameMetrics(const RunMetrics &a, const RunMetrics &b,
-                 const char *scenario)
-{
-    const bool same =
-        a.ipc == b.ipc && a.mflops == b.mflops && a.perf == b.perf &&
-        a.cFactor == b.cFactor && a.omvHitRate == b.omvHitRate &&
-        a.dirtyPmFraction == b.dirtyPmFraction &&
-        a.omvFraction == b.omvFraction && a.pmReads == b.pmReads &&
-        a.pmWrites == b.pmWrites && a.dramReads == b.dramReads &&
-        a.dramWrites == b.dramWrites &&
-        a.overheadReads == b.overheadReads &&
-        a.overheadWrites == b.overheadWrites &&
-        a.vlewFetches == b.vlewFetches &&
-        a.oldDataFetches == b.oldDataFetches &&
-        a.avgReadLatencyNs == b.avgReadLatencyNs &&
-        a.avgWriteLatencyNs == b.avgWriteLatencyNs &&
-        a.rowHitRate == b.rowHitRate;
-    if (!same) {
-        std::cerr << "FATAL: calendar/heap RunMetrics divergence in "
-                  << scenario << "\n";
-        std::exit(1);
-    }
+    records.push_back({scenario,
+                       measure(min_seconds, 0.0,
+                               [&] {
+                                   return runChurn(seed, horizon,
+                                                   long_every);
+                               }),
+                       false});
 }
 
 /** One end-to-end proposal run shape. */
@@ -246,17 +191,16 @@ struct EndToEnd
     bool twoPass;
 };
 
-/** One end-to-end proposal run under the given kernel. */
+/** One end-to-end proposal run. */
 OpResult
-runEndToEnd(EventKernel kernel, const EndToEnd &shape, std::uint64_t seed,
-            const RunControl &rc, RunMetrics *metrics)
+runEndToEnd(const EndToEnd &shape, std::uint64_t seed,
+            const RunControl &rc)
 {
     SchemeTiming scheme = proposalScheme(runtimeRberFor(shape.tech));
     const auto pass = [&] {
-        SystemConfig cfg =
-            SystemConfig::make(shape.tech, scheme, shape.workload, seed);
-        cfg.kernel = kernel;
-        return runOnce(cfg, rc);
+        return runOnce(
+            SystemConfig::make(shape.tech, scheme, shape.workload, seed),
+            rc);
     };
     const EventKernelTotals before = eventKernelTotals();
     if (shape.twoPass)
@@ -268,8 +212,6 @@ runEndToEnd(EventKernel kernel, const EndToEnd &shape, std::uint64_t seed,
     out.promotions = after.overflowPromotions - before.overflowPromotions;
     out.peakPending = after.maxPeakPending;
     out.poolHighWater = after.maxPoolHighWater;
-    if (metrics)
-        *metrics = m;
     g_sink = g_sink + m.pmReads;
     return out;
 }
@@ -282,39 +224,14 @@ benchEndToEnd(std::vector<Record> &records, const EndToEnd &shape,
     const double ticks_per_op =
         static_cast<double>((shape.twoPass ? 2 : 1) *
                             (rc.warmup + rc.measure));
-
-    RunMetrics calendar_m, heap_m;
-    runEndToEnd(EventKernel::Calendar, shape, seed, rc, &calendar_m);
-    runEndToEnd(EventKernel::Heap, shape, seed, rc, &heap_m);
-    checkSameMetrics(calendar_m, heap_m, shape.scenario);
-
-    for (const EventKernel kernel :
-         {EventKernel::Heap, EventKernel::Calendar}) {
-        records.push_back({shape.scenario, eventKernelName(kernel),
-                           measure(min_seconds, ticks_per_op,
-                                   [&] {
-                                       return runEndToEnd(kernel, shape,
-                                                          seed, rc,
-                                                          nullptr);
-                                   }),
-                           true});
-    }
-}
-
-const Record *
-find(const std::vector<Record> &records, const std::string &scenario,
-     const std::string &path)
-{
-    for (const auto &r : records)
-        if (r.scenario == scenario && r.path == path)
-            return &r;
-    return nullptr;
+    records.push_back({shape.scenario,
+                       measure(min_seconds, ticks_per_op,
+                               [&] { return runEndToEnd(shape, seed, rc); }),
+                       true});
 }
 
 void
-writeJson(const std::vector<Record> &records,
-          const std::vector<std::string> &scenarios,
-          const std::string &path)
+writeJson(const std::vector<Record> &records, const std::string &path)
 {
     std::ofstream os(path);
     if (!os) {
@@ -325,8 +242,8 @@ writeJson(const std::vector<Record> &records,
        << "  \"results\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const auto &r = records[i];
-        os << "    {\"scenario\": \"" << r.scenario << "\", \"path\": \""
-           << r.path << "\", \"mbps\": " << r.merit()
+        os << "    {\"scenario\": \"" << r.scenario
+           << "\", \"path\": \"calendar\", \"mbps\": " << r.merit()
            << ", \"mevents_per_s\": " << r.res.mevents
            << ", \"sim_us_per_s\": " << r.res.simUs
            << ", \"events\": " << r.res.events
@@ -337,17 +254,7 @@ writeJson(const std::vector<Record> &records,
            << ", \"seconds\": " << r.res.seconds << "}"
            << (i + 1 < records.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"speedup\": {\n";
-    for (std::size_t s = 0; s < scenarios.size(); ++s) {
-        const Record *heap = find(records, scenarios[s], "heap");
-        const Record *cal = find(records, scenarios[s], "calendar");
-        const double speedup = (heap && cal && heap->merit() > 0)
-                                   ? cal->merit() / heap->merit()
-                                   : 0.0;
-        os << "    \"" << scenarios[s] << "\": " << speedup
-           << (s + 1 < scenarios.size() ? "," : "") << "\n";
-    }
-    os << "  }\n}\n";
+    os << "  ]\n}\n";
     std::cout << "wrote " << path << "\n";
 }
 
@@ -380,15 +287,12 @@ main(int argc, char **argv)
         }
     }
 
-    banner("Event kernel",
-           "timing-kernel throughput, calendar vs heap");
+    banner("Event kernel", "calendar event-queue throughput");
 
     std::vector<Record> records;
-    std::vector<std::string> scenarios;
     if (points >= 1) {
         benchChurn(records, "churn_ring", seed,
                    quick ? 20000 : 100000, 0, min_seconds);
-        scenarios.push_back("churn_ring");
     }
     if (points >= 2) {
         // The horizon must span several ring windows or the long jumps
@@ -396,7 +300,6 @@ main(int argc, char **argv)
         benchChurn(records, "churn_mixed", seed ^ 0x16,
                    (quick ? 2 : 6) * EventQueue::ringSpan, 64,
                    min_seconds);
-        scenarios.push_back("churn_mixed");
     }
     // WHISPER ycsb is fig16's left half; hashmap is fig17's costliest
     // point (PCM write queue full). Both run a quarter of the bench
@@ -405,37 +308,20 @@ main(int argc, char **argv)
         {"fig16_reram", PmTech::Reram, "ycsb", false},
         {"fig17_pcm_hashmap", PmTech::Pcm, "hashmap", true},
     };
-    for (unsigned i = 0; i < 2 && points >= 3 + i; ++i) {
+    for (unsigned i = 0; i < 2 && points >= 3 + i; ++i)
         benchEndToEnd(records, shapes[i], seed, min_seconds, 0.25);
-        scenarios.push_back(shapes[i].scenario);
-    }
 
-    Table table({"scenario", "heap Mev/s", "calendar Mev/s",
-                 "heap sim us/s", "calendar sim us/s", "speedup",
-                 "events/op"});
-    double churn_speedup = 0.0;
-    for (const auto &scenario : scenarios) {
-        const Record *heap = find(records, scenario, "heap");
-        const Record *cal = find(records, scenario, "calendar");
-        const double speedup = cal->merit() / heap->merit();
-        if (!cal->endToEnd && speedup > churn_speedup)
-            churn_speedup = speedup;
-        auto &row = table.row()
-                        .cell(scenario)
-                        .cell(heap->res.mevents)
-                        .cell(cal->res.mevents);
-        if (cal->endToEnd)
-            row.cell(heap->res.simUs).cell(cal->res.simUs);
+    Table table({"scenario", "Mev/s", "sim us/s", "events/op"});
+    for (const Record &r : records) {
+        auto &row = table.row().cell(r.scenario).cell(r.res.mevents);
+        if (r.endToEnd)
+            row.cell(r.res.simUs);
         else
-            row.cell("-").cell("-");
-        row.cell(speedup).cell(static_cast<double>(cal->res.events), 0);
+            row.cell("-");
+        row.cell(static_cast<double>(r.res.events), 0);
     }
     table.print(std::cout);
-    std::cout << "best event-kernel speedup (churn, events/s): "
-              << Table::formatNumber(churn_speedup, 3) << "x\n"
-              << "end-to-end speedups compare simulated us per host"
-                 " second\n";
 
-    writeJson(records, scenarios, json_path);
+    writeJson(records, json_path);
     return 0;
 }

@@ -5,13 +5,14 @@ Compares a freshly produced BENCH_*.json against its checked-in
 baseline (bench/baselines/) and fails when any shared result entry is
 more than --max-regress times slower than the baseline. The bound is
 deliberately loose: CI runners are noisy, so this catches
-order-of-magnitude regressions (a kernel silently falling back to the
-scalar path, an accidentally quadratic loop), not jitter.
+order-of-magnitude regressions (a lookup table that stopped being
+used, an accidentally quadratic loop), not jitter.
 
 Result entries are keyed by their string-valued fields (code/kernel/op
-for codec_throughput, scenario/path for scrub_throughput), so adding
-or removing scenarios never breaks the gate: only keys present in BOTH
-files are compared, and the counts are reported.
+for codec_throughput, scenario/path for scrub_throughput and
+timing_throughput), so adding or removing scenarios never breaks the
+gate: only keys present in BOTH files are compared, and the counts are
+reported.
 
 Usage:
   check_bench.py --baseline bench/baselines/BENCH_x.json \
@@ -22,11 +23,14 @@ their baseline is recorded, so the gate warns and skips (exit 0)
 instead of failing the job. Corrupt or malformed files still exit 2.
 
 Exit codes: 0 ok (or baseline missing), 1 regression found,
-2 bad invocation/input.
+2 bad invocation/input (including a --max-regress that is not a finite
+positive number: every comparison with NaN is false, so a NaN bound
+would pass any regression).
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -64,8 +68,8 @@ def main():
                         help="fail when baseline/current exceeds this "
                              "ratio (default 2.0)")
     args = parser.parse_args()
-    if args.max_regress <= 0:
-        parser.error("--max-regress must be positive")
+    if not math.isfinite(args.max_regress) or args.max_regress <= 0:
+        parser.error("--max-regress must be a finite positive number")
 
     if not os.path.exists(args.baseline):
         print(f"check_bench: baseline {args.baseline} not found; "

@@ -5,10 +5,11 @@
  * Each knob either is unset (the caller applies its default), parses
  * cleanly, or is rejected with a one-line error on stderr and exit(2).
  * Silently falling back on garbage input is never acceptable: a typo in
- * NVCK_JOBS or NVCK_CODEC_KERNEL must not quietly change which code
+ * NVCK_JOBS or NVCK_RAS_PATROL_ORDER must not quietly change what
  * runs. The parse functions are pure so tests can cover every malformed
  * shape without death tests; the env* wrappers add the getenv + exit
- * policy.
+ * policy. The benches' sweep flags (--jobs, --points, --seed) go
+ * through parsePositive too.
  */
 
 #ifndef NVCK_COMMON_ENV_HH

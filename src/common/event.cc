@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 
-#include "common/env.hh"
 #include "common/log.hh"
 
 namespace nvck {
@@ -32,24 +31,6 @@ atomicMax(std::atomic<std::uint64_t> &slot, std::uint64_t value)
 
 } // namespace
 
-const char *
-eventKernelName(EventKernel kernel)
-{
-    return kernel == EventKernel::Calendar ? "calendar" : "heap";
-}
-
-EventKernel
-defaultEventKernel()
-{
-    static const EventKernel chosen = [] {
-        auto idx = envChoice("NVCK_EVENT_QUEUE", {"calendar", "heap"});
-        if (idx && *idx == 1)
-            return EventKernel::Heap;
-        return EventKernel::Calendar;
-    }();
-    return chosen;
-}
-
 EventKernelTotals
 eventKernelTotals()
 {
@@ -68,13 +49,7 @@ EventQueue::Ring::Ring(std::uint32_t slots)
     , bitsL1((slots + 4095) / 4096, 0)
 {}
 
-EventQueue::EventQueue(EventKernel kernel) : impl(kernel)
-{
-    if (impl == EventKernel::Calendar) {
-        fine = Ring(fineSize);
-        coarse = Ring(ringSize);
-    }
-}
+EventQueue::EventQueue() : fine(fineSize), coarse(ringSize) {}
 
 EventQueue::~EventQueue()
 {
@@ -173,16 +148,6 @@ EventQueue::rearm(Recurring ev, Tick when)
     n.next = nil;
     n.queued = true;
     bumpPending();
-    if (impl == EventKernel::Heap) {
-        // The legacy kernel has no node-aware pop path; wrap the pooled
-        // action in a thin trampoline (fits std::function's SSO).
-        Node *np = &n;
-        legacy.push(LegacyEntry{n.when, n.seq, [np] {
-                                    np->queued = false;
-                                    np->action();
-                                }});
-        return;
-    }
     insertCalendar(n);
 }
 
@@ -439,19 +404,6 @@ void
 EventQueue::run()
 {
     halted = false;
-    if (impl == EventKernel::Heap) {
-        while (!legacy.empty() && !halted) {
-            // priority_queue::top returns const ref; move the action
-            // out via a copy of the entry before popping.
-            LegacyEntry entry = legacy.top();
-            legacy.pop();
-            --sizeCount;
-            currentTick = entry.when;
-            statistics.executed.inc();
-            entry.action();
-        }
-        return;
-    }
     while (sizeCount > 0 && !halted)
         executeNext();
 }
@@ -460,19 +412,6 @@ void
 EventQueue::runUntil(Tick limit)
 {
     halted = false;
-    if (impl == EventKernel::Heap) {
-        while (!legacy.empty() && !halted && legacy.top().when <= limit) {
-            LegacyEntry entry = legacy.top();
-            legacy.pop();
-            --sizeCount;
-            currentTick = entry.when;
-            statistics.executed.inc();
-            entry.action();
-        }
-        if (!halted && currentTick < limit)
-            currentTick = limit;
-        return;
-    }
     while (sizeCount > 0 && !halted && nextWhen() <= limit)
         executeNext();
     // A halted run stops at the cutting event's timestamp; advancing

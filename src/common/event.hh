@@ -5,37 +5,32 @@
  * work against one shared EventQueue; ties break in FIFO order so runs
  * are fully deterministic.
  *
- * Two interchangeable kernels produce the exact same execution order:
+ * The queue is a hierarchical calendar queue (timing wheel). A fine
+ * ring of one-tick FIFO slots covers the next fineSize ticks; a coarse
+ * ring of FIFO buckets, bucketTicks (~1 ns) each, covers ~16.8 us
+ * (ringSpan) beyond it — long enough that NVRAM write recovery, EUR
+ * drains and the write queue's age bound never leave the rings. Every
+ * schedule is an O(1) append with no comparator churn; a coarse bucket
+ * is cascaded into fine slots, in FIFO order, once the fine window
+ * covers it whole. Events beyond the coarse window wait in a sorted
+ * overflow tier (a small binary heap) and are promoted whenever now()
+ * advances, before anything at their tick can run or be scheduled.
+ * Actions live in pooled event nodes as small-buffer InlineActions, so
+ * steady-state scheduling performs zero heap allocations.
  *
- *  - Calendar (default): a hierarchical calendar queue (timing
- *    wheel). A fine ring of one-tick FIFO slots covers the next
- *    fineSize ticks; a coarse ring of FIFO buckets, bucketTicks (~1 ns)
- *    each, covers ~16.8 us (ringSpan) beyond it — long enough
- *    that NVRAM write recovery, EUR drains and the write queue's age
- *    bound never leave the rings. Every schedule is an O(1) append with
- *    no comparator churn; a coarse bucket is cascaded into fine slots,
- *    in FIFO order, once the fine window covers it whole. Events beyond
- *    the coarse window wait in a sorted overflow tier (a small binary
- *    heap) and are promoted whenever now() advances, before anything
- *    at their tick can run or be scheduled. Actions live in pooled
- *    event nodes as small-buffer InlineActions, so steady-state
- *    scheduling performs zero heap allocations.
- *  - Heap (NVCK_EVENT_QUEUE=heap): the legacy kernel, kept verbatim as
- *    a differential baseline — one std::priority_queue of
- *    {Tick, seq, std::function} entries, an allocation per scheduled
- *    closure and O(log n) per push/pop.
- *
- * Determinism argument for the calendar tier: seq numbers increase
- * monotonically with schedule order, and both windows only move
- * forward. A tier accepts events at a tick only once its window covers
- * that tick, and every window advance first hands the previous tier's
- * events for the newly covered ticks over — overflow to coarse in
- * (when, seq) heap order, coarse to fine in bucket FIFO order — before
- * any direct schedule there is possible. So for every tick, each
- * bucket and slot receives that tick's events in seq order, and each
- * fine slot (one tick) is a seq-sorted FIFO. The fine window holds
- * exactly the earliest ticks, so the drain order equals the heap
- * kernel's (when, seq) order exactly.
+ * Determinism argument: seq numbers increase monotonically with
+ * schedule order, and both windows only move forward. A tier accepts
+ * events at a tick only once its window covers that tick, and every
+ * window advance first hands the previous tier's events for the newly
+ * covered ticks over — overflow to coarse in (when, seq) heap order,
+ * coarse to fine in bucket FIFO order — before any direct schedule
+ * there is possible. So for every tick, each bucket and slot receives
+ * that tick's events in seq order, and each fine slot (one tick) is a
+ * seq-sorted FIFO. The fine window holds exactly the earliest ticks,
+ * so the drain order is exactly the (when, seq) order of a plain
+ * binary heap. The tests hold the queue to that: a
+ * std::priority_queue reference (tests/common/heap_event_queue) runs
+ * the same property suite and random scripts event for event.
  */
 
 #ifndef NVCK_COMMON_EVENT_HH
@@ -43,10 +38,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -56,24 +49,6 @@
 #include "common/types.hh"
 
 namespace nvck {
-
-/** Which event-queue implementation to run. */
-enum class EventKernel
-{
-    Calendar, //!< pooled two-tier calendar queue (default)
-    Heap,     //!< legacy std::function binary heap
-};
-
-/** Human-readable kernel name ("calendar" / "heap"). */
-const char *eventKernelName(EventKernel kernel);
-
-/**
- * The process-wide default kernel: Calendar, unless the environment
- * variable NVCK_EVENT_QUEUE is set to "heap". Any other value is
- * rejected with a one-line error and exit(2) (common/env.hh). Read
- * once and cached.
- */
-EventKernel defaultEventKernel();
 
 /**
  * A non-allocating, small-buffer-optimized callable slot for event
@@ -192,16 +167,13 @@ class EventQueue
     // a bucket could never be cascaded.
     static_assert(fineSize >= bucketTicks);
 
-    explicit EventQueue(EventKernel kernel = defaultEventKernel());
+    EventQueue();
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Tick now() const { return currentTick; }
-
-    /** Which kernel this queue runs. */
-    EventKernel kernel() const { return impl; }
 
     /**
      * Schedule @p action to run at absolute time @p when. Scheduling
@@ -214,14 +186,6 @@ class EventQueue
     void
     schedule(Tick when, F &&action)
     {
-        if (impl == EventKernel::Heap) {
-            checkNotPast(when);
-            legacy.push(LegacyEntry{when, nextSeq++,
-                                    std::function<void()>(
-                                        std::forward<F>(action))});
-            bumpPending();
-            return;
-        }
         Node &n = acquireNode(when);
         n.action.emplace(std::forward<F>(action));
         insertCalendar(n);
@@ -305,24 +269,6 @@ class EventQueue
         InlineAction action;
     };
 
-    /** Legacy heap-kernel entry (the pre-calendar representation). */
-    struct LegacyEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> action;
-    };
-    struct LegacyLater
-    {
-        bool
-        operator()(const LegacyEntry &a, const LegacyEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     /** An intrusive FIFO of pooled nodes. */
     struct Bucket
     {
@@ -337,7 +283,7 @@ class EventQueue
      */
     struct Ring
     {
-        explicit Ring(std::uint32_t slots = 0);
+        explicit Ring(std::uint32_t slots);
         void mark(std::uint32_t slot);
         void clear(std::uint32_t slot);
         /** First non-empty slot at ring position >= pos, wrapping
@@ -385,7 +331,6 @@ class EventQueue
     /** Pop + dispatch the earliest event (advances now()). */
     void executeNext();
 
-    EventKernel impl;
     Tick currentTick = 0;
     std::uint64_t nextSeq = 0;
     std::size_t sizeCount = 0;
@@ -404,11 +349,6 @@ class EventQueue
     std::vector<std::unique_ptr<Node[]>> chunks;
     std::uint32_t freeHead = nil;
     std::uint32_t allocated = 0;
-
-    // Legacy heap tier.
-    std::priority_queue<LegacyEntry, std::vector<LegacyEntry>,
-                        LegacyLater>
-        legacy;
 };
 
 } // namespace nvck

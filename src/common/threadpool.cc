@@ -21,7 +21,7 @@ ThreadPool::defaultJobCount()
 {
     // Strict parse: a malformed NVCK_JOBS aborts with a one-line error
     // instead of silently running at the hardware default.
-    if (const auto jobs = envPositive("NVCK_JOBS", 1024))
+    if (const auto jobs = envPositive("NVCK_JOBS", maxJobs))
         return static_cast<unsigned>(*jobs);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

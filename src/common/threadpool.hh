@@ -77,6 +77,9 @@ class ThreadPool
      */
     static ThreadPool &global();
 
+    /** Largest worker count NVCK_JOBS or a bench's --jobs accepts. */
+    static constexpr unsigned maxJobs = 1024;
+
     /**
      * NVCK_JOBS environment override if set to a positive integer,
      * otherwise std::thread::hardware_concurrency() (minimum 1).

@@ -144,13 +144,12 @@ runWide(std::uint64_t *state, const std::uint64_t *wtab, unsigned width,
 } // namespace
 
 BchCodec::BchCodec(unsigned data_bits, unsigned correct_bits,
-                   unsigned field_degree, CodecKernel kernel)
+                   unsigned field_degree)
     : dataBits(data_bits),
       correctBits(correct_bits),
       checkBits(0),
       gf(field_degree ? field_degree
-                      : pickFieldDegree(data_bits, correct_bits)),
-      kern(kernel)
+                      : pickFieldDegree(data_bits, correct_bits))
 {
     NVCK_ASSERT(correct_bits >= 1, "BCH needs t >= 1");
 
@@ -179,7 +178,7 @@ BchCodec::BchCodec(unsigned data_bits, unsigned correct_bits,
                      : ~0ull;
 
     // Chien-search strides alpha^(-j) = alpha^(order - j), hoisted out
-    // of the per-position loop (used by both kernels).
+    // of the per-position loop.
     chienStride.resize(correctBits + 1, 1);
     for (unsigned j = 1; j <= correctBits; ++j)
         chienStride[j] = gf.alphaPow(gf.order() - j);
@@ -193,48 +192,12 @@ BchCodec::BchCodec(unsigned data_bits, unsigned correct_bits,
     for (unsigned idx = 0; idx < correctBits; ++idx)
         resFix[idx] = gf.alphaPow((rneg * (2 * idx + 1)) % ord);
 
-    setKernel(kernel);
+    buildTables();
 }
 
 void
-BchCodec::setKernel(CodecKernel kernel)
+BchCodec::buildTables()
 {
-    kern = kernel;
-    if (kern == CodecKernel::Scalar)
-        buildScalarTables();
-    else
-        buildSlicedTables();
-}
-
-void
-BchCodec::buildScalarTables()
-{
-    if (!oddSynTables.empty())
-        return;
-    // Precompute alpha^(j*i) tables for odd syndrome indices j, flattened
-    // per j over codeword bit positions i.
-    const unsigned n_bits = dataBits + checkBits;
-    oddSynTables.resize(correctBits);
-    for (unsigned idx = 0; idx < correctBits; ++idx) {
-        const std::uint64_t j = 2ull * idx + 1;
-        auto &tab = oddSynTables[idx];
-        tab.resize(n_bits);
-        std::uint64_t e = 0;
-        for (unsigned i = 0; i < n_bits; ++i) {
-            tab[i] = gf.alphaPow(e);
-            e += j;
-            if (e >= gf.order())
-                e -= gf.order();
-        }
-    }
-}
-
-void
-BchCodec::buildSlicedTables()
-{
-    if (!synByteTab.empty())
-        return;
-
     // Slicing-by-8 remainder updates: encTable[v] = (v(x) * x^r) mod g,
     // built by feeding the byte through the reference LFSR (high bit
     // first), so the table is bit-identical to eight serial steps. The
@@ -303,24 +266,6 @@ BchCodec::buildSlicedTables()
                      bit_contrib[std::countr_zero(v)];
         synStride[idx] = gf.alphaPow((8 * j) % gf.order());
     }
-}
-
-std::size_t
-BchCodec::tableBytes() const
-{
-    std::size_t bytes = genWords.size() * sizeof(std::uint64_t) +
-                        chienStride.size() * sizeof(GfElem) +
-                        resFix.size() * sizeof(GfElem);
-    if (kern == CodecKernel::Scalar) {
-        for (const auto &tab : oddSynTables)
-            bytes += tab.size() * sizeof(GfElem);
-    } else {
-        bytes += encTable.size() * sizeof(std::uint64_t) +
-                 wideTab.size() * sizeof(std::uint64_t) +
-                 synByteTab.size() * sizeof(GfElem) +
-                 synStride.size() * sizeof(GfElem);
-    }
-    return bytes;
 }
 
 void
@@ -446,84 +391,6 @@ BchCodec::isCodeword(const BitVec &codeword) const
                        [](std::uint64_t w) { return w == 0; });
 }
 
-std::vector<GfElem>
-BchCodec::syndromes(const BitVec &codeword) const
-{
-    return kern == CodecKernel::Sliced ? syndromesSliced(codeword)
-                                       : syndromesScalar(codeword);
-}
-
-std::vector<GfElem>
-BchCodec::syndromesScalar(const BitVec &codeword) const
-{
-    std::vector<GfElem> syn(2 * correctBits, 0);
-    const unsigned n_bits = n();
-    // Odd syndromes from the tables; iterate set bits word-by-word.
-    // Words are masked to the codeword length up front, so an
-    // over-long BitVec contributes nothing past n().
-    const auto &words = codeword.raw();
-    const std::size_t n_words = (n_bits + 63) / 64;
-    const std::size_t scan = std::min(words.size(), n_words);
-    for (std::size_t w = 0; w < scan; ++w) {
-        std::uint64_t bits = words[w];
-        if (w == n_words - 1 && (n_bits & 63) != 0)
-            bits &= (1ull << (n_bits & 63)) - 1;
-        while (bits) {
-            const unsigned i =
-                static_cast<unsigned>(w * 64 +
-                                      std::countr_zero(bits));
-            bits &= bits - 1;
-            for (unsigned idx = 0; idx < correctBits; ++idx)
-                syn[2 * idx] ^= oddSynTables[idx][i];
-        }
-    }
-    // Even syndromes via the binary-BCH identity S_{2j} = S_j^2. Work
-    // into a properly indexed array: entry j-1 holds S_j.
-    std::vector<GfElem> out(2 * correctBits, 0);
-    for (unsigned idx = 0; idx < correctBits; ++idx)
-        out[2 * idx] = syn[2 * idx]; // S_{2idx+1}
-    for (unsigned j = 2; j <= 2 * correctBits; j += 2) {
-        const GfElem half = out[j / 2 - 1];
-        out[j - 1] = gf.mul(half, half);
-    }
-    return out;
-}
-
-std::vector<GfElem>
-BchCodec::syndromesSliced(const BitVec &codeword) const
-{
-    std::vector<GfElem> out(2 * correctBits, 0);
-    const unsigned n_bits = n();
-    const auto &words = codeword.raw();
-    const std::size_t n_bytes = (n_bits + 7) / 8;
-    const unsigned tail_bits = n_bits & 7;
-    const std::uint64_t tail_mask =
-        tail_bits != 0 ? (1ull << tail_bits) - 1 : 0xFFull;
-
-    // S_{2idx+1} = sum over bytes w of alpha^(8wj) * synByteTab[byte_w],
-    // folded high byte to low by Horner steps of stride alpha^(8j).
-    for (unsigned idx = 0; idx < correctBits; ++idx) {
-        const GfElem *tab =
-            &synByteTab[static_cast<std::size_t>(idx) * 256];
-        const GfElem stride = synStride[idx];
-        GfElem acc = 0;
-        for (std::size_t w = n_bytes; w-- > 0;) {
-            const std::size_t bit = w * 8;
-            std::uint64_t byte = (words[bit >> 6] >> (bit & 63)) & 0xFF;
-            if (w == n_bytes - 1)
-                byte &= tail_mask;
-            acc = gf.mul(acc, stride) ^ tab[byte];
-        }
-        out[2 * idx] = acc;
-    }
-    // Even syndromes via squaring, exactly as the scalar kernel.
-    for (unsigned j = 2; j <= 2 * correctBits; j += 2) {
-        const GfElem half = out[j / 2 - 1];
-        out[j - 1] = gf.mul(half, half);
-    }
-    return out;
-}
-
 void
 BchCodec::residueStart(BchResidue &state) const
 {
@@ -536,7 +403,7 @@ BchCodec::residueAbsorbBytes(BchResidue &state, const std::uint8_t *bytes,
 {
     auto &rem = state.rem;
     std::size_t i = count;
-    if (kern == CodecKernel::Sliced && checkBits >= 8) {
+    if (checkBits >= 8) {
         if (!wideTab.empty() && i >= 8) {
             // Whole 8-byte chunks from the top down through the
             // register-resident wide run; the low i % 8 bytes fall
@@ -576,7 +443,7 @@ BchCodec::residueAbsorbBits(BchResidue &state, const std::uint64_t *words,
 {
     auto &rem = state.rem;
     std::size_t i = nbits;
-    if (kern == CodecKernel::Sliced && checkBits >= 8) {
+    if (checkBits >= 8) {
         // Leading partial byte bit-serially so the byte and chunk
         // extractions below never straddle a storage word.
         while ((i & 7) != 0) {
@@ -625,9 +492,10 @@ BchCodec::syndromesFromResidue(const BchResidue &state) const
 {
     std::vector<GfElem> out(2 * correctBits, 0);
     const auto &words = state.rem;
-    if (kern == CodecKernel::Sliced && checkBits >= 8) {
-        // Same Horner fold as syndromesSliced, but over the r-bit
-        // remainder instead of the n-bit codeword.
+    if (checkBits >= 8) {
+        // S_{2idx+1} = sum over bytes w of alpha^(8wj) * synByteTab[byte_w],
+        // folded high byte to low by Horner steps of stride alpha^(8j),
+        // over the r-bit remainder instead of the n-bit codeword.
         const std::size_t n_bytes = (checkBits + 7) / 8;
         const unsigned tail_bits = checkBits & 7;
         const std::uint64_t tail_mask =
@@ -648,9 +516,8 @@ BchCodec::syndromesFromResidue(const BchResidue &state) const
             out[2 * idx] = gf.mul(acc, resFix[idx]);
         }
     } else {
-        // Plain Horner fold over the r remainder bits, high bit first:
-        // needs no kernel tables, so it serves the Scalar kernel and
-        // the tiny codes (r < 8) the byte tables do not cover.
+        // Plain Horner fold over the r remainder bits, high bit first,
+        // for the tiny codes (r < 8) the byte tables do not cover.
         for (unsigned idx = 0; idx < correctBits; ++idx) {
             const GfElem step = gf.alphaPow(2ull * idx + 1);
             GfElem acc = 0;

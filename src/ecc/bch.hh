@@ -8,12 +8,12 @@
  * per-block 14-EC code and the per-chip 22-EC VLEW code of the paper
  * are realised.
  *
- * Two interchangeable kernel implementations back the hot loops (see
- * kernel.hh): the Scalar reference (one bit per LFSR step, per-set-bit
- * syndrome accumulation) and the default Sliced kernel (64-bit-wide
- * remainder lanes, per-byte partial-syndrome tables with alpha^(8j)
- * Horner strides). Both produce bit-identical codewords, syndromes,
- * and decode results; the differential tests enforce it.
+ * The hot loops are table-driven: 64-bit-wide remainder lanes and a
+ * slicing-by-8 byte step for the residue, per-byte partial-syndrome
+ * tables with alpha^(8j) Horner strides for the syndromes. Codes too
+ * small for the tables (r < 8) fall back to the bit-serial LFSR. The
+ * tests pin encode, residues, syndromes and decode against a reference
+ * built only from this class's public API (tests/ecc/bch_reference).
  */
 
 #ifndef NVCK_ECC_BCH_HH
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "ecc/kernel.hh"
 #include "gf/binpoly.hh"
 #include "gf/gf2m.hh"
 
@@ -78,13 +77,9 @@ class BchCodec
      * @param correct_bits  t, the design correction capability.
      * @param field_degree  m; 0 picks the smallest m that fits
      *        k + t*m check bits within 2^m - 1.
-     * @param kernel  which inner-loop implementation to run; defaults
-     *        to the process-wide default (Sliced unless overridden via
-     *        NVCK_CODEC_KERNEL=scalar).
      */
     BchCodec(unsigned data_bits, unsigned correct_bits,
-             unsigned field_degree = 0,
-             CodecKernel kernel = defaultCodecKernel());
+             unsigned field_degree = 0);
 
     unsigned k() const { return dataBits; }
     unsigned t() const { return correctBits; }
@@ -93,12 +88,6 @@ class BchCodec
     /** Codeword length k + r. */
     unsigned n() const { return dataBits + checkBits; }
     const Gf2m &field() const { return gf; }
-
-    /** The kernel this codec currently dispatches to. */
-    CodecKernel kernel() const { return kern; }
-
-    /** Switch kernels, building any missing lookup tables. */
-    void setKernel(CodecKernel kernel);
 
     /**
      * Systematically encode @p data (k bits) into a fresh n-bit codeword
@@ -136,22 +125,15 @@ class BchCodec
     /** Generator polynomial (over GF(2)). */
     const BinPoly &generator() const { return gen; }
 
-    /**
-     * Syndromes S_1 .. S_2t of the received word. Bits at positions
-     * >= n() of an over-long vector are ignored (masked word-wise, not
-     * relied on to be absent).
-     */
-    std::vector<GfElem> syndromes(const BitVec &codeword) const;
-
     /** Reset @p state to the empty-prefix residue (all zero). */
     void residueStart(BchResidue &state) const;
 
     /**
      * Absorb the next-lower @p count bytes of the received word
      * (byte [count-1] is the segment's highest coefficient). Runs the
-     * 64-bit-wide sliced lanes when available (Sliced kernel, r >= 64),
-     * the slicing-by-8 byte step for r >= 8, and the bit-serial
-     * reference LFSR otherwise — all bit-identical by construction.
+     * 64-bit-wide lanes when r >= 64, the slicing-by-8 byte step for
+     * r >= 8, and the bit-serial LFSR otherwise — all bit-identical by
+     * construction.
      */
     void residueAbsorbBytes(BchResidue &state, const std::uint8_t *bytes,
                             std::size_t count) const;
@@ -171,7 +153,7 @@ class BchCodec
     /**
      * Syndromes S_1 .. S_2t evaluated from a fully absorbed residue:
      * S_j = rem(alpha^j) * alpha^(-rj), an r-bit evaluation instead of
-     * an n-bit one. Bit-identical to syndromes() on the same word.
+     * an n-bit one: the whole-word syndromes of the absorbed word.
      */
     std::vector<GfElem> syndromesFromResidue(const BchResidue &state) const;
 
@@ -198,20 +180,9 @@ class BchCodec
      */
     bool locatorSplits(const GfPoly &lambda) const;
 
-    /**
-     * Lookup-table bytes held by this instance for its current kernel
-     * (for footprint reporting; excludes the GF(2^m) log/exp tables).
-     */
-    std::size_t tableBytes() const;
-
   private:
-    /** Scalar (per-set-bit) syndrome accumulation. */
-    std::vector<GfElem> syndromesScalar(const BitVec &codeword) const;
-    /** Sliced (per-byte table + Horner stride) syndromes. */
-    std::vector<GfElem> syndromesSliced(const BitVec &codeword) const;
-
     /** Remainder of the first @p nbits of @p words times x^r, modulo
-     *  g, through the active kernel's residueAbsorbBits. */
+     *  g, through residueAbsorbBits. */
     std::vector<std::uint64_t>
     residue(const std::vector<std::uint64_t> &words,
             std::size_t nbits) const;
@@ -255,38 +226,28 @@ class BchCodec
     bool chienSearch(const GfPoly &lambda, unsigned nu,
                      std::vector<std::uint32_t> &positions) const;
 
-    /** Build the scalar per-bit syndrome tables (idempotent). */
-    void buildScalarTables();
-    /** Build the sliced remainder/syndrome tables (idempotent). */
-    void buildSlicedTables();
+    /** Build the remainder and syndrome lookup tables. */
+    void buildTables();
 
     unsigned dataBits;
     unsigned correctBits;
     unsigned checkBits;
     Gf2m gf;
     BinPoly gen;
-    CodecKernel kern;
     /** Generator packed low-to-high for the encode inner loop. */
     std::vector<std::uint64_t> genWords;
 
-    // -- geometry of the packed remainder, shared by both kernels --
+    // -- geometry of the packed remainder --
     /** Words holding the r-bit remainder. */
     unsigned remWords = 0;
     /** Mask for the top remainder word (all-ones when r % 64 == 0). */
     std::uint64_t remTopMask = ~0ull;
 
-    // -- Scalar kernel tables --
-    /**
-     * Per-bit syndrome contribution tables: oddSynTables[j][i] =
-     * alpha^((2j+1) * i) for odd syndrome index 2j+1 and bit position i;
-     * built when the Scalar kernel is selected.
-     */
-    std::vector<std::vector<GfElem>> oddSynTables;
-
-    // -- Sliced kernel tables --
+    // -- lookup tables --
     /**
      * Slicing-by-8 remainder-update table, flattened 256 x remWords:
-     * entry v holds (v(x) * x^r) mod g packed low-to-high.
+     * entry v holds (v(x) * x^r) mod g packed low-to-high. Built only
+     * when r >= 8.
      */
     std::vector<std::uint64_t> encTable;
     /**
@@ -308,7 +269,6 @@ class BchCodec
     /** Horner stride per odd syndrome: alpha^(8 * (2j+1) mod order). */
     std::vector<GfElem> synStride;
 
-    // -- always built (used by decode regardless of kernel) --
     /** chienStride[j] = alpha^(order - j), hoisted out of the search. */
     std::vector<GfElem> chienStride;
     /**

@@ -15,17 +15,16 @@ constexpr std::uint32_t kMulTabMaxFieldSize = 1u << 10;
 } // namespace
 
 RsCodec::RsCodec(unsigned data_symbols, unsigned check_symbols,
-                 unsigned field_degree, CodecKernel kernel)
+                 unsigned field_degree)
     : dataSymbols(data_symbols),
       checkSymbols(check_symbols),
-      gf(field_degree),
-      kern(kernel)
+      gf(field_degree)
 {
     NVCK_ASSERT(checkSymbols >= 1, "RS needs at least one check symbol");
     NVCK_ASSERT(n() <= gf.order(),
                 "RS codeword longer than field order");
     // Narrow-sense generator: g(x) = prod_{i=1}^{r} (x - alpha^i).
-    gen = GfPoly::constant(1);
+    GfPoly gen = GfPoly::constant(1);
     for (unsigned i = 1; i <= checkSymbols; ++i)
         gen = GfPoly::mul(gf, gen, GfPoly({gf.alphaPow(i), 1}));
 
@@ -40,26 +39,18 @@ RsCodec::RsCodec(unsigned data_symbols, unsigned check_symbols,
     }
 
     // Chien-search strides alpha^(-j), hoisted out of the per-position
-    // loop (used by decode regardless of kernel).
+    // loop.
     chienStride.resize(checkSymbols + 1, 1);
     for (unsigned j = 1; j <= checkSymbols; ++j)
         chienStride[j] = gf.alphaPow(gf.order() - j);
 
-    setKernel(kernel);
+    buildMulTables();
 }
 
 void
-RsCodec::setKernel(CodecKernel kernel)
+RsCodec::buildMulTables()
 {
-    kern = kernel;
-    if (kern == CodecKernel::Sliced)
-        buildSlicedTables();
-}
-
-void
-RsCodec::buildSlicedTables()
-{
-    if (!genMulTab.empty() || gf.size() > kMulTabMaxFieldSize)
+    if (gf.size() > kMulTabMaxFieldSize)
         return;
     const std::uint32_t size = gf.size();
     genMulTab.assign(static_cast<std::size_t>(size) * checkSymbols, 0);
@@ -78,46 +69,12 @@ RsCodec::buildSlicedTables()
     }
 }
 
-std::size_t
-RsCodec::tableBytes() const
-{
-    std::size_t bytes = (genLow.size() + chienStride.size()) *
-                            sizeof(GfElem) +
-                        genLog.size() * sizeof(std::int32_t);
-    if (kern == CodecKernel::Sliced)
-        bytes += (genMulTab.size() + synMulTab.size()) * sizeof(GfElem);
-    return bytes;
-}
-
 std::vector<GfElem>
 RsCodec::encode(const std::vector<GfElem> &data) const
 {
     NVCK_ASSERT(data.size() == dataSymbols, "RS encode: bad data length");
-    return kern == CodecKernel::Sliced ? encodeSliced(data)
-                                       : encodeScalar(data);
-}
-
-std::vector<GfElem>
-RsCodec::encodeScalar(const std::vector<GfElem> &data) const
-{
-    // Systematic: codeword(x) = d(x) * x^r + (d(x) * x^r mod g(x)).
-    GfPoly message;
-    for (unsigned i = 0; i < dataSymbols; ++i)
-        message.setCoeff(checkSymbols + i, data[i]);
-    const GfPoly parity = GfPoly::mod(gf, message, gen);
-
-    std::vector<GfElem> codeword(n(), 0);
-    for (unsigned i = 0; i < checkSymbols; ++i)
-        codeword[i] = parity.coeff(i);
-    for (unsigned i = 0; i < dataSymbols; ++i)
-        codeword[checkSymbols + i] = data[i];
-    return codeword;
-}
-
-std::vector<GfElem>
-RsCodec::encodeSliced(const std::vector<GfElem> &data) const
-{
-    // Synthetic division of d(x) * x^r by the monic generator: one
+    // Systematic: codeword(x) = d(x) * x^r + (d(x) * x^r mod g(x)), by
+    // synthetic division of d(x) * x^r by the monic generator: one
     // feedback symbol per data symbol, taps applied from a mul-table
     // row (small fields) or via log/exp batching (one log per feedback
     // instead of one per tap product).
@@ -170,39 +127,23 @@ RsCodec::extractData(const std::vector<GfElem> &cw) const
 std::vector<GfElem>
 RsCodec::syndromes(const std::vector<GfElem> &cw) const
 {
-    return kern == CodecKernel::Sliced && !synMulTab.empty()
-               ? syndromesSliced(cw)
-               : syndromesScalar(cw);
-}
-
-std::vector<GfElem>
-RsCodec::syndromesScalar(const std::vector<GfElem> &cw) const
-{
-    // S_j = R(alpha^j), j = 1..r, stored at index j-1.
-    std::vector<GfElem> syn(checkSymbols, 0);
-    for (unsigned j = 1; j <= checkSymbols; ++j) {
-        const GfElem point = gf.alphaPow(j);
-        GfElem acc = 0;
-        for (std::size_t i = cw.size(); i-- > 0;)
-            acc = Gf2m::add(gf.mul(acc, point), cw[i]);
-        syn[j - 1] = acc;
-    }
-    return syn;
-}
-
-std::vector<GfElem>
-RsCodec::syndromesSliced(const std::vector<GfElem> &cw) const
-{
-    // Same Horner recurrence, but the multiply-by-alpha^j step is one
-    // table lookup (the accumulator indexes the stepper row directly).
+    // S_j = R(alpha^j), j = 1..r, stored at index j-1, by Horner steps.
+    // Small fields take each multiply-by-alpha^j as one table lookup
+    // (the accumulator indexes the stepper row directly).
     std::vector<GfElem> syn(checkSymbols, 0);
     const std::uint32_t size = gf.size();
     for (unsigned j = 1; j <= checkSymbols; ++j) {
-        const GfElem *tab =
-            &synMulTab[static_cast<std::size_t>(j - 1) * size];
         GfElem acc = 0;
-        for (std::size_t i = cw.size(); i-- > 0;)
-            acc = tab[acc] ^ cw[i];
+        if (!synMulTab.empty()) {
+            const GfElem *tab =
+                &synMulTab[static_cast<std::size_t>(j - 1) * size];
+            for (std::size_t i = cw.size(); i-- > 0;)
+                acc = tab[acc] ^ cw[i];
+        } else {
+            const GfElem point = gf.alphaPow(j);
+            for (std::size_t i = cw.size(); i-- > 0;)
+                acc = Gf2m::add(gf.mul(acc, point), cw[i]);
+        }
         syn[j - 1] = acc;
     }
     return syn;

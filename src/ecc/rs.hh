@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "ecc/bch.hh"
-#include "ecc/kernel.hh"
 #include "gf/gf2m.hh"
 #include "gf/gfpoly.hh"
 
@@ -47,19 +46,9 @@ class RsCodec
      * @param data_symbols k, number of data symbols.
      * @param check_symbols r = n - k, number of check symbols.
      * @param field_degree m, symbol width in bits (default one byte).
-     * @param kernel inner-loop implementation; defaults to the
-     *        process-wide default (Sliced unless NVCK_CODEC_KERNEL
-     *        says otherwise).
      */
     RsCodec(unsigned data_symbols, unsigned check_symbols,
-            unsigned field_degree = 8,
-            CodecKernel kernel = defaultCodecKernel());
-
-    /** The kernel this codec currently dispatches to. */
-    CodecKernel kernel() const { return kern; }
-
-    /** Switch kernels, building any missing lookup tables. */
-    void setKernel(CodecKernel kernel);
+            unsigned field_degree = 8);
 
     unsigned k() const { return dataSymbols; }
     unsigned r() const { return checkSymbols; }
@@ -100,52 +89,33 @@ class RsCodec
     /** Extract the data symbols. */
     std::vector<GfElem> extractData(const std::vector<GfElem> &cw) const;
 
-    /** Syndromes S_1 .. S_r of the received word. */
+    /**
+     * Syndromes S_1 .. S_r of the received word: a Horner evaluation
+     * whose multiply-by-alpha^j step is one mul-table lookup in small
+     * fields (m <= 10) and a GF multiply in larger ones.
+     */
     std::vector<GfElem> syndromes(const std::vector<GfElem> &cw) const;
 
-    /**
-     * Lookup-table bytes held by this instance for its current kernel
-     * (for footprint reporting; excludes the GF(2^m) log/exp tables).
-     */
-    std::size_t tableBytes() const;
-
   private:
-    /** Reference syndromes: Horner evaluation with per-step GF muls. */
-    std::vector<GfElem>
-    syndromesScalar(const std::vector<GfElem> &cw) const;
-    /** Table-driven syndromes: one mul-table lookup + XOR per symbol. */
-    std::vector<GfElem>
-    syndromesSliced(const std::vector<GfElem> &cw) const;
-
-    /** Reference encode via generic polynomial modulo. */
-    std::vector<GfElem>
-    encodeScalar(const std::vector<GfElem> &data) const;
-    /** LFSR synthetic division with mul-table / log-exp batched taps. */
-    std::vector<GfElem>
-    encodeSliced(const std::vector<GfElem> &data) const;
-
-    /** Build the sliced mul-tables (idempotent). */
-    void buildSlicedTables();
+    /** Build the small-field mul-tables (m <= 10 only). */
+    void buildMulTables();
 
     unsigned dataSymbols;
     unsigned checkSymbols;
     Gf2m gf;
-    /** Generator polynomial prod_{i=1..r} (x - alpha^i). */
-    GfPoly gen;
-    CodecKernel kern;
 
     /** Low generator coefficients g_0 .. g_{r-1} (monic top dropped). */
     std::vector<GfElem> genLow;
     /** Discrete logs of genLow (-1 for zero coefficients). */
     std::vector<std::int32_t> genLog;
     /**
-     * Sliced encode taps, flattened 2^m x r: row f holds f * g_i for
+     * Encode taps, flattened 2^m x r: row f holds f * g_i for
      * every tap, one row XOR per nonzero feedback. Built when the
      * field is small (m <= 10); larger fields batch via log/exp.
      */
     std::vector<GfElem> genMulTab;
     /**
-     * Sliced syndrome steppers, flattened r x 2^m: entry (j-1, a) is
+     * Syndrome steppers, flattened r x 2^m: entry (j-1, a) is
      * a * alpha^j, turning each Horner step into one table lookup.
      * Built under the same small-field gate as genMulTab.
      */

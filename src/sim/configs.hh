@@ -12,7 +12,6 @@
 #include <string>
 
 #include "cache/hierarchy.hh"
-#include "common/event.hh"
 #include "chipkill/schemes.hh"
 #include "cpu/core.hh"
 #include "mem/controller.hh"
@@ -36,13 +35,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     /** Calibration hook: override the profile's gapMean (0 = keep). */
     unsigned gapOverride = 0;
-    /**
-     * Event-queue kernel for the system's queue. Defaults to the
-     * NVCK_EVENT_QUEUE-selected process default; differential harnesses
-     * override it to run heap and calendar systems side by side in one
-     * process.
-     */
-    EventKernel kernel = defaultEventKernel();
 
     /** Table I defaults with the given PM technology and scheme. */
     static SystemConfig make(PmTech tech, const SchemeTiming &scheme,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "common/env.hh"
 #include "common/event.hh"
 
 namespace nvck {
@@ -82,17 +83,19 @@ flagValue(const char *flag, int argc, const char *const *argv, int &i)
     return argv[++i];
 }
 
-unsigned long
-parseCount(const char *prog, const char *flag, const char *text)
+/** Strict positive integer in [1, max] (common/env.hh), else exit 2. */
+std::uint64_t
+parseCount(const char *prog, const char *flag, const char *text,
+           std::uint64_t max = UINT64_MAX)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v == 0) {
-        std::fprintf(stderr, "%s: %s expects a positive integer, got '%s'\n",
-                     prog, flag, text);
-        std::exit(2);
-    }
-    return v;
+    if (const auto v = parsePositive(text, max))
+        return *v;
+    std::fprintf(stderr, "%s: %s expects a positive integer", prog, flag);
+    if (max != UINT64_MAX)
+        std::fprintf(stderr, " <= %llu",
+                     static_cast<unsigned long long>(max));
+    std::fprintf(stderr, ", got '%s'\n", text);
+    std::exit(2);
 }
 
 } // namespace
@@ -114,8 +117,8 @@ SweepOptions::parse(int argc, const char *const *argv)
         else if (const char *f = flagValue("--filter", argc, argv, i))
             opts.filter = f;
         else if (const char *j = flagValue("--jobs", argc, argv, i))
-            opts.jobs =
-                static_cast<unsigned>(parseCount(argv[0], "--jobs", j));
+            opts.jobs = static_cast<unsigned>(
+                parseCount(argv[0], "--jobs", j, ThreadPool::maxJobs));
         else if (const char *s = flagValue("--seed", argc, argv, i)) {
             opts.seed = parseCount(argv[0], "--seed", s);
             opts.seedSet = true;
@@ -170,10 +173,9 @@ printTimings(const std::vector<std::pair<std::string, double>> &times,
     const EventKernelTotals ev = eventKernelTotals();
     if (ev.queues > 0) {
         std::fprintf(stderr,
-                     "# event kernel (%s): %llu queues, %llu events, "
+                     "# event kernel: %llu queues, %llu events, "
                      "%llu overflow promotions, peak pending %llu, "
                      "pool high-water %llu\n",
-                     eventKernelName(defaultEventKernel()),
                      static_cast<unsigned long long>(ev.queues),
                      static_cast<unsigned long long>(ev.executed),
                      static_cast<unsigned long long>(

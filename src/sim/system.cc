@@ -28,7 +28,6 @@ System::System(const SystemConfig &config)
 System::System(const SystemConfig &config,
                std::unique_ptr<Workload> external_workload)
     : cfg(config),
-      eq(config.kernel),
       mem(eq, cfg.mem),
       hierarchy(cfg.cache, *this),
       bench(std::move(external_workload)),

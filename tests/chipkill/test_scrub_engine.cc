@@ -2,11 +2,11 @@
  * @file
  * Differential pins for the batched scrub engine (chipkill/scrub.hh):
  *
- *  - the residue-based corrupt-word decode (solveFromResidue, and
- *    decode() which runs it) must be bit-identical to the textbook
- *    reference decoder (tests/ecc/bch_reference.hh) across the
- *    KernelDiff parameter points plus two r < 8 codes, with 0..t+2
- *    injected errors;
+ *  - the residue-based syndromes and corrupt-word decode
+ *    (solveFromResidue, and decode() which runs it) must be
+ *    bit-identical to the textbook reference (ecc/bch_reference.hh)
+ *    across the KernelDiff parameter points plus two r < 8 codes, with
+ *    0..t+2 injected errors;
  *  - a whole-rank engine sweep must leave byte-identical media and
  *    report identical per-word outcomes as the word-at-a-time
  *    reference (scrub_reference.hh), over random error / burst /
@@ -42,41 +42,34 @@ class ScrubFastDecode : public ::testing::TestWithParam<BchPoint> {};
 TEST_P(ScrubFastDecode, SolveFromResidueMatchesDecode)
 {
     const auto [k, t] = GetParam();
-    for (const CodecKernel kernel :
-         {CodecKernel::Scalar, CodecKernel::Sliced}) {
-        const BchCodec codec(k, t, 0, kernel);
-        Rng rng(0x5CB + k * 31 + t +
-                (kernel == CodecKernel::Sliced ? 1 : 0));
-        for (unsigned errors = 0; errors <= t + 2; ++errors) {
-            for (unsigned trial = 0; trial < 4; ++trial) {
-                BitVec data(k);
-                data.randomize(rng);
-                BitVec noisy = codec.encode(data);
-                noisy.injectExactErrors(rng, errors);
+    const BchCodec codec(k, t);
+    Rng rng(0x5CB + k * 31 + t);
+    for (unsigned errors = 0; errors <= t + 2; ++errors) {
+        for (unsigned trial = 0; trial < 4; ++trial) {
+            BitVec data(k);
+            data.randomize(rng);
+            BitVec noisy = codec.encode(data);
+            noisy.injectExactErrors(rng, errors);
 
-                BchResidue res;
-                codec.residueStart(res);
-                codec.residueAbsorbBits(res, noisy.raw().data(),
-                                        noisy.size());
-                ASSERT_EQ(codec.residueIsZero(res),
-                          codec.isCodeword(noisy))
+            BchResidue res;
+            codec.residueStart(res);
+            codec.residueAbsorbBits(res, noisy.raw().data(), noisy.size());
+            ASSERT_EQ(codec.residueIsZero(res), codec.isCodeword(noisy))
+                << "errors=" << errors;
+            if (!codec.residueIsZero(res)) {
+                EXPECT_EQ(codec.syndromesFromResidue(res),
+                          referenceSyndromes(codec, noisy))
                     << "errors=" << errors;
-                if (!codec.residueIsZero(res)) {
-                    EXPECT_EQ(codec.syndromesFromResidue(res),
-                              codec.syndromes(noisy))
-                        << "errors=" << errors;
-                }
+            }
 
-                const auto ref = referenceDecode(codec, noisy);
-                BitVec decoded = noisy;
-                const auto dec = codec.decode(decoded);
-                const auto fast = codec.solveFromResidue(res);
-                for (const auto *got : {&dec, &fast}) {
-                    EXPECT_EQ(got->status, ref.status)
-                        << "errors=" << errors;
-                    EXPECT_EQ(got->corrections, ref.corrections);
-                    EXPECT_EQ(got->positions, ref.positions);
-                }
+            const auto ref = referenceDecode(codec, noisy);
+            BitVec decoded = noisy;
+            const auto dec = codec.decode(decoded);
+            const auto fast = codec.solveFromResidue(res);
+            for (const auto *got : {&dec, &fast}) {
+                EXPECT_EQ(got->status, ref.status) << "errors=" << errors;
+                EXPECT_EQ(got->corrections, ref.corrections);
+                EXPECT_EQ(got->positions, ref.positions);
             }
         }
     }

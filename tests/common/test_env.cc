@@ -2,7 +2,7 @@
  * @file
  * Strict environment-knob parsing (common/env.hh): the pure parsers
  * cover every malformed shape, and death tests pin the exit(2) policy
- * for garbage NVCK_JOBS / NVCK_CODEC_KERNEL values. The death tests
+ * for garbage integer and choice knob values. The death tests
  * deliberately avoid the Crash and parallel-engine suite names so they
  * stay out of the TSan CI regex (fork-based death tests are unreliable
  * under TSan).

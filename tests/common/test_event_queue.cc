@@ -1,10 +1,10 @@
 /**
  * @file
- * Property suite for the two event-queue kernels. The calendar queue
- * must be indistinguishable from the legacy heap in execution order —
- * every test that pins ordering runs against both kernels, and a
- * randomized differential drain compares them event for event. The
- * pool tests assert the tentpole's zero-steady-state-allocation claim
+ * Property suite for the calendar event queue. It must be
+ * indistinguishable in execution order from the textbook binary heap
+ * (tests/common/heap_event_queue): every property runs against both
+ * queues, and a randomized differential drain compares them event for
+ * event. The pool tests assert the zero-steady-state-allocation claim
  * through the pool high-water counter.
  */
 
@@ -13,70 +13,108 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/event.hh"
+#include "common/heap_event_queue.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
 namespace nvck {
 namespace {
 
-class EventQueueKernels
-    : public ::testing::TestWithParam<EventKernel>
-{};
+/** Which queue a property runs on: production or the reference. */
+enum class Queue
+{
+    Calendar, //!< EventQueue
+    Heap,     //!< HeapEventQueue
+};
+
+/** True when @p Q (a possibly cv/ref-qualified queue type) is the
+ *  production calendar queue. */
+template <typename Q>
+constexpr bool isCalendar =
+    std::is_same_v<std::remove_cvref_t<Q>, EventQueue>;
+
+template <typename Q>
+using RecurringOf = typename std::remove_cvref_t<Q>::Recurring;
+
+/**
+ * Each property is written once as a generic body over the queue type
+ * and run on both queues, one test instance per queue.
+ */
+class EventQueueKernels : public ::testing::TestWithParam<Queue>
+{
+  protected:
+    template <typename Body>
+    void
+    onQueue(Body &&body)
+    {
+        if (GetParam() == Queue::Calendar) {
+            EventQueue eq;
+            body(eq);
+        } else {
+            HeapEventQueue eq;
+            body(eq);
+        }
+    }
+};
 
 INSTANTIATE_TEST_SUITE_P(Kernels, EventQueueKernels,
-                         ::testing::Values(EventKernel::Calendar,
-                                           EventKernel::Heap),
+                         ::testing::Values(Queue::Calendar, Queue::Heap),
                          [](const auto &info) {
-                             return std::string(
-                                 eventKernelName(info.param));
+                             return info.param == Queue::Calendar
+                                        ? std::string("calendar")
+                                        : std::string("heap");
                          });
 
 TEST_P(EventQueueKernels, FifoTieOrderAtOneTick)
 {
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    for (int i = 0; i < 16; ++i)
-        eq.schedule(100, [&order, i] { order.push_back(i); });
-    eq.run();
-    ASSERT_EQ(order.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        for (int i = 0; i < 16; ++i)
+            eq.schedule(100, [&order, i] { order.push_back(i); });
+        eq.run();
+        ASSERT_EQ(order.size(), 16u);
+        for (int i = 0; i < 16; ++i)
+            EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    });
 }
 
 TEST_P(EventQueueKernels, FifoTiesInterleavedWithOtherTicks)
 {
     // Ties at tick 50 are declared between events at other ticks; the
     // tie-break must follow declaration order, not bucket/heap layout.
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    eq.schedule(50, [&] { order.push_back(0); });
-    eq.schedule(10, [&] { order.push_back(100); });
-    eq.schedule(50, [&] { order.push_back(1); });
-    eq.schedule(90, [&] { order.push_back(200); });
-    eq.schedule(50, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{100, 0, 1, 2, 200}));
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        eq.schedule(50, [&] { order.push_back(0); });
+        eq.schedule(10, [&] { order.push_back(100); });
+        eq.schedule(50, [&] { order.push_back(1); });
+        eq.schedule(90, [&] { order.push_back(200); });
+        eq.schedule(50, [&] { order.push_back(2); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{100, 0, 1, 2, 200}));
+    });
 }
 
 TEST_P(EventQueueKernels, ScheduleDuringExecuteRunsInOrder)
 {
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    eq.schedule(10, [&] {
-        order.push_back(1);
-        // Same-tick insert during execution: runs after already-queued
-        // same-tick events (larger seq), before later ticks.
-        eq.schedule(10, [&] { order.push_back(3); });
-        eq.schedule(20, [&] { order.push_back(4); });
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        eq.schedule(10, [&] {
+            order.push_back(1);
+            // Same-tick insert during execution: runs after already-queued
+            // same-tick events (larger seq), before later ticks.
+            eq.schedule(10, [&] { order.push_back(3); });
+            eq.schedule(20, [&] { order.push_back(4); });
+        });
+        eq.schedule(10, [&] { order.push_back(2); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+        EXPECT_EQ(eq.stats().executed.value(), 4u);
     });
-    eq.schedule(10, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-    EXPECT_EQ(eq.stats().executed.value(), 4u);
 }
 
 TEST_P(EventQueueKernels, HaltStopsAfterCurrentEventAndResumes)
@@ -84,23 +122,24 @@ TEST_P(EventQueueKernels, HaltStopsAfterCurrentEventAndResumes)
     // The crash-injector contract: halt() inside an event freezes the
     // queue at that event's tick with everything else still pending; a
     // later run picks up exactly where the machine died.
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] {
-        order.push_back(2);
-        eq.halt();
-    });
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.runUntil(100);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(eq.now(), 20u); // not advanced to the limit
-    EXPECT_EQ(eq.pending(), 1u);
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        eq.schedule(10, [&] { order.push_back(1); });
+        eq.schedule(20, [&] {
+            order.push_back(2);
+            eq.halt();
+        });
+        eq.schedule(30, [&] { order.push_back(3); });
+        eq.runUntil(100);
+        EXPECT_EQ(order, (std::vector<int>{1, 2}));
+        EXPECT_EQ(eq.now(), 20u); // not advanced to the limit
+        EXPECT_EQ(eq.pending(), 1u);
 
-    eq.runUntil(100);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 100u);
-    EXPECT_TRUE(eq.empty());
+        eq.runUntil(100);
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+        EXPECT_EQ(eq.now(), 100u);
+        EXPECT_TRUE(eq.empty());
+    });
 }
 
 TEST_P(EventQueueKernels, RunUntilIdleAdvanceThenScheduleKeepsOrder)
@@ -110,14 +149,15 @@ TEST_P(EventQueueKernels, RunUntilIdleAdvanceThenScheduleKeepsOrder)
     // event E far in the future (overflow tier) followed by a direct
     // schedule F at the same tick after the advance must still run
     // E-before-F (E has the smaller seq).
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    const Tick far = EventQueue::ringSpan + 500;
-    eq.schedule(far, [&] { order.push_back(1); }); // E: overflow
-    eq.runUntil(far - 100); // idle advance; window now covers far
-    eq.schedule(far, [&] { order.push_back(2); }); // F: direct bucket
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        const Tick far = EventQueue::ringSpan + 500;
+        eq.schedule(far, [&] { order.push_back(1); }); // E: overflow
+        eq.runUntil(far - 100); // idle advance; window now covers far
+        eq.schedule(far, [&] { order.push_back(2); }); // F: direct bucket
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    });
 }
 
 TEST_P(EventQueueKernels, OverflowPromotionPreservesSeqOrder)
@@ -125,21 +165,22 @@ TEST_P(EventQueueKernels, OverflowPromotionPreservesSeqOrder)
     // Events straddling the ring window at the same far tick, declared
     // alternately before (overflow) and after (bucket) the window
     // advance, must drain in declaration order.
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    const Tick far = 2 * EventQueue::ringSpan + 7;
-    eq.schedule(far, [&] { order.push_back(0); });
-    eq.schedule(far + 1, [&] { order.push_back(10); });
-    // Advance time by executing an early event so the window slides.
-    eq.schedule(EventQueue::ringSpan + 100, [&, far] {
-        eq.schedule(far, [&] { order.push_back(1); });
-        eq.schedule(far + 1, [&] { order.push_back(11); });
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        const Tick far = 2 * EventQueue::ringSpan + 7;
+        eq.schedule(far, [&] { order.push_back(0); });
+        eq.schedule(far + 1, [&] { order.push_back(10); });
+        // Advance time by executing an early event so the window slides.
+        eq.schedule(EventQueue::ringSpan + 100, [&, far] {
+            eq.schedule(far, [&] { order.push_back(1); });
+            eq.schedule(far + 1, [&] { order.push_back(11); });
+        });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11}));
+        if constexpr (isCalendar<decltype(eq)>) {
+            EXPECT_GE(eq.stats().overflowPromotions.value(), 2u);
+        }
     });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11}));
-    if (GetParam() == EventKernel::Calendar) {
-        EXPECT_GE(eq.stats().overflowPromotions.value(), 2u);
-    }
 }
 
 TEST_P(EventQueueKernels, TicksInOneBucketPopInTickOrder)
@@ -149,21 +190,22 @@ TEST_P(EventQueueKernels, TicksInOneBucketPopInTickOrder)
     // ring. Events declared out of tick order inside one bucket (far
     // beyond the fine window) must drain by tick, ties in declaration
     // order.
-    EventQueue eq(GetParam());
-    std::vector<std::pair<Tick, int>> order;
-    const Tick base = 100 * EventQueue::bucketTicks;
-    const Tick offsets[] = {900, 3, 500, 3, 0, 1023, 500, 1};
-    for (int i = 0; i < 8; ++i) {
-        eq.schedule(base + offsets[i], [&order, &eq, i] {
-            order.emplace_back(eq.now(), i);
-        });
-    }
-    eq.run();
-    const std::vector<std::pair<Tick, int>> want = {
-        {base + 0, 4},   {base + 1, 7},   {base + 3, 1},
-        {base + 3, 3},   {base + 500, 2}, {base + 500, 6},
-        {base + 900, 0}, {base + 1023, 5}};
-    EXPECT_EQ(order, want);
+    onQueue([&](auto &eq) {
+        std::vector<std::pair<Tick, int>> order;
+        const Tick base = 100 * EventQueue::bucketTicks;
+        const Tick offsets[] = {900, 3, 500, 3, 0, 1023, 500, 1};
+        for (int i = 0; i < 8; ++i) {
+            eq.schedule(base + offsets[i], [&order, &eq, i] {
+                order.emplace_back(eq.now(), i);
+            });
+        }
+        eq.run();
+        const std::vector<std::pair<Tick, int>> want = {
+            {base + 0, 4},   {base + 1, 7},   {base + 3, 1},
+            {base + 3, 3},   {base + 500, 2}, {base + 500, 6},
+            {base + 900, 0}, {base + 1023, 5}};
+        EXPECT_EQ(order, want);
+    });
 }
 
 TEST_P(EventQueueKernels, ScheduleAtNowRunsBeforeLaterTickInBucket)
@@ -172,17 +214,18 @@ TEST_P(EventQueueKernels, ScheduleAtNowRunsBeforeLaterTickInBucket)
     // tick (t + 5) and a same-tick event. A schedule at now() arrives
     // behind both, yet must run after the same-tick one and before
     // the later tick.
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    const Tick t = 100 * EventQueue::bucketTicks + 10;
-    eq.schedule(t + 5, [&] { order.push_back(3); });
-    eq.schedule(t, [&] {
-        order.push_back(0);
-        eq.schedule(eq.now(), [&] { order.push_back(2); });
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        const Tick t = 100 * EventQueue::bucketTicks + 10;
+        eq.schedule(t + 5, [&] { order.push_back(3); });
+        eq.schedule(t, [&] {
+            order.push_back(0);
+            eq.schedule(eq.now(), [&] { order.push_back(2); });
+        });
+        eq.schedule(t, [&] { order.push_back(1); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
     });
-    eq.schedule(t, [&] { order.push_back(1); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST_P(EventQueueKernels, OverflowPromotionIntoPartlyFilledBucket)
@@ -192,75 +235,80 @@ TEST_P(EventQueueKernels, OverflowPromotionIntoPartlyFilledBucket)
     // tick then join the same bucket by direct schedule, behind X.
     // Drain: Y, W, X, Z.
     const Tick far = 2 * EventQueue::ringSpan; // bucket-aligned
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    eq.schedule(far + 700, [&] { order.push_back(2); }); // X
-    eq.schedule(far - EventQueue::ringSpan / 2, [&] {
-        eq.schedule(far + 200, [&] { order.push_back(0); });
-        eq.schedule(far + 400, [&] { order.push_back(1); });
-        eq.schedule(far + 700, [&] { order.push_back(3); });
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        eq.schedule(far + 700, [&] { order.push_back(2); }); // X
+        eq.schedule(far - EventQueue::ringSpan / 2, [&] {
+            eq.schedule(far + 200, [&] { order.push_back(0); });
+            eq.schedule(far + 400, [&] { order.push_back(1); });
+            eq.schedule(far + 700, [&] { order.push_back(3); });
+        });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+        if constexpr (isCalendar<decltype(eq)>) {
+            // X and the sliding event itself took the overflow tier.
+            EXPECT_EQ(eq.stats().overflowPromotions.value(), 2u);
+        }
     });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    if (GetParam() == EventKernel::Calendar) {
-        // X and the sliding event itself took the overflow tier.
-        EXPECT_EQ(eq.stats().overflowPromotions.value(), 2u);
-    }
 }
 
 TEST_P(EventQueueKernels, RecurringRearmRunsAndReuses)
 {
-    EventQueue eq(GetParam());
-    int fired = 0;
-    EventQueue::Recurring ev;
-    ev = eq.makeRecurring([&] {
-        ++fired;
-        if (fired < 5)
-            eq.rearm(ev, eq.now() + 10);
+    onQueue([&](auto &eq) {
+        int fired = 0;
+        RecurringOf<decltype(eq)> ev;
+        ev = eq.makeRecurring([&] {
+            ++fired;
+            if (fired < 5)
+                eq.rearm(ev, eq.now() + 10);
+        });
+        eq.rearm(ev, 10);
+        eq.run();
+        EXPECT_EQ(fired, 5);
+        EXPECT_EQ(eq.now(), 50u);
+        EXPECT_EQ(eq.stats().executed.value(), 5u);
     });
-    eq.rearm(ev, 10);
-    eq.run();
-    EXPECT_EQ(fired, 5);
-    EXPECT_EQ(eq.now(), 50u);
-    EXPECT_EQ(eq.stats().executed.value(), 5u);
 }
 
 TEST_P(EventQueueKernels, RecurringInterleavesWithPlainEventsBySeq)
 {
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    EventQueue::Recurring ev =
-        eq.makeRecurring([&] { order.push_back(0); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.rearm(ev, 10); // same tick, later seq: runs after
-    eq.schedule(10, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+    onQueue([&](auto &eq) {
+        std::vector<int> order;
+        RecurringOf<decltype(eq)> ev =
+            eq.makeRecurring([&] { order.push_back(0); });
+        eq.schedule(10, [&] { order.push_back(1); });
+        eq.rearm(ev, 10); // same tick, later seq: runs after
+        eq.schedule(10, [&] { order.push_back(2); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+    });
 }
 
 TEST_P(EventQueueKernels, SchedulingIntoThePastDies)
 {
-    EventQueue eq(GetParam());
-    eq.schedule(100, [] {});
-    eq.run();
-    ASSERT_EQ(eq.now(), 100u);
-    EXPECT_DEATH(eq.schedule(99, [] {}), "schedule into the past");
+    onQueue([&](auto &eq) {
+        eq.schedule(100, [] {});
+        eq.run();
+        ASSERT_EQ(eq.now(), 100u);
+        EXPECT_DEATH(eq.schedule(99, [] {}), "schedule into the past");
+    });
 }
 
 TEST_P(EventQueueKernels, RearmIntoThePastDies)
 {
-    EventQueue eq(GetParam());
-    EventQueue::Recurring ev = eq.makeRecurring([] {});
-    eq.schedule(100, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.rearm(ev, 99), "schedule into the past");
+    onQueue([&](auto &eq) {
+        RecurringOf<decltype(eq)> ev = eq.makeRecurring([] {});
+        eq.schedule(100, [] {});
+        eq.run();
+        EXPECT_DEATH(eq.rearm(ev, 99), "schedule into the past");
+    });
 }
 
 TEST(EventQueuePool, ChurnReusesNodesWithoutGrowth)
 {
     // Steady-state churn: after warm-up, scheduling must never grow
     // the pool — the high-water mark is the zero-allocation assertion.
-    EventQueue eq(EventKernel::Calendar);
+    EventQueue eq;
     const int depth = 64;
     std::uint64_t executed = 0;
     for (int i = 0; i < depth; ++i) {
@@ -294,7 +342,7 @@ TEST(EventQueuePool, OverflowChurnStaysFlatToo)
 {
     // Far-future scheduling exercises the overflow heap + promotion
     // path; nodes must still recycle once the window catches up.
-    EventQueue eq(EventKernel::Calendar);
+    EventQueue eq;
     std::uint64_t executed = 0;
     EventQueue::Recurring churn;
     std::uint64_t rounds = 0;
@@ -325,8 +373,7 @@ TEST(EventQueuePool, OverflowChurnStaysFlatToo)
 TEST(EventQueueDifferential, RandomScriptsDrainIdentically)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        auto runScript = [seed](EventKernel kernel) {
-            EventQueue eq(kernel);
+        auto runScript = [seed](auto &eq) {
             Rng rng(seed * 977 + 13);
             std::vector<std::pair<Tick, int>> trace;
             int nextId = 0;
@@ -370,8 +417,10 @@ TEST(EventQueueDifferential, RandomScriptsDrainIdentically)
             return std::make_pair(trace, eq.stats().executed.value());
         };
 
-        const auto calendar = runScript(EventKernel::Calendar);
-        const auto heap = runScript(EventKernel::Heap);
+        EventQueue calendarQueue;
+        HeapEventQueue heapQueue;
+        const auto calendar = runScript(calendarQueue);
+        const auto heap = runScript(heapQueue);
         ASSERT_EQ(calendar.second, heap.second) << "seed " << seed;
         ASSERT_EQ(calendar.first.size(), heap.first.size())
             << "seed " << seed;
@@ -390,8 +439,7 @@ TEST(EventQueueDifferential, RandomScriptsAcrossAllTiersDrainIdentically)
     // schedules and idle runUntil advances between drains.
     const Tick bucket = EventQueue::bucketTicks;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        auto runScript = [seed, bucket](EventKernel kernel) {
-            EventQueue eq(kernel);
+        auto runScript = [seed, bucket](auto &eq) {
             Rng rng(seed * 7727 + 5);
             auto delay = [&rng, bucket]() -> Tick {
                 switch (rng.below(4)) {
@@ -430,8 +478,10 @@ TEST(EventQueueDifferential, RandomScriptsAcrossAllTiersDrainIdentically)
             eq.run();
             return trace;
         };
-        const auto calendar = runScript(EventKernel::Calendar);
-        const auto heap = runScript(EventKernel::Heap);
+        EventQueue calendarQueue;
+        HeapEventQueue heapQueue;
+        const auto calendar = runScript(calendarQueue);
+        const auto heap = runScript(heapQueue);
         ASSERT_EQ(calendar.size(), heap.size()) << "seed " << seed;
         for (std::size_t i = 0; i < calendar.size(); ++i) {
             ASSERT_EQ(calendar[i], heap[i])
@@ -444,7 +494,7 @@ TEST(EventQueueDifferential, LambdaCapturesUpTo48BytesFitInline)
 {
     // Compile-time contract: a 48-byte capture is accepted. (A larger
     // one is a static_assert failure — cannot be a runtime test.)
-    EventQueue eq(EventKernel::Calendar);
+    EventQueue eq;
     struct Fat
     {
         std::uint64_t a[5];

@@ -4,6 +4,46 @@
 
 namespace nvck {
 
+BitVec
+referenceResidue(const BchCodec &codec, const BitVec &word)
+{
+    BinPoly poly;
+    for (std::size_t i = 0; i < word.size(); ++i)
+        if (word.get(i))
+            poly.setBit(i);
+    const BinPoly rem =
+        BinPoly::mod(BinPoly::shift(poly, codec.r()), codec.generator());
+    BitVec out(codec.r());
+    for (unsigned i = 0; i < codec.r(); ++i)
+        out.set(i, rem.bit(i));
+    return out;
+}
+
+BitVec
+referenceEncode(const BchCodec &codec, const BitVec &data)
+{
+    const BitVec check = referenceResidue(codec, data);
+    BitVec codeword(codec.n());
+    codeword.copyRange(0, check, 0, codec.r());
+    codeword.copyRange(codec.r(), data, 0, data.size());
+    return codeword;
+}
+
+std::vector<GfElem>
+referenceSyndromes(const BchCodec &codec, const BitVec &word)
+{
+    const Gf2m &gf = codec.field();
+    std::vector<GfElem> syn(2 * codec.t(), 0);
+    const std::size_t bits = std::min<std::size_t>(word.size(), codec.n());
+    for (std::size_t i = 0; i < bits; ++i) {
+        if (!word.get(i))
+            continue;
+        for (std::size_t j = 1; j <= syn.size(); ++j)
+            syn[j - 1] ^= gf.alphaPow((j * i) % gf.order());
+    }
+    return syn;
+}
+
 GfPoly
 referenceLocator(const Gf2m &gf, const std::vector<GfElem> &syn,
                  unsigned &len)
@@ -57,7 +97,7 @@ BchDecodeResult
 referenceDecode(const BchCodec &codec, const BitVec &word)
 {
     BchDecodeResult result;
-    const std::vector<GfElem> syn = codec.syndromes(word);
+    const std::vector<GfElem> syn = referenceSyndromes(codec, word);
     if (std::all_of(syn.begin(), syn.end(),
                     [](GfElem s) { return s == 0; }))
         return result; // Clean

@@ -1,12 +1,14 @@
 /**
  * @file
- * Textbook binary BCH decoder, built only from BchCodec's public API:
- * whole-codeword syndromes(), the full 2t-step Berlekamp-Massey
- * iteration (no binary step skipping, no early abort) and an
- * exhaustive Chien scan that evaluates the locator with GfPoly::eval
- * at alpha^(-i) for every position i in [0, n). It shares no decode
- * code with the codec, so the tests can pin BchCodec::decode and
- * BchCodec::solveFromResidue against it.
+ * Textbook binary BCH arithmetic, built only from BchCodec's public
+ * API (generator(), field(), n(), r(), t()): the residue and encoder as
+ * one BinPoly::mod against the generator, whole-word syndromes summed
+ * per set bit, and a decoder that runs the full 2t-step
+ * Berlekamp-Massey iteration (no binary step skipping, no early abort)
+ * and an exhaustive Chien scan evaluating the locator with
+ * GfPoly::eval at alpha^(-i) for every position i in [0, n). It shares
+ * no table or loop with the codec, so the tests can pin BchCodec's
+ * encode, residues, syndromes and decode against it.
  */
 
 #ifndef NVCK_TESTS_ECC_BCH_REFERENCE_HH
@@ -20,6 +22,24 @@
 #include "gf/gfpoly.hh"
 
 namespace nvck {
+
+/**
+ * (word(x) * x^r) mod g(x) as an r-bit vector: the check bits of
+ * @p word when it is a k-bit data word, and the residue a codeword
+ * check runs on when it is an n-bit received word.
+ */
+BitVec referenceResidue(const BchCodec &codec, const BitVec &word);
+
+/** Systematic n-bit codeword [residue(data) | data] of k-bit @p data. */
+BitVec referenceEncode(const BchCodec &codec, const BitVec &data);
+
+/**
+ * Syndromes S_1 .. S_2t (entry j-1 holds S_j) of @p word: S_j is the
+ * sum of alpha^(j*i) over the set bits i < n of @p word; bits at
+ * positions >= n of an over-long vector are ignored.
+ */
+std::vector<GfElem> referenceSyndromes(const BchCodec &codec,
+                                       const BitVec &word);
 
 /**
  * Error-locator polynomial of the syndromes S_1 .. S_2t (@p syn[j-1]

@@ -1,11 +1,12 @@
 /**
  * @file
- * Differential fuzzing between the Scalar and Sliced codec kernels:
- * for every BCH/RS parameter point the repo uses, random data with
- * 0..t+2 injected errors must produce byte-identical codewords,
- * syndromes, and decode results from both kernels. This is the
- * contract that lets the fast kernels replace the reference paths in
- * the Monte-Carlo sweeps without perturbing any sampled statistic.
+ * Differential fuzzing of the table-driven codecs against the textbook
+ * references built only from their public API (bch_reference.hh,
+ * rs_reference.hh): for every BCH/RS parameter point the repo uses,
+ * random data with 0..t+2 injected errors must produce the reference's
+ * codewords, check-bit deltas, residues, syndromes and decode results.
+ * This is the contract that lets the fast codecs run the Monte-Carlo
+ * sweeps without perturbing any sampled statistic.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 
 #include "common/rng.hh"
 #include "ecc/bch.hh"
+#include "ecc/bch_reference.hh"
 #include "ecc/rs.hh"
+#include "ecc/rs_reference.hh"
 
 namespace nvck {
 namespace {
@@ -31,92 +34,83 @@ class KernelDiffBch : public ::testing::TestWithParam<BchPoint> {};
 TEST_P(KernelDiffBch, EncodeSyndromesDecodeIdentical)
 {
     const auto [k, t] = GetParam();
-    const BchCodec scalar(k, t, 0, CodecKernel::Scalar);
-    const BchCodec sliced(k, t, 0, CodecKernel::Sliced);
-    ASSERT_EQ(scalar.kernel(), CodecKernel::Scalar);
-    ASSERT_EQ(sliced.kernel(), CodecKernel::Sliced);
-    ASSERT_EQ(scalar.n(), sliced.n());
-
+    const BchCodec codec(k, t);
     Rng rng(0xD1FF + k * 31 + t);
     for (unsigned errors = 0; errors <= t + 2; ++errors) {
         BitVec data(k);
         data.randomize(rng);
 
-        const BitVec cw_scalar = scalar.encode(data);
-        const BitVec cw_sliced = sliced.encode(data);
-        ASSERT_EQ(cw_scalar, cw_sliced)
+        const BitVec cw = codec.encode(data);
+        ASSERT_EQ(cw, referenceEncode(codec, data))
             << "k=" << k << " t=" << t;
-        EXPECT_EQ(scalar.encodeDelta(data), sliced.encodeDelta(data));
-        EXPECT_EQ(sliced.extractData(cw_sliced), data);
+        EXPECT_EQ(codec.encodeDelta(data), referenceResidue(codec, data));
+        EXPECT_EQ(codec.extractData(cw), data);
 
-        BitVec noisy = cw_scalar;
+        BitVec noisy = cw;
         noisy.injectExactErrors(rng, errors);
-        EXPECT_EQ(scalar.isCodeword(noisy), sliced.isCodeword(noisy))
-            << "errors=" << errors;
-        EXPECT_EQ(scalar.syndromes(noisy), sliced.syndromes(noisy))
+        const BitVec residue = referenceResidue(codec, noisy);
+        EXPECT_EQ(codec.isCodeword(noisy), residue.popcount() == 0)
             << "errors=" << errors;
 
-        BitVec dec_scalar = noisy;
-        BitVec dec_sliced = noisy;
-        const auto res_scalar = scalar.decode(dec_scalar);
-        const auto res_sliced = sliced.decode(dec_sliced);
-        EXPECT_EQ(res_scalar.status, res_sliced.status)
+        BchResidue state;
+        codec.residueStart(state);
+        codec.residueAbsorbBits(state, noisy.raw().data(), noisy.size());
+        EXPECT_EQ(state.rem, residue.raw()) << "errors=" << errors;
+        EXPECT_EQ(codec.syndromesFromResidue(state),
+                  referenceSyndromes(codec, noisy))
             << "errors=" << errors;
-        EXPECT_EQ(res_scalar.corrections, res_sliced.corrections);
-        EXPECT_EQ(res_scalar.positions, res_sliced.positions);
-        EXPECT_EQ(dec_scalar, dec_sliced) << "errors=" << errors;
 
-        // reencode must agree too (it reuses the residue kernel).
-        BitVec re_scalar = noisy;
-        BitVec re_sliced = noisy;
-        scalar.reencode(re_scalar);
-        sliced.reencode(re_sliced);
-        EXPECT_EQ(re_scalar, re_sliced);
+        const BchDecodeResult ref = referenceDecode(codec, noisy);
+        BitVec decoded = noisy;
+        const BchDecodeResult res = codec.decode(decoded);
+        EXPECT_EQ(res.status, ref.status) << "errors=" << errors;
+        EXPECT_EQ(res.corrections, ref.corrections);
+        EXPECT_EQ(res.positions, ref.positions);
+        BitVec expected = noisy;
+        for (const std::uint32_t pos : ref.positions)
+            expected.flip(pos);
+        EXPECT_EQ(decoded, expected) << "errors=" << errors;
+
+        BitVec reencoded = noisy;
+        codec.reencode(reencoded);
+        EXPECT_EQ(reencoded,
+                  referenceEncode(codec, codec.extractData(noisy)));
     }
 }
 
 TEST_P(KernelDiffBch, SyndromesMaskOversizedTail)
 {
-    // Regression for the tail-handling fix: bits at positions >= n()
-    // of an over-long received vector must be ignored, not folded into
-    // the syndromes (and not truncated a whole word early).
+    // Bits at positions >= n() of an over-long received vector must be
+    // ignored, not folded into the syndromes (and not truncated a whole
+    // word early): the residue pass reads exactly the n bits it is
+    // given from raw storage that runs on past them.
     const auto [k, t] = GetParam();
-    const BchCodec scalar(k, t, 0, CodecKernel::Scalar);
-    const BchCodec sliced(k, t, 0, CodecKernel::Sliced);
+    const BchCodec codec(k, t);
     Rng rng(0x7A11 + k + t);
 
     BitVec data(k);
     data.randomize(rng);
-    const BitVec cw = scalar.encode(data);
-    const auto clean = scalar.syndromes(cw);
+    BitVec noisy = codec.encode(data);
+    noisy.injectExactErrors(rng, std::min(t, 2u));
+    const auto clean = referenceSyndromes(codec, noisy);
 
-    BitVec oversized(cw.size() + 67);
-    oversized.copyRange(0, cw, 0, cw.size());
-    for (std::size_t i = cw.size(); i < oversized.size(); ++i)
+    BitVec oversized(noisy.size() + 67);
+    oversized.copyRange(0, noisy, 0, noisy.size());
+    for (std::size_t i = noisy.size(); i < oversized.size(); ++i)
         oversized.set(i, true); // garbage beyond n()
-    EXPECT_EQ(scalar.syndromes(oversized), clean);
-    EXPECT_EQ(sliced.syndromes(oversized), clean);
-    EXPECT_TRUE(scalar.isCodeword(cw));
-    EXPECT_TRUE(sliced.isCodeword(cw));
-}
+    EXPECT_EQ(referenceSyndromes(codec, oversized), clean);
 
-TEST_P(KernelDiffBch, SetKernelSwitchesInPlace)
-{
-    const auto [k, t] = GetParam();
-    BchCodec codec(k, t, 0, CodecKernel::Scalar);
-    Rng rng(0x5E7 + k + t);
-    BitVec data(k);
-    data.randomize(rng);
-    const BitVec before = codec.encode(data);
-    codec.setKernel(CodecKernel::Sliced);
-    EXPECT_EQ(codec.kernel(), CodecKernel::Sliced);
-    EXPECT_GT(codec.tableBytes(), 0u);
-    EXPECT_EQ(codec.encode(data), before);
+    BchResidue state;
+    codec.residueStart(state);
+    codec.residueAbsorbBits(state, oversized.raw().data(), codec.n());
+    EXPECT_EQ(state.rem, referenceResidue(codec, noisy).raw());
+    EXPECT_EQ(codec.syndromesFromResidue(state), clean);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodePoints, KernelDiffBch,
-    ::testing::Values(BchPoint{64, 2}, BchPoint{128, 3},
+    ::testing::Values(BchPoint{8, 1}, // r = 4: the bit-serial LFSR path
+                      BchPoint{64, 2}, BchPoint{128, 3},
                       BchPoint{512, 5}, BchPoint{512, 8},
                       BchPoint{512, 14}, BchPoint{2048, 22}),
     [](const auto &info) {
@@ -133,59 +127,95 @@ struct RsPoint
 
 class KernelDiffRs : public ::testing::TestWithParam<RsPoint> {};
 
+std::vector<GfElem>
+randomSymbols(Rng &rng, const RsCodec &codec)
+{
+    std::vector<GfElem> data(codec.k());
+    for (auto &s : data)
+        s = static_cast<GfElem>(rng.next() & (codec.field().size() - 1));
+    return data;
+}
+
+/** XOR a random nonzero value into symbol @p pos. */
+void
+corruptSymbol(Rng &rng, const RsCodec &codec, std::vector<GfElem> &word,
+              std::size_t pos)
+{
+    word[pos] ^=
+        static_cast<GfElem>((rng.next() % (codec.field().size() - 1)) + 1);
+}
+
+/**
+ * Check a decode of @p noisy (sent as @p sent) against the reference:
+ * a correctable pattern must come back as the sent codeword; any other
+ * outcome must be either an unchanged Uncorrectable word or a
+ * reference codeword (a miscorrection), never a non-codeword.
+ */
+void
+expectDecodeAgainstReference(const RsCodec &codec,
+                             const std::vector<GfElem> &sent,
+                             const std::vector<GfElem> &noisy,
+                             const RsDecodeResult &res,
+                             const std::vector<GfElem> &decoded,
+                             bool correctable)
+{
+    const auto zero = [](const std::vector<GfElem> &syn) {
+        return std::all_of(syn.begin(), syn.end(),
+                           [](GfElem s) { return s == 0; });
+    };
+    if (correctable) {
+        EXPECT_NE(res.status, DecodeStatus::Uncorrectable);
+        EXPECT_EQ(decoded, sent);
+        unsigned differing = 0;
+        for (std::size_t i = 0; i < sent.size(); ++i)
+            differing += noisy[i] != sent[i] ? 1 : 0;
+        EXPECT_EQ(res.corrections, differing);
+        return;
+    }
+    if (res.status == DecodeStatus::Uncorrectable)
+        EXPECT_EQ(decoded, noisy);
+    else
+        EXPECT_TRUE(zero(referenceRsSyndromes(codec, decoded)));
+}
+
 TEST_P(KernelDiffRs, EncodeSyndromesDecodeIdentical)
 {
     const auto [k, r, m] = GetParam();
-    const RsCodec scalar(k, r, m, CodecKernel::Scalar);
-    const RsCodec sliced(k, r, m, CodecKernel::Sliced);
-    const unsigned t = scalar.t();
+    const RsCodec codec(k, r, m);
+    const unsigned t = codec.t();
     Rng rng(0xA5A5 + k * 17 + r + m);
 
     for (unsigned errors = 0; errors <= t + 2; ++errors) {
-        std::vector<GfElem> data(k);
-        for (auto &s : data)
-            s = static_cast<GfElem>(rng.next() & (scalar.field().size() - 1));
+        const auto data = randomSymbols(rng, codec);
+        const auto cw = codec.encode(data);
+        ASSERT_EQ(cw, referenceRsEncode(codec, data)) << "m=" << m;
+        EXPECT_EQ(codec.extractData(cw), data);
 
-        const auto cw_scalar = scalar.encode(data);
-        const auto cw_sliced = sliced.encode(data);
-        ASSERT_EQ(cw_scalar, cw_sliced) << "m=" << m;
-        EXPECT_EQ(sliced.extractData(cw_sliced), data);
+        auto noisy = cw;
+        for (unsigned e = 0; e < errors; ++e)
+            corruptSymbol(rng, codec, noisy, rng.next() % noisy.size());
+        const auto syn = referenceRsSyndromes(codec, noisy);
+        EXPECT_EQ(codec.syndromes(noisy), syn) << "errors=" << errors;
+        EXPECT_EQ(codec.isCodeword(noisy),
+                  std::all_of(syn.begin(), syn.end(),
+                              [](GfElem s) { return s == 0; }));
 
-        auto noisy = cw_scalar;
-        for (unsigned e = 0; e < errors; ++e) {
-            const auto pos = static_cast<std::size_t>(rng.next() %
-                                                      noisy.size());
-            noisy[pos] ^= static_cast<GfElem>(
-                (rng.next() % (scalar.field().size() - 1)) + 1);
-        }
-        EXPECT_EQ(scalar.isCodeword(noisy), sliced.isCodeword(noisy));
-        EXPECT_EQ(scalar.syndromes(noisy), sliced.syndromes(noisy));
+        auto decoded = noisy;
+        const auto res = codec.decode(decoded);
+        expectDecodeAgainstReference(codec, cw, noisy, res, decoded,
+                                     errors <= t);
 
-        auto dec_scalar = noisy;
-        auto dec_sliced = noisy;
-        const auto res_scalar = scalar.decode(dec_scalar);
-        const auto res_sliced = sliced.decode(dec_sliced);
-        EXPECT_EQ(res_scalar.status, res_sliced.status)
-            << "errors=" << errors;
-        EXPECT_EQ(res_scalar.corrections, res_sliced.corrections);
-        EXPECT_EQ(res_scalar.errorCorrections,
-                  res_sliced.errorCorrections);
-        EXPECT_EQ(res_scalar.positions, res_sliced.positions);
-        EXPECT_EQ(dec_scalar, dec_sliced) << "errors=" << errors;
-
-        auto re_scalar = noisy;
-        auto re_sliced = noisy;
-        scalar.reencode(re_scalar);
-        sliced.reencode(re_sliced);
-        EXPECT_EQ(re_scalar, re_sliced);
+        auto reencoded = noisy;
+        codec.reencode(reencoded);
+        EXPECT_EQ(reencoded,
+                  referenceRsEncode(codec, codec.extractData(noisy)));
     }
 }
 
 TEST_P(KernelDiffRs, ErasureDecodesIdentical)
 {
     const auto [k, r, m] = GetParam();
-    const RsCodec scalar(k, r, m, CodecKernel::Scalar);
-    const RsCodec sliced(k, r, m, CodecKernel::Sliced);
+    const RsCodec codec(k, r, m);
     Rng rng(0xE8A5 + k + r + m);
 
     // Mixes with 2*errors + erasures up to r + 2 (including an
@@ -193,11 +223,9 @@ TEST_P(KernelDiffRs, ErasureDecodesIdentical)
     for (unsigned erasures = 1; erasures <= r; erasures += 3) {
         for (unsigned errors = 0;
              2 * errors + erasures <= r + 2; ++errors) {
-            std::vector<GfElem> data(k);
-            for (auto &s : data)
-                s = static_cast<GfElem>(rng.next() &
-                                        (scalar.field().size() - 1));
-            auto noisy = scalar.encode(data);
+            const auto sent =
+                referenceRsEncode(codec, randomSymbols(rng, codec));
+            auto noisy = sent;
 
             std::vector<std::uint32_t> positions(noisy.size());
             for (std::size_t i = 0; i < positions.size(); ++i)
@@ -209,40 +237,17 @@ TEST_P(KernelDiffRs, ErasureDecodesIdentical)
             std::vector<std::uint32_t> erased(
                 positions.begin(), positions.begin() + erasures);
             for (unsigned e = 0; e < erasures + errors; ++e)
-                noisy[positions[e]] ^= static_cast<GfElem>(
-                    (rng.next() % (scalar.field().size() - 1)) + 1);
+                corruptSymbol(rng, codec, noisy, positions[e]);
 
-            auto dec_scalar = noisy;
-            auto dec_sliced = noisy;
-            const auto res_scalar = scalar.decode(dec_scalar, erased);
-            const auto res_sliced = sliced.decode(dec_sliced, erased);
-            EXPECT_EQ(res_scalar.status, res_sliced.status)
-                << "erasures=" << erasures << " errors=" << errors;
-            EXPECT_EQ(res_scalar.corrections, res_sliced.corrections);
-            EXPECT_EQ(res_scalar.positions, res_sliced.positions);
-            EXPECT_EQ(dec_scalar, dec_sliced);
+            auto decoded = noisy;
+            const auto res = codec.decode(decoded, erased);
+            SCOPED_TRACE(::testing::Message()
+                         << "erasures=" << erasures
+                         << " errors=" << errors);
+            expectDecodeAgainstReference(codec, sent, noisy, res, decoded,
+                                         2 * errors + erasures <= r);
         }
     }
-}
-
-TEST_P(KernelDiffRs, SetKernelSwitchesInPlace)
-{
-    const auto [k, r, m] = GetParam();
-    RsCodec codec(k, r, m, CodecKernel::Scalar);
-    const std::size_t scalar_bytes = codec.tableBytes();
-    Rng rng(0x5EC + k + r + m);
-    std::vector<GfElem> data(k);
-    for (auto &s : data)
-        s = static_cast<GfElem>(rng.next() & (codec.field().size() - 1));
-    const auto before = codec.encode(data);
-    codec.setKernel(CodecKernel::Sliced);
-    // Mul-tables only exist below the small-field gate (m <= 10);
-    // larger fields batch through log/exp with no extra tables.
-    if (codec.field().m() <= 10)
-        EXPECT_GT(codec.tableBytes(), scalar_bytes);
-    else
-        EXPECT_EQ(codec.tableBytes(), scalar_bytes);
-    EXPECT_EQ(codec.encode(data), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -307,6 +307,50 @@ TEST(SweepOptions, SeedOverrideChangesEveryPointStream)
     EXPECT_EQ(draw(reseeded), draw(reseeded));
 }
 
+// Each case only parses: no pool is built, so an out-of-range --jobs
+// never reaches a ThreadPool.
+void
+expectParseExit2(const char *flag, const char *value)
+{
+    const char *argv[] = {"bench", flag, value};
+    EXPECT_EXIT(SweepOptions::parse(3, argv),
+                ::testing::ExitedWithCode(2),
+                std::string(flag) + " expects a positive integer")
+        << flag << " '" << value << "'";
+}
+
+TEST(SweepOptionsDeathTest, NegativeJobsExitsWithError)
+{
+    expectParseExit2("--jobs", "-1");
+}
+
+TEST(SweepOptionsDeathTest, JobsBeyondThirtyTwoBitsExitsWithError)
+{
+    expectParseExit2("--jobs", "4294967296");
+}
+
+TEST(SweepOptionsDeathTest, JobsAboveWorkerCapExitsWithError)
+{
+    expectParseExit2("--jobs", "1025");
+}
+
+TEST(SweepOptionsDeathTest, NegativePointsExitsWithError)
+{
+    expectParseExit2("--points", "-1");
+}
+
+TEST(SweepOptionsDeathTest, SignedOrSpacedSeedExitsWithError)
+{
+    expectParseExit2("--seed", " +7");
+    expectParseExit2("--seed", "+7");
+}
+
+TEST(SweepOptions, JobsAcceptsTheWorkerCap)
+{
+    const char *argv[] = {"bench", "--jobs", "1024"};
+    EXPECT_EQ(SweepOptions::parse(3, argv).jobs, ThreadPool::maxJobs);
+}
+
 TEST(ParallelEngine, SdcMonteCarloDeterministicAndNearAnalytic)
 {
     SdcInputs in;
