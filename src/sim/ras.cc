@@ -117,14 +117,10 @@ RasEngine::RasEngine(System &system, const RasConfig &config,
 {
     NVCK_ASSERT(spanBlocks > 0 && rankBlocks % spanBlocks == 0,
                 "rank must hold whole patrol spans");
-    NVCK_ASSERT(cfg.patrolInterval > 0 && cfg.migrateStepInterval > 0 &&
-                    cfg.rebuildStepInterval > 0,
+    NVCK_ASSERT(cfg.patrolInterval > 0 && cfg.rebuildStepInterval > 0,
                 "RAS intervals must be positive");
     patrolEv = sys.events().makeRecurring([this] { patrolTick(); });
-    migrateEv = sys.events().makeRecurring([this] { migrateTick(); });
-    spareEv = sys.events().makeRecurring([this] { spareTick(); });
     wearCount.assign(spans, 0);
-    scratch.reserve(16);
 }
 
 void
@@ -150,7 +146,7 @@ RasEngine::patrolTick()
     sys.events().rearm(patrolEv, sys.now() + cfg.patrolInterval);
     if (sys.memory().readQueueSize() != 0) {
         // Yield the cycle to demand reads (bounded-bandwidth patrol).
-        ++rasStats.patrolYields;
+        ++counts.patrolYields;
         return;
     }
     if (issueBurst(nextPatrolSpan(), false))
@@ -186,7 +182,7 @@ bool
 RasEngine::issueBurst(unsigned span, bool targeted)
 {
     NVCK_ASSERT(span < spans, "patrol span out of range");
-    const unsigned reads = std::min(cfg.patrolReads, spanBlocks);
+    const unsigned reads = std::min(patrolReads, spanBlocks);
     NVCK_ASSERT(reads > 0, "patrol burst needs at least one read");
     const unsigned stride = spanBlocks / reads;
 
@@ -227,9 +223,9 @@ RasEngine::issueBurst(unsigned span, bool targeted)
     }
     ++joinsLive;
     if (targeted)
-        ++rasStats.targetedScrubs;
+        ++counts.targetedScrubs;
     else
-        ++rasStats.patrolBursts;
+        ++counts.patrolBursts;
     return true;
 }
 
@@ -256,24 +252,39 @@ RasEngine::patrolComplete(unsigned span)
         ++rasStats.patrolDropped;
         return;
     }
-    mirror.patrolCheck(span, scratch);
-    rasStats.scrubWords += scratch.size();
-    for (unsigned c = 0; c < scratch.size(); ++c) {
-        const int corr = scratch[c];
-        if (corr < 0) {
-            ++rasStats.scrubErasures;
-            noteChipErrors(c, cfg.erasureWeight);
-        } else if (corr > 0) {
-            rasStats.scrubBitsFound += static_cast<unsigned>(corr);
-            noteChipErrors(c, static_cast<std::uint64_t>(corr));
+    counts.scrubBits +=
+        noteFindings(mirror.patrolCheck(span), span * spanBlocks);
+}
+
+std::uint64_t
+RasEngine::noteFindings(const ChipFindings &found, unsigned block)
+{
+    std::uint64_t bits = 0;
+    for (unsigned c = 0; c < lockstepChips; ++c) {
+        if (found[c] == 0)
+            continue;
+        const std::uint64_t weight =
+            found[c] < 0 ? erasureWeight
+                         : static_cast<std::uint64_t>(found[c]);
+        if (found[c] > 0)
+            bits += weight;
+        if (st == RasState::Rebuilding && c == killed) {
+            // Below the rebuild watermark the spare device serves the
+            // lane, so trouble there is the spare's own health; above
+            // it the dead device's erasures are expected and carry no
+            // information.
+            if (block < rebuildWatermark())
+                noteSpareErrors(weight);
+            continue;
         }
+        noteChipErrors(c, weight);
     }
+    return bits;
 }
 
 void
 RasEngine::noteChipErrors(unsigned chip, std::uint64_t weight)
 {
-    ++rasStats.ledgerEvents;
     switch (st) {
       case RasState::Healthy:
       case RasState::Spared: {
@@ -302,7 +313,7 @@ RasEngine::noteChipErrors(unsigned chip, std::uint64_t weight)
       case RasState::MigratingBack: {
         if (chip == killed)
             return; // expected erasure evidence from the dead lane
-                    // (the spare's own trouble arrives via
+                    // (noteFindings routes the spare's own trouble to
                     // noteSpareErrors instead)
         const std::uint64_t level =
             healthLedger.recordChip(chip, weight, sys.now());
@@ -324,10 +335,9 @@ RasEngine::noteSpareErrors(std::uint64_t weight)
 {
     if (st != RasState::Rebuilding)
         return;
-    ++rasStats.ledgerEvents;
     const std::uint64_t level =
         healthLedger.recordChip(spareBucket, weight, sys.now());
-    if (level >= cfg.spareKillThreshold && !abandonQueued) {
+    if (level >= spareKillThreshold && !abandonQueued) {
         abandonQueued = true;
         // Observed inside controller callbacks; the fallback re-enters
         // the controller (drainPmEur), so it runs one event later.
@@ -349,9 +359,9 @@ RasEngine::noteRowErrors(unsigned row, std::uint64_t weight)
         return;
     const std::uint64_t level =
         healthLedger.recordRow(row, weight, sys.now());
-    if (level < cfg.rowThreshold)
+    if (level < rowThreshold)
         return;
-    ++rasStats.rowAlarms;
+    ++counts.rowAlarms;
     healthLedger.resetRow(row);
     if (targetedQueued)
         return;
@@ -369,22 +379,20 @@ RasEngine::beginFailover()
     if (st != RasState::Healthy && st != RasState::Spared)
         return;
     st = RasState::Draining;
-    ++rasStats.killsDetected;
+    ++counts.kills;
     // Every in-flight coalesced code delta retires through the normal
     // row-close path before the lane layout changes underneath it.
-    rasStats.drainedAtFailover += sys.memory().drainPmEur();
+    counts.drainedAtFailover += sys.memory().drainPmEur();
     if (cfg.spareEnabled && !spareUsed) {
         // A spare is armed: rebuild the dead chip's lanes onto it and
         // keep the full-strength per-chip layout instead of dropping
         // to the storage-degraded striping.
         spareUsed = true;
-        ++rasStats.rebuildsStarted;
-        rebuilt = 0;
+        ++counts.rebuilds;
         mirror.onRebuildStart(killed);
         st = RasState::Rebuilding;
         noteEngaged();
-        sys.events().rearm(spareEv,
-                           sys.now() + cfg.rebuildStepInterval);
+        armCopy();
         return;
     }
     engageDegraded();
@@ -407,7 +415,7 @@ RasEngine::engageDegraded()
     mirror.onFailoverStart(killed);
     st = RasState::Migrating;
     noteEngaged();
-    sys.events().rearm(migrateEv, sys.now() + cfg.migrateStepInterval);
+    armCopy();
 }
 
 void
@@ -417,12 +425,11 @@ RasEngine::abandonSpare()
     if (st != RasState::Rebuilding)
         return; // the rebuild already finished before the event ran
     st = RasState::Draining;
-    ++rasStats.spareAbandons;
+    ++counts.spareAbandons;
     // Demand writes kept landing in the per-chip layout while the
     // rebuild ran; retire their coalesced code deltas before the
     // degraded migration starts reading spans.
-    rasStats.drainedAtFailover += sys.memory().drainPmEur();
-    mirror.onSpareAbandoned(killed);
+    counts.drainedAtFailover += sys.memory().drainPmEur();
     engageDegraded();
 }
 
@@ -431,79 +438,88 @@ RasEngine::chipReplaced()
 {
     NVCK_ASSERT(st == RasState::Spared,
                 "chip replacement outside the Spared state");
+    mirror.onChipReplaced();
     st = RasState::MigratingBack;
-    migratedBack = 0;
-    sys.events().rearm(spareEv, sys.now() + cfg.rebuildStepInterval);
-}
-
-void
-RasEngine::spareTick()
-{
-    if (st == RasState::Rebuilding) {
-        rasStats.rebuiltBlocks += copyStep(
-            &RasMirror::spareRebuildStep, cfg.rebuildBlocksPerStep, rebuilt);
-        if (rebuilt >= rankBlocks) {
-            st = RasState::Spared;
-            ++rasStats.rebuildsCompleted;
-            rasStats.sparedAt = sys.now();
-            killQueued = false; // re-arm detection for a second kill
-            resumePatrol();
-            return;
-        }
-        sys.events().rearm(spareEv,
-                           sys.now() + cfg.rebuildStepInterval);
-        return;
-    }
-    if (st == RasState::MigratingBack) {
-        rasStats.migratedBackBlocks += copyStep(
-            &RasMirror::spareBackStep, cfg.rebuildBlocksPerStep,
-            migratedBack);
-        if (migratedBack >= rankBlocks) {
-            st = RasState::Healthy;
-            ++rasStats.repairs;
-            rasStats.repairedAt = sys.now();
-            // The spare is re-armed and the replacement device starts
-            // with a clean slate in the ledger.
-            spareUsed = false;
-            killQueued = false;
-            rebuilt = 0;
-            healthLedger.resetChip(killed);
-            healthLedger.resetChip(spareBucket);
-            resumePatrol();
-            return;
-        }
-        sys.events().rearm(spareEv,
-                           sys.now() + cfg.rebuildStepInterval);
-        return;
-    }
-    // State changed mid-flight (spare abandoned): stop rearming.
-}
-
-void
-RasEngine::migrateTick()
-{
-    if (st != RasState::Migrating)
-        return;
-    rasStats.migratedBlocks += copyStep(&RasMirror::migrateStep,
-                                        cfg.migrateBlocksPerStep, migrated);
-    if (migrated >= rankBlocks) {
-        st = RasState::Degraded;
-        ++rasStats.failoversCompleted;
-        rasStats.completedAt = sys.now();
-        return;
-    }
-    sys.events().rearm(migrateEv,
-                       sys.now() + cfg.migrateStepInterval);
+    armCopy();
 }
 
 unsigned
-RasEngine::copyStep(unsigned (RasMirror::*step)(unsigned),
-                    unsigned max_blocks, unsigned &cursor)
+RasEngine::watermark() const
 {
-    const unsigned before = cursor;
-    cursor = std::min(cursor + (mirror.*step)(max_blocks), rankBlocks);
-    issueOverheadPairs(cursor - before, before);
-    return cursor - before;
+    return mirror.failover ? mirror.failover->watermark() : 0;
+}
+
+unsigned
+RasEngine::rebuildWatermark() const
+{
+    return mirror.spare ? mirror.spare->watermark() : 0;
+}
+
+void
+RasEngine::armCopy()
+{
+    // A one-shot event tagged with the copy it steps, not a Recurring
+    // one: an abandoned rebuild's next step is still queued when the
+    // degraded migration arms its first, and that stale step must
+    // fall through rather than step the migration.
+    const Tick interval = st == RasState::Migrating
+                              ? migrateStepInterval
+                              : cfg.rebuildStepInterval;
+    sys.events().scheduleAfter(interval, [this, copy = st] {
+        if (st == copy)
+            copyTick();
+    });
+}
+
+void
+RasEngine::copyTick()
+{
+    const bool migrating = st == RasState::Migrating;
+    const unsigned from = mirror.copyWatermark();
+    const unsigned moved = mirror.copyStep(
+        migrating ? migrateBlocksPerStep : cfg.rebuildBlocksPerStep);
+    issueOverheadPairs(moved, from);
+    if (migrating)
+        counts.migrated += moved;
+    else if (st == RasState::Rebuilding)
+        counts.rebuiltBlocks += moved;
+    if (from + moved < rankBlocks)
+        armCopy();
+    else
+        finishCopy();
+}
+
+void
+RasEngine::finishCopy()
+{
+    switch (st) {
+      case RasState::Migrating:
+        st = RasState::Degraded;
+        counts.failovers = 1;
+        rasStats.completedAt = sys.now();
+        return;
+      case RasState::Rebuilding:
+        st = RasState::Spared;
+        counts.spared = 1;
+        rasStats.sparedAt = sys.now();
+        killQueued = false; // re-arm detection for a second kill
+        resumePatrol();
+        return;
+      case RasState::MigratingBack:
+        st = RasState::Healthy;
+        ++counts.repairs;
+        rasStats.repairedAt = sys.now();
+        // The spare is re-armed and the replacement device starts
+        // with a clean slate in the ledger.
+        spareUsed = false;
+        killQueued = false;
+        healthLedger.resetChip(killed);
+        healthLedger.resetChip(spareBucket);
+        resumePatrol();
+        return;
+      default:
+        NVCK_ASSERT(false, "copy finished outside a copy state");
+    }
 }
 
 void
@@ -534,7 +550,7 @@ RasEngine::issueOverheadPairs(unsigned count, unsigned first_block)
 
 OnlineFailover::OnlineFailover(PmRank &healthy, unsigned failed_chip,
                                unsigned threshold)
-    : source(healthy), chip(failed_chip), thresh(threshold),
+    : source(healthy), thresh(threshold),
       target(healthy.blocks())
 {
     NVCK_ASSERT(failed_chip < healthy.chips(),
@@ -567,21 +583,30 @@ OnlineFailover::step(unsigned max_blocks)
 RasMirror::RasMirror(System &system, PmRank &pm_rank, PersistOracle &po,
                      const RasConfig &ras_cfg, unsigned thresh,
                      std::uint64_t value_seed)
-    : MediaMirror(system, pm_rank, po, value_seed), rasCfg(ras_cfg),
-      threshold(thresh)
+    : MediaMirror(system, pm_rank, po, value_seed), threshold(thresh)
 {
-    eng = std::make_unique<RasEngine>(sys, rasCfg, rank.blocks(),
+    NVCK_ASSERT(rank.chips() == lockstepChips,
+                "RAS ledger expects a 9-chip lockstep rank");
+    n.trials = 1;
+    eng = std::make_unique<RasEngine>(sys, ras_cfg, rank.blocks(),
                                       spanBlocks, *this);
 
     CrashHooks hooks;
     hooks.onPmWrite = [this](Addr a, unsigned bank, unsigned slot) {
-        onPmWrite(a, bank, slot);
+        demandWrite(blockOf(a), bank, slot);
     };
+    // The register may hold nothing: migration overhead writes dirty
+    // the EUR without mirrored bursts, and early retires (EUR merges
+    // before a VLEW-touching operation) empty it ahead of the row
+    // close.
     hooks.onEurDrain = [this](unsigned bank, unsigned slot) {
-        onEurDrain(bank, slot);
+        drain(bank, slot);
     };
+    // Patrol checks run at burst completion; overhead traffic models
+    // bandwidth, not data.
     hooks.onPmRead = [this](Addr a, bool patrol, bool overhead) {
-        onPmRead(a, patrol, overhead);
+        if (!patrol && !overhead)
+            demandRead(blockOf(a));
     };
     sys.memory().setCrashHooks(std::move(hooks));
 }
@@ -589,19 +614,6 @@ RasMirror::RasMirror(System &system, PmRank &pm_rank, PersistOracle &po,
 // Out of line so the header can hold SpareChip behind a forward
 // declaration.
 RasMirror::~RasMirror() = default;
-
-void
-RasMirror::retireSpans(unsigned start, unsigned end)
-{
-    for (unsigned s = start / spanBlocks; s * spanBlocks < end; ++s)
-        retireSpan(s);
-}
-
-void
-RasMirror::onPmWrite(Addr addr, unsigned bank, unsigned slot)
-{
-    demandWrite(blockOf(addr), bank, slot);
-}
 
 void
 RasMirror::demandWrite(unsigned block, unsigned bank, unsigned slot)
@@ -632,25 +644,6 @@ RasMirror::demandWrite(unsigned block, unsigned bank, unsigned slot)
 
     land(block, value, fullMask());
     hold(block, bank, slot);
-}
-
-void
-RasMirror::onEurDrain(unsigned bank, unsigned slot)
-{
-    // The register may hold nothing: migration overhead writes dirty
-    // the EUR without mirrored bursts, and early retires (EUR merges
-    // before a VLEW-touching operation) empty it ahead of the row
-    // close.
-    drain(bank, slot);
-}
-
-void
-RasMirror::onPmRead(Addr addr, bool patrol, bool overhead)
-{
-    if (patrol || overhead)
-        return; // patrol checks run at burst completion; overhead
-                // traffic models bandwidth, not data
-    demandRead(blockOf(addr));
 }
 
 void
@@ -697,51 +690,29 @@ RasMirror::demandRead(unsigned block)
         break;
     }
 
-    const bool rebuilding =
-        spare && eng->state() == RasState::Rebuilding;
-    for (unsigned c = 0; c < rank.chips(); ++c) {
-        std::uint64_t w = 0;
+    // A chip's erasure reads as an uncorrectable finding; RS symbol or
+    // VLEW bit corrections on it read as one correction.
+    ChipFindings found{};
+    for (unsigned c = 0; c < lockstepChips; ++c) {
         if (read.chipErasureMask & (1u << c))
-            w = rasCfg.erasureWeight;
+            found[c] = -1;
         else if (read.chipCorrectionMask & (1u << c))
-            w = 1;
-        if (w == 0)
-            continue;
-        if (rebuilding && c == spare->servedChip()) {
-            // Below the rebuild watermark the spare device serves the
-            // lane, so trouble there is the spare's own health; above
-            // it the dead device's erasures are expected and carry no
-            // information.
-            if (block < spare->watermark())
-                eng->noteSpareErrors(w);
-            continue;
-        }
-        eng->noteChipErrors(c, w);
+            found[c] = 1;
     }
+    eng->noteFindings(found, block);
     const unsigned total = read.rsCorrections + read.vlewBitCorrections;
     if (total > 0)
         eng->noteRowErrors(span, total);
 }
 
-void
-RasMirror::patrolCheck(unsigned span, std::vector<int> &per_chip)
+ChipFindings
+RasMirror::patrolCheck(unsigned span)
 {
     retireSpan(span);
-    per_chip.assign(rank.chips(), 0);
-    for (unsigned c = 0; c < rank.chips(); ++c)
-        per_chip[c] = rank.scrubWord(c, span).corrections;
-}
-
-unsigned
-RasMirror::migrateStep(unsigned max_blocks)
-{
-    if (!failover || failover->done())
-        return 0;
-    const unsigned start = failover->watermark();
-    // Migration reads go through the erasure path (VLEW-touching), so
-    // fold any demand writes' pending deltas in first.
-    retireSpans(start, std::min(start + max_blocks, rank.blocks()));
-    return failover->step(max_blocks);
+    ChipFindings found;
+    for (unsigned c = 0; c < lockstepChips; ++c)
+        found[c] = rank.scrubWord(c, span).corrections;
+    return found;
 }
 
 void
@@ -753,51 +724,43 @@ RasMirror::onFailoverStart(unsigned chip)
 void
 RasMirror::onRebuildStart(unsigned chip)
 {
-    spare = std::make_unique<SpareChip>(rank, threshold);
-    spare->beginRebuild(chip);
-}
-
-unsigned
-RasMirror::spareRebuildStep(unsigned max_blocks)
-{
-    if (!spare || spare->rebuildDone())
-        return 0;
-    // The survivor scrub and erasure fills are VLEW-touching: fold any
-    // demand writes' pending code deltas in first (chip-internal EUR
-    // merge), exactly like migrateStep().
-    retireSpans(spare->watermark(),
-                spare->stepEnd(spare->watermark(), max_blocks));
-    const unsigned done = spare->rebuildStep(max_blocks, &spareScratch);
-    // The survivor scrub doubles as patrol evidence for the ledger.
-    for (unsigned c = 0; c < spareScratch.size(); ++c) {
-        if (c == spare->servedChip())
-            continue;
-        const int corr = spareScratch[c];
-        if (corr < 0)
-            eng->noteChipErrors(c, rasCfg.erasureWeight);
-        else if (corr > 0)
-            eng->noteChipErrors(c, static_cast<std::uint64_t>(corr));
-    }
-    return done;
-}
-
-unsigned
-RasMirror::spareBackStep(unsigned max_blocks)
-{
-    if (!spare || spare->migrateBackDone())
-        return 0;
-    retireSpans(spare->backWatermark(),
-                spare->stepEnd(spare->backWatermark(), max_blocks));
-    return spare->migrateBackStep(max_blocks);
+    spare = std::make_unique<SpareChip>(rank, threshold, chip);
 }
 
 void
-RasMirror::onSpareAbandoned(unsigned chip)
+RasMirror::onChipReplaced()
 {
-    (void)chip;
-    spareAbandoned_ = true;
-    if (spare)
-        spare->abandon();
+    spare->beginMigrateBack();
+}
+
+unsigned
+RasMirror::copyWatermark() const
+{
+    return failover ? failover->watermark() : spare->watermark();
+}
+
+unsigned
+RasMirror::copyStep(unsigned max_blocks)
+{
+    // Migration reads go through the erasure path, the rebuild scrubs
+    // survivors and the copy-back scrubs the lane: all VLEW-touching,
+    // so fold any demand writes' pending code deltas in first
+    // (chip-internal EUR merge). Copies start on a span boundary.
+    const unsigned from = copyWatermark();
+    const std::uint64_t end = std::min<std::uint64_t>(
+        rank.blocks(), std::uint64_t{from} + max_blocks);
+    for (unsigned s = from / spanBlocks; s * spanBlocks < end; ++s)
+        retireSpan(s);
+    if (failover)
+        return failover->step(max_blocks);
+
+    // The survivor scrub doubles as patrol evidence for the ledger.
+    ChipFindings survivors;
+    const std::uint64_t fixed = spare->survivorBitsFixed();
+    const unsigned moved = spare->step(max_blocks, survivors);
+    n.survivorBits += spare->survivorBitsFixed() - fixed;
+    eng->noteFindings(survivors, from);
+    return moved;
 }
 
 void
@@ -854,25 +817,8 @@ RasTally
 RasMirror::trialTally()
 {
     RasTally tally = n;
-    tally.trials = 1;
+    tally += eng->tally();
     finalCheck(tally);
-    const RasStats &es = eng->stats();
-    tally.patrolBursts = es.patrolBursts;
-    tally.patrolYields = es.patrolYields;
-    tally.scrubBits = es.scrubBitsFound;
-    tally.rowAlarms = es.rowAlarms;
-    tally.targetedScrubs = es.targetedScrubs;
-    tally.kills = es.killsDetected;
-    tally.failovers = completed() ? 1 : 0;
-    tally.migrated = es.migratedBlocks;
-    tally.drainedAtFailover = es.drainedAtFailover;
-    tally.rebuilds = es.rebuildsStarted;
-    tally.rebuiltBlocks = es.rebuiltBlocks;
-    tally.spared = spared() ? 1 : 0;
-    tally.spareAbandons = es.spareAbandons;
-    tally.repairs = es.repairs;
-    if (spare)
-        tally.survivorBits = spare->survivorBitsFixed();
     return tally;
 }
 

@@ -53,7 +53,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -75,22 +74,12 @@ struct RasConfig
 {
     /** Patrol cycle period (NVCK_RAS_PATROL, ns). */
     Tick patrolInterval = nsToTicks(400);
-    /** Patrol reads modelled per burst (one VLEW span per burst). */
-    unsigned patrolReads = 4;
     /** Chip bucket level that triggers failover (NVCK_RAS_THRESHOLD). */
     std::uint64_t killThreshold = 48;
-    /** Row bucket level that triggers a targeted scrub. */
-    std::uint64_t rowThreshold = 12;
     /** Leak cadence for every bucket (NVCK_RAS_DECAY, ns). */
     Tick decayInterval = nsToTicks(2000);
     /** Level leaked per elapsed decay interval. */
     std::uint64_t decayStep = 4;
-    /** Ledger weight of one chip-erasure event (VLEW uncorrectable). */
-    std::uint64_t erasureWeight = 16;
-    /** Blocks migrated per failover step (one VLEW span). */
-    unsigned migrateBlocksPerStep = 32;
-    /** Pacing between migration steps. */
-    Tick migrateStepInterval = nsToTicks(60);
     /** A spare chip is provisioned and armed (the spare campaign sets
      *  it per plan). */
     bool spareEnabled = false;
@@ -100,9 +89,6 @@ struct RasConfig
     /** Pacing between rebuild / migrate-back steps
      *  (NVCK_SPARE_REBUILD_INTERVAL, ns). */
     Tick rebuildStepInterval = nsToTicks(60);
-    /** Spare-bucket level that abandons the rebuild and falls back to
-     *  the degraded layout (the spare itself is failing). */
-    std::uint64_t spareKillThreshold = 48;
     /** Patrol visits spans hottest-first by demand-write wear
      *  (NVCK_RAS_PATROL_ORDER=wear|addr). */
     bool wearAwarePatrol = true;
@@ -116,6 +102,17 @@ struct RasConfig
      */
     static RasConfig fromEnv();
 };
+
+/** Lockstep chips of a rank (8 data + parity). */
+constexpr unsigned lockstepChips = 9;
+
+/**
+ * One VLEW span's scrub outcome per lockstep chip, in the word scrub's
+ * convention: n corrected bits, -1 uncorrectable, 0 clean. Patrol
+ * checks, the spare rebuild's survivor scrub and demand reads all
+ * report their evidence in this form (RasEngine::noteFindings).
+ */
+using ChipFindings = std::array<int, lockstepChips>;
 
 /**
  * Integer leaky-bucket error accounting, per chip and per row (a
@@ -146,15 +143,6 @@ class HealthLedger
 
     /** Empty a chip bucket (the device behind it was replaced). */
     void resetChip(unsigned chip);
-
-    unsigned chips() const
-    {
-        return static_cast<unsigned>(chipBuckets.size());
-    }
-    unsigned rows() const
-    {
-        return static_cast<unsigned>(rowBuckets.size());
-    }
 
   private:
     struct Bucket
@@ -193,241 +181,6 @@ inline const char *
 rasStateName(RasState state)
 {
     return rasStateNames[static_cast<unsigned>(state)];
-}
-
-/** Engine-side counters (bit-level tallies live in the mirror). */
-struct RasStats
-{
-    std::uint64_t patrolBursts = 0;
-    std::uint64_t patrolYields = 0;  //!< cycles ceded to demand reads
-    std::uint64_t patrolDropped = 0; //!< completions after a kill
-    std::uint64_t scrubWords = 0;
-    std::uint64_t scrubBitsFound = 0;
-    std::uint64_t scrubErasures = 0;
-    std::uint64_t rowAlarms = 0;
-    std::uint64_t targetedScrubs = 0;
-    std::uint64_t ledgerEvents = 0;
-    std::uint64_t killsDetected = 0;
-    std::uint64_t doubleKills = 0;
-    std::uint64_t drainedAtFailover = 0;
-    std::uint64_t migratedBlocks = 0;
-    std::uint64_t migrationTrafficDropped = 0;
-    std::uint64_t failoversCompleted = 0; //!< degraded migrations done
-    std::uint64_t rebuildsStarted = 0;  //!< spare engagements
-    std::uint64_t rebuiltBlocks = 0;    //!< blocks rebuilt onto spare
-    std::uint64_t rebuildsCompleted = 0; //!< Spared reached
-    std::uint64_t spareAbandons = 0;    //!< spare failed mid-rebuild
-    std::uint64_t repairs = 0;          //!< migrate-backs completed
-    std::uint64_t migratedBackBlocks = 0;
-    Tick detectedAt = 0; //!< kill threshold crossing
-    Tick engagedAt = 0;  //!< migration started (EUR drained)
-    Tick completedAt = 0;
-    Tick sparedAt = 0;   //!< spare rebuild completed
-    Tick repairedAt = 0; //!< migrate-back completed
-};
-
-class RasMirror;
-
-/**
- * The timing-side RAS engine: patrol pacing, ledger bookkeeping, and
- * the failover state machine, scheduled on the System's EventQueue.
- */
-class RasEngine
-{
-  public:
-    /** @p mirror does the bit-level work of every step. */
-    RasEngine(System &system, const RasConfig &config,
-              unsigned rank_blocks, unsigned span_blocks,
-              RasMirror &mirror);
-
-    /** Arm the patrol cycle (first burst one interval from now). */
-    void start();
-
-    /**
-     * Feed a correction event attributed to @p chip. Crossing the kill
-     * threshold schedules failover (deferred one event, so feeding
-     * from inside a controller callback is safe); crossing on a second
-     * chip after failover reports Unrecoverable. Weight conventions:
-     * 1 per chip with symbol/bit corrections, RasConfig::erasureWeight
-     * per VLEW-uncorrectable (erasure) event.
-     */
-    void noteChipErrors(unsigned chip, std::uint64_t weight);
-
-    /** Feed row-granularity evidence; may schedule a targeted scrub. */
-    void noteRowErrors(unsigned row, std::uint64_t weight);
-
-    /**
-     * Feed a correction event attributed to the spare device while it
-     * is rebuilding. Crossing RasConfig::spareKillThreshold abandons
-     * the spare (deferred one event) and falls back to the degraded
-     * failover for the originally killed chip.
-     */
-    void noteSpareErrors(std::uint64_t weight);
-
-    /** Account one demand write to @p row for wear-aware patrol. */
-    void noteRowWrite(unsigned row);
-
-    /**
-     * Operator serviced the DIMM: the failed chip was physically
-     * replaced. Legal only in the Spared state; starts the paced
-     * migrate-back of the spare's contents onto the new device.
-     */
-    void chipReplaced();
-
-    /** Count a demand PM access (failover-latency bookkeeping). */
-    void noteAccess() { ++accessCount; }
-
-    RasState state() const { return st; }
-    /** Draining, migrating, rebuilding or migrating back: a trial
-     *  ending here gets extra time to settle. */
-    bool inTransition() const;
-    unsigned killedChip() const { return killed; }
-    /** The spare is carrying (or has carried) a lane. */
-    bool spareEngaged() const { return spareUsed; }
-    /** Blocks below this index are served by the degraded layout. */
-    unsigned watermark() const { return migrated; }
-    /** Blocks below this index are already rebuilt onto the spare. */
-    unsigned rebuildWatermark() const { return rebuilt; }
-    std::uint64_t accesses() const { return accessCount; }
-    /** Demand accesses counted when failover first engaged. */
-    std::uint64_t engageAccess() const { return accessesAtEngage; }
-    /** Patrol bursts whose reads are still in flight. */
-    unsigned patrolInFlight() const { return joinsLive; }
-
-    const RasStats &stats() const { return rasStats; }
-    const HealthLedger &ledger() const { return healthLedger; }
-
-  private:
-    struct PatrolJoin
-    {
-        unsigned remaining = 0;
-        unsigned span = 0;
-        std::uint32_t next = 0; //!< free-list link
-    };
-
-    static constexpr std::uint32_t noJoin = UINT32_MAX;
-    /** Lockstep chips (8 data + parity); ledger bucket indices. */
-    static constexpr unsigned lockstepChips = 9;
-    /** Ledger bucket tracking the spare device's own health. */
-    static constexpr unsigned spareBucket = lockstepChips;
-
-    void patrolTick();
-    /** Issue one patrol burst over @p span; false if nothing issued. */
-    bool issueBurst(unsigned span, bool targeted);
-    void patrolReadDone(std::uint32_t join);
-    void patrolComplete(unsigned span);
-    /** Next span in the patrol schedule (wear-ordered or sequential). */
-    unsigned nextPatrolSpan();
-    /** Re-arm the patrol cycle if its event is not already pending. */
-    void resumePatrol();
-    void beginFailover();
-    /** Drop to the degraded layout (no spare, or spare abandoned). */
-    void engageDegraded();
-    /** Start the engagement clock unless a first engagement ran. */
-    void noteEngaged();
-    void migrateTick();
-    void spareTick();
-    /** One paced copy step of up to @p max_blocks through the
-     *  mirror's @p step: moves @p cursor, issues the step's bus
-     *  traffic, and returns the blocks moved. */
-    unsigned copyStep(unsigned (RasMirror::*step)(unsigned),
-                      unsigned max_blocks, unsigned &cursor);
-    void abandonSpare();
-    /** Bus cost of a paced copy step: bounded overhead R+W pairs. */
-    void issueOverheadPairs(unsigned count, unsigned first_block);
-
-    System &sys;
-    RasConfig cfg;
-    RasMirror &mirror;
-    unsigned rankBlocks;
-    unsigned spanBlocks;
-    unsigned spans;
-    HealthLedger healthLedger;
-    RasState st = RasState::Healthy;
-    unsigned killed = 0;
-    bool killQueued = false;
-    bool targetedQueued = false;
-    bool spareUsed = false;
-    bool abandonQueued = false;
-    unsigned migrated = 0;
-    unsigned rebuilt = 0;
-    unsigned migratedBack = 0;
-    std::uint64_t accessCount = 0;
-    std::uint64_t accessesAtEngage = 0;
-    unsigned patrolCursor = 0;
-    bool patrolArmed = false;
-    /** Demand-write wear per span and the derived patrol order. */
-    std::vector<std::uint64_t> wearCount;
-    std::vector<unsigned> patrolQueue;
-    EventQueue::Recurring patrolEv;
-    EventQueue::Recurring migrateEv;
-    EventQueue::Recurring spareEv;
-    std::vector<PatrolJoin> joins;
-    std::uint32_t freeJoin = noJoin;
-    unsigned joinsLive = 0;
-    std::vector<int> scratch;
-    RasStats rasStats;
-};
-
-/**
- * Incremental bit-level migration of a healthy rank (minus one chip)
- * into a DegradedRank. Starts from the zero-constructed degraded
- * state — zero data with zero code bits is a consistent striped-VLEW
- * image — and applies each source block through writeBlock's linear
- * XOR path, so after the last step the result is bit-identical to an
- * offline DegradedRank::takeOver of the same quiesced contents (the
- * differential test in tests/sim/test_ras.cc pins this). Source
- * blocks are read through the full runtime path (RS, VLEW fallback,
- * erasure around the dead chip); a source block standing at a
- * reported UE poisons its destination span rather than migrating
- * garbage.
- */
-class OnlineFailover
-{
-  public:
-    OnlineFailover(PmRank &healthy, unsigned failed_chip,
-                   unsigned threshold);
-
-    /** Migrate up to @p max_blocks more blocks; returns how many. */
-    unsigned step(unsigned max_blocks);
-
-    bool done() const { return cursor >= source.blocks(); }
-    /** Blocks below this index live in the degraded layout. */
-    unsigned watermark() const { return cursor; }
-    unsigned failedChip() const { return chip; }
-    std::uint64_t poisonedBlocks() const { return poisoned; }
-
-    DegradedRank &degraded() { return target; }
-    const DegradedRank &degraded() const { return target; }
-
-  private:
-    PmRank &source;
-    unsigned chip;
-    unsigned thresh;
-    unsigned cursor = 0;
-    std::uint64_t poisoned = 0;
-    DegradedRank target;
-};
-
-/** Multi-phase fault stream a lifecycle trial injects. */
-enum class FaultPlan
-{
-    Transient,    //!< scattered one-shot flips only; no kill expected
-    Intermittent, //!< + recurring flips on one victim chip
-    Progressive,  //!< + accumulating stuck-at cells on the victim
-    ChipKill,     //!< + full chip kill; failover must complete
-};
-
-/** Stable labels for tables, --filter selection, and logs, in
- *  FaultPlan order. */
-constexpr const char *faultPlanNames[] = {
-    "transient", "intermittent", "progressive", "chip-kill"};
-constexpr unsigned numFaultPlans = std::size(faultPlanNames);
-
-inline const char *
-faultPlanName(FaultPlan plan)
-{
-    return faultPlanNames[static_cast<unsigned>(plan)];
 }
 
 /** Aggregated outcome of lifecycle trials. */
@@ -475,6 +228,232 @@ struct RasTally : TallyBase<RasTally>
     static std::span<const TallyField<RasTally>> fields();
 };
 
+/** Engine timestamps and counters that no RasTally field reports. */
+struct RasStats
+{
+    std::uint64_t patrolDropped = 0; //!< completions after a kill
+    std::uint64_t doubleKills = 0;
+    std::uint64_t migrationTrafficDropped = 0;
+    Tick detectedAt = 0; //!< kill threshold crossing
+    Tick engagedAt = 0;  //!< migration started (EUR drained)
+    Tick completedAt = 0;
+    Tick sparedAt = 0;   //!< spare rebuild completed
+    Tick repairedAt = 0; //!< migrate-back completed
+};
+
+class RasMirror;
+
+/**
+ * The timing-side RAS engine: patrol pacing, ledger bookkeeping, and
+ * the failover state machine, scheduled on the System's EventQueue.
+ */
+class RasEngine
+{
+  public:
+    /** Patrol reads modelled per burst (one VLEW span per burst). */
+    static constexpr unsigned patrolReads = 4;
+    /** Row bucket level that triggers a targeted scrub. */
+    static constexpr std::uint64_t rowThreshold = 12;
+    /** Ledger weight of one chip-erasure event (VLEW uncorrectable). */
+    static constexpr std::uint64_t erasureWeight = 16;
+    /** Blocks migrated per degraded-failover step (one VLEW span). */
+    static constexpr unsigned migrateBlocksPerStep = 32;
+    /** Pacing between degraded-failover steps. */
+    static constexpr Tick migrateStepInterval = nsToTicks(60);
+    /** Spare-bucket level that abandons the rebuild and falls back to
+     *  the degraded layout (the spare itself is failing). */
+    static constexpr std::uint64_t spareKillThreshold = 48;
+
+    /** @p mirror does the bit-level work of every step. */
+    RasEngine(System &system, const RasConfig &config,
+              unsigned rank_blocks, unsigned span_blocks,
+              RasMirror &mirror);
+
+    /** Arm the patrol cycle (first burst one interval from now). */
+    void start();
+
+    /**
+     * Feed a correction event attributed to @p chip. Crossing the kill
+     * threshold schedules failover (deferred one event, so feeding
+     * from inside a controller callback is safe); crossing on a second
+     * chip after failover reports Unrecoverable.
+     */
+    void noteChipErrors(unsigned chip, std::uint64_t weight);
+
+    /**
+     * Feed one check's per-chip findings, the evidence of patrol
+     * scrubs, the spare rebuild's survivor scrub and demand reads
+     * alike: an uncorrectable word weighs erasureWeight, n corrections
+     * weigh n. While the spare rebuilds, the killed lane's evidence at
+     * @p block is routed by the rebuild watermark: below it the spare
+     * serves the lane (noteSpareErrors), above it the dead device's
+     * errors carry no information. Returns the corrected bits found.
+     */
+    std::uint64_t noteFindings(const ChipFindings &found, unsigned block);
+
+    /** Feed row-granularity evidence; may schedule a targeted scrub. */
+    void noteRowErrors(unsigned row, std::uint64_t weight);
+
+    /**
+     * Feed a correction event attributed to the spare device while it
+     * is rebuilding. Crossing spareKillThreshold abandons the spare
+     * (deferred one event) and falls back to the degraded failover for
+     * the originally killed chip.
+     */
+    void noteSpareErrors(std::uint64_t weight);
+
+    /** Account one demand write to @p row for wear-aware patrol. */
+    void noteRowWrite(unsigned row);
+
+    /**
+     * Operator serviced the DIMM: the failed chip was physically
+     * replaced. Legal only in the Spared state; starts the paced
+     * migrate-back of the spare's contents onto the new device.
+     */
+    void chipReplaced();
+
+    /** Count a demand PM access (failover-latency bookkeeping). */
+    void noteAccess() { ++accessCount; }
+
+    RasState state() const { return st; }
+    /** Draining, migrating, rebuilding or migrating back: a trial
+     *  ending here gets extra time to settle. */
+    bool inTransition() const;
+    unsigned killedChip() const { return killed; }
+    /** Blocks below this index are served by the degraded layout. */
+    unsigned watermark() const;
+    /** Blocks below this index are already rebuilt onto the spare (or,
+     *  while migrating back, already copied back). */
+    unsigned rebuildWatermark() const;
+    std::uint64_t accesses() const { return accessCount; }
+    /** Demand accesses counted when failover first engaged. */
+    std::uint64_t engageAccess() const { return accessesAtEngage; }
+    /** Patrol bursts whose reads are still in flight. */
+    unsigned patrolInFlight() const { return joinsLive; }
+
+    /** The RasTally fields the engine counts (patrol, alarms, kills,
+     *  failover, spare); the mirror counts the rest. */
+    const RasTally &tally() const { return counts; }
+    const RasStats &stats() const { return rasStats; }
+    const HealthLedger &ledger() const { return healthLedger; }
+
+  private:
+    struct PatrolJoin
+    {
+        unsigned remaining = 0;
+        unsigned span = 0;
+        std::uint32_t next = 0; //!< free-list link
+    };
+
+    static constexpr std::uint32_t noJoin = UINT32_MAX;
+    /** Ledger bucket tracking the spare device's own health. */
+    static constexpr unsigned spareBucket = lockstepChips;
+
+    void patrolTick();
+    /** Issue one patrol burst over @p span; false if nothing issued. */
+    bool issueBurst(unsigned span, bool targeted);
+    void patrolReadDone(std::uint32_t join);
+    void patrolComplete(unsigned span);
+    /** Next span in the patrol schedule (wear-ordered or sequential). */
+    unsigned nextPatrolSpan();
+    /** Re-arm the patrol cycle if its event is not already pending. */
+    void resumePatrol();
+    void beginFailover();
+    /** Drop to the degraded layout (no spare, or spare abandoned). */
+    void engageDegraded();
+    /** Start the engagement clock unless a first engagement ran. */
+    void noteEngaged();
+    /** Queue the next step of the paced copy the state names. */
+    void armCopy();
+    /** One paced copy step: degraded migration (Migrating), spare
+     *  rebuild (Rebuilding) or copy-back (MigratingBack). */
+    void copyTick();
+    /** The copy the state names reached the end of the rank. */
+    void finishCopy();
+    void abandonSpare();
+    /** Bus cost of a paced copy step: bounded overhead R+W pairs. */
+    void issueOverheadPairs(unsigned count, unsigned first_block);
+
+    System &sys;
+    RasConfig cfg;
+    RasMirror &mirror;
+    unsigned rankBlocks;
+    unsigned spanBlocks;
+    unsigned spans;
+    HealthLedger healthLedger;
+    RasState st = RasState::Healthy;
+    unsigned killed = 0;
+    bool killQueued = false;
+    bool targetedQueued = false;
+    bool spareUsed = false;
+    bool abandonQueued = false;
+    std::uint64_t accessCount = 0;
+    std::uint64_t accessesAtEngage = 0;
+    unsigned patrolCursor = 0;
+    bool patrolArmed = false;
+    /** Demand-write wear per span and the derived patrol order. */
+    std::vector<std::uint64_t> wearCount;
+    std::vector<unsigned> patrolQueue;
+    EventQueue::Recurring patrolEv;
+    std::vector<PatrolJoin> joins;
+    std::uint32_t freeJoin = noJoin;
+    unsigned joinsLive = 0;
+    RasTally counts;
+    RasStats rasStats;
+};
+
+/**
+ * Incremental bit-level migration of a healthy rank (minus one chip)
+ * into a DegradedRank. Starts from the zero-constructed degraded
+ * state — zero data with zero code bits is a consistent striped-VLEW
+ * image — and applies each source block through writeBlock's linear
+ * XOR path, so after the last step the result is bit-identical to an
+ * offline DegradedRank::takeOver of the same quiesced contents (the
+ * differential test in tests/sim/test_ras.cc pins this). Source
+ * blocks are read through the full runtime path (RS, VLEW fallback,
+ * erasure around the dead chip); a source block standing at a
+ * reported UE poisons its destination span rather than migrating
+ * garbage.
+ */
+class OnlineFailover
+{
+  public:
+    OnlineFailover(PmRank &healthy, unsigned failed_chip,
+                   unsigned threshold);
+
+    /** Migrate up to @p max_blocks more blocks; returns how many. */
+    unsigned step(unsigned max_blocks);
+
+    bool done() const { return cursor >= source.blocks(); }
+    /** Blocks below this index live in the degraded layout. */
+    unsigned watermark() const { return cursor; }
+    std::uint64_t poisonedBlocks() const { return poisoned; }
+
+    DegradedRank &degraded() { return target; }
+    const DegradedRank &degraded() const { return target; }
+
+  private:
+    PmRank &source;
+    unsigned thresh;
+    unsigned cursor = 0;
+    std::uint64_t poisoned = 0;
+    DegradedRank target;
+};
+
+/** Multi-phase fault stream a lifecycle trial injects. */
+enum class FaultPlan
+{
+    Transient,    //!< scattered one-shot flips only; no kill expected
+    Intermittent, //!< + recurring flips on one victim chip
+    Progressive,  //!< + accumulating stuck-at cells on the victim
+    ChipKill,     //!< + full chip kill; failover must complete
+};
+
+/** Stable labels for tables, --filter selection, and logs, in
+ *  FaultPlan order. */
+constexpr const char *faultPlanNames[] = {
+    "transient", "intermittent", "progressive", "chip-kill"};
+
 class SpareChip;
 
 /**
@@ -501,14 +480,14 @@ class RasMirror : MediaMirror
     void noteKillInjected();
 
     bool engaged() const { return eng->stats().engagedAt != 0; }
-    bool completed() const { return eng->stats().failoversCompleted > 0; }
+    bool completed() const { return eng->tally().failovers > 0; }
     bool unrecoverable() const { return eng->stats().doubleKills > 0; }
     /** Spare rebuild completed at least once. */
-    bool spared() const { return eng->stats().rebuildsCompleted > 0; }
+    bool spared() const { return eng->tally().spared > 0; }
     /** Migrate-back to a replacement chip completed. */
-    bool repaired() const { return eng->stats().repairs > 0; }
+    bool repaired() const { return eng->tally().repairs > 0; }
     /** The spare was abandoned mid-rebuild (degraded fallback). */
-    bool spareAbandoned() const { return spareAbandoned_; }
+    bool spareAbandoned() const { return eng->tally().spareAbandons > 0; }
     /** The bit-level spare, when one has been engaged. */
     const SpareChip *spareChip() const { return spare.get(); }
     /** Once failover engaged: record the demand PM accesses from kill
@@ -534,32 +513,30 @@ class RasMirror : MediaMirror
     /** The engine drives the bit-level steps below. */
     friend class RasEngine;
 
-    void onPmWrite(Addr addr, unsigned bank, unsigned slot);
-    void onEurDrain(unsigned bank, unsigned slot);
-    void onPmRead(Addr addr, bool patrol, bool overhead);
     void demandRead(unsigned block);
     void demandWrite(unsigned block, unsigned bank, unsigned slot);
-    void patrolCheck(unsigned span, std::vector<int> &per_chip);
-    unsigned migrateStep(unsigned max_blocks);
+    /** Scrub @p span's VLEW word on every chip. */
+    ChipFindings patrolCheck(unsigned span);
     void onFailoverStart(unsigned chip);
     void onRebuildStart(unsigned chip);
-    unsigned spareRebuildStep(unsigned max_blocks);
-    unsigned spareBackStep(unsigned max_blocks);
-    void onSpareAbandoned(unsigned chip);
+    void onChipReplaced();
+    /** Cursor of the active copy: the degraded migration once it
+     *  started, else the spare's rebuild or copy-back. */
+    unsigned copyWatermark() const;
+    /**
+     * One step of up to @p max_blocks of the active copy: retire the
+     * pending code deltas of every span it touches (its reads are
+     * VLEW-touching), step it, and feed the spare rebuild's survivor
+     * findings to the ledger. Returns the blocks moved.
+     */
+    unsigned copyStep(unsigned max_blocks);
 
-    /** Chip-internal EUR merge (MediaMirror::retireSpan) of every
-     *  span blocks [@p start, @p end) touch. */
-    void retireSpans(unsigned start, unsigned end);
-
-    RasConfig rasCfg;
     unsigned threshold;
     std::unique_ptr<OnlineFailover> failover;
     std::unique_ptr<SpareChip> spare;
     std::unique_ptr<RasEngine> eng;
-    std::vector<int> spareScratch;
-    bool spareAbandoned_ = false;
     std::uint64_t accessesAtInjection = 0;
-    /** Read/write-path counters of the run so far. */
+    /** Read/write-path counters of the run so far (one trial). */
     RasTally n;
 };
 

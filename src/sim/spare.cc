@@ -9,28 +9,11 @@ namespace nvck {
 
 // SpareChip -----------------------------------------------------------
 
-SpareChip::SpareChip(PmRank &pm_rank, unsigned threshold)
-    : rank(pm_rank), thresh(threshold)
+SpareChip::SpareChip(PmRank &pm_rank, unsigned threshold,
+                     unsigned failed_chip)
+    : rank(pm_rank), thresh(threshold), chip(failed_chip)
 {
-}
-
-unsigned
-SpareChip::stepEnd(unsigned from, unsigned max_blocks) const
-{
-    const unsigned span_blocks = rank.params().blocksPerVlew();
-    const unsigned nspans =
-        std::max(1u, (max_blocks + span_blocks - 1) / span_blocks);
-    return std::min(rank.blocks(), from + nspans * span_blocks);
-}
-
-void
-SpareChip::beginRebuild(unsigned failed_chip)
-{
-    NVCK_ASSERT(st == SpareState::Armed, "spare already consumed");
     NVCK_ASSERT(failed_chip < rank.chips(), "chip out of range");
-    chip = failed_chip;
-    cursor = 0;
-    st = SpareState::Rebuilding;
     // The failed device is fenced off the bus; its stuck cells leave
     // the array with it (the spare is a fresh device). The lane's
     // stored garbage stays until the rebuild overwrites it.
@@ -38,17 +21,45 @@ SpareChip::beginRebuild(unsigned failed_chip)
 }
 
 unsigned
-SpareChip::rebuildStep(unsigned max_blocks, std::vector<int> *survivors)
+SpareChip::stepEnd(unsigned max_blocks) const
 {
-    NVCK_ASSERT(st == SpareState::Rebuilding,
-                "rebuild step outside a rebuild");
-    if (survivors)
-        survivors->assign(rank.chips(), 0);
+    // 64-bit: the largest step knob must mean "the whole rank".
+    const std::uint64_t span_blocks = rank.params().blocksPerVlew();
+    const std::uint64_t nspans = std::max<std::uint64_t>(
+        1, (max_blocks + span_blocks - 1) / span_blocks);
+    return static_cast<unsigned>(std::min<std::uint64_t>(
+        rank.blocks(), cursor + nspans * span_blocks));
+}
+
+void
+SpareChip::beginMigrateBack()
+{
+    NVCK_ASSERT(done() && !copyingBack,
+                "migrate-back needs a finished rebuild");
+    // The replacement is a fresh device: the old one's wear damage
+    // left the array with it.
+    rank.clearStuckCells(chip);
+    cursor = 0;
+    copyingBack = true;
+}
+
+unsigned
+SpareChip::step(unsigned max_blocks, ChipFindings &survivors)
+{
+    survivors.fill(0);
     const unsigned span_blocks = rank.params().blocksPerVlew();
     const unsigned start = cursor;
-    const unsigned target = stepEnd(cursor, max_blocks);
-    for (; cursor < target; cursor += span_blocks) {
+    for (const unsigned end = stepEnd(max_blocks); cursor < end;
+         cursor += span_blocks) {
         const unsigned span = cursor / span_blocks;
+        if (copyingBack) {
+            // Copy-verify: latent spare errors are fixed on the way
+            // instead of being copied onto the new chip.
+            const auto res = rank.scrubWord(chip, span);
+            if (res.corrections > 0)
+                latentBits += static_cast<std::uint64_t>(res.corrections);
+            continue;
+        }
         std::uint16_t distrust = 0;
         // Latent survivor errors would become silent garbage in the
         // erasure fill (eight erasures spend the whole RS budget), so
@@ -60,66 +71,19 @@ SpareChip::rebuildStep(unsigned max_blocks, std::vector<int> *survivors)
             const auto res = rank.scrubWord(c, span);
             if (res.corrections < 0) {
                 distrust |= static_cast<std::uint16_t>(1u << c);
-                if (survivors)
-                    (*survivors)[c] = -1;
+                survivors[c] = -1;
             } else if (res.corrections > 0) {
                 survivorBits +=
                     static_cast<std::uint64_t>(res.corrections);
-                if (survivors && (*survivors)[c] >= 0)
-                    (*survivors)[c] += res.corrections;
+                if (survivors[c] >= 0)
+                    survivors[c] += res.corrections;
             }
         }
         const auto rep =
             rank.rebuildLaneSpan(chip, span, thresh, distrust);
         poisonedCount += rep.blocksPoisoned;
     }
-    if (rebuildDone())
-        st = SpareState::Active;
     return cursor - start;
-}
-
-void
-SpareChip::abandon()
-{
-    st = SpareState::Abandoned;
-}
-
-void
-SpareChip::beginMigrateBack()
-{
-    NVCK_ASSERT(st == SpareState::Active,
-                "migrate-back needs an active spare");
-    // The replacement is a fresh device: the old one's wear damage
-    // left the array with it.
-    rank.clearStuckCells(chip);
-    backCursor = 0;
-    st = SpareState::CopyingBack;
-}
-
-unsigned
-SpareChip::migrateBackStep(unsigned max_blocks)
-{
-    if (st == SpareState::Active)
-        beginMigrateBack();
-    NVCK_ASSERT(st == SpareState::CopyingBack,
-                "migrate-back outside a copy-back");
-    const unsigned span_blocks = rank.params().blocksPerVlew();
-    const unsigned start = backCursor;
-    const unsigned target = stepEnd(backCursor, max_blocks);
-    for (; backCursor < target; backCursor += span_blocks) {
-        const unsigned span = backCursor / span_blocks;
-        // Copy-verify: read the spare's lane through its VLEW
-        // correction and write the corrected beats to the replacement
-        // device — under canonical lane storage, exactly a scrub of
-        // the span. Latent spare errors are fixed on the way instead
-        // of being copied onto the new chip.
-        const auto res = rank.scrubWord(chip, span);
-        if (res.corrections > 0)
-            latentBits += static_cast<std::uint64_t>(res.corrections);
-    }
-    if (migrateBackDone())
-        st = SpareState::Armed; // re-armed for the next kill
-    return backCursor - start;
 }
 
 // Trial ---------------------------------------------------------------

@@ -42,63 +42,37 @@
 #define NVCK_SIM_SPARE_HH
 
 #include <cstdint>
-#include <iterator>
 #include <ostream>
-#include <vector>
 
 #include "chipkill/pm_rank.hh"
 #include "sim/ras.hh"
 
 namespace nvck {
 
-/** Where the spare device stands. */
-enum class SpareState
-{
-    Armed,       //!< provisioned, unused
-    Rebuilding,  //!< filling with the dead chip's reconstructed lanes
-    Active,      //!< carrying the lane at full code strength
-    CopyingBack, //!< migrating back to the replacement device
-    Abandoned,   //!< failed mid-rebuild; degraded failover took over
-};
-
-constexpr const char *spareStateNames[] = {
-    "armed", "rebuilding", "active", "copying-back", "abandoned"};
-
-inline const char *
-spareStateName(SpareState state)
-{
-    return spareStateNames[static_cast<unsigned>(state)];
-}
-
 /**
- * Bit-level model of the rank's spare device. Owns the rebuild and
- * migrate-back cursors; the RasEngine owns pacing and policy.
+ * Bit-level model of the rank's spare device, engaged for one failed
+ * chip. One cursor walks the rank span by span, first for the rebuild
+ * and then, once the failed device is replaced, for the copy-back (the
+ * two never overlap); the RasEngine owns pacing and policy.
  */
 class SpareChip
 {
   public:
     /**
+     * Engage the spare for @p failed_chip. The failed device is fenced
+     * off the bus, taking its stuck cells with it; the lane reads as
+     * garbage until the rebuild fills it.
+     *
      * @param pm_rank the rank the spare is provisioned for.
      * @param threshold RS acceptance threshold for erasure fills.
      */
-    SpareChip(PmRank &pm_rank, unsigned threshold);
+    SpareChip(PmRank &pm_rank, unsigned threshold, unsigned failed_chip);
 
-    SpareState state() const { return st; }
-    /** Lane (chip index) the spare serves once engaged. */
-    unsigned servedChip() const { return chip; }
-    /** Blocks below this index are already rebuilt onto the spare. */
+    /** Blocks below this index are already rebuilt onto the spare (or,
+     *  once the copy-back began, already copied back). */
     unsigned watermark() const { return cursor; }
-    /** Blocks below this index are already copied back. */
-    unsigned backWatermark() const { return backCursor; }
-    bool rebuildDone() const { return cursor >= rank.blocks(); }
-    bool migrateBackDone() const
-    {
-        return backCursor >= rank.blocks();
-    }
-
-    /** End of a step of up to @p max_blocks from block @p from:
-     *  rounded up to whole VLEW spans, at least one. */
-    unsigned stepEnd(unsigned from, unsigned max_blocks) const;
+    /** The current rebuild or copy-back reached the end of the rank. */
+    bool done() const { return cursor >= rank.blocks(); }
 
     /** Blocks the rebuild had to poison (reported UE). */
     std::uint64_t poisonedBlocks() const { return poisonedCount; }
@@ -107,49 +81,37 @@ class SpareChip
     /** Latent lane bits the migrate-back copy-verify corrected. */
     std::uint64_t latentBitsFixed() const { return latentBits; }
 
-    /**
-     * Engage the spare for @p failed_chip. The failed device is
-     * fenced off the bus, taking its stuck cells with it; the lane
-     * reads as garbage until the rebuild fills it.
-     */
-    void beginRebuild(unsigned failed_chip);
-
-    /**
-     * Rebuild up to @p max_blocks more blocks, rounded up to whole
-     * VLEW spans (at least one span per call). Per span: scrub every
-     * survivor's VLEW word (corrections land in @p survivors, -1 for
-     * uncorrectable, same convention as the patrol check), then
-     * RS-erasure-fill the dead lane and re-encode its code bits. A
-     * span with an unvouched survivor is poisoned instead of filled.
-     * Returns the blocks processed.
-     */
-    unsigned rebuildStep(unsigned max_blocks,
-                         std::vector<int> *survivors = nullptr);
-
-    /** The spare died mid-rebuild; the degraded fallback owns the
-     *  rank now. */
-    void abandon();
-
-    /** Operator replaced the failed device: start the copy-back. */
+    /** Operator replaced the failed device after a finished rebuild:
+     *  restart the cursor for the copy-back. */
     void beginMigrateBack();
 
     /**
-     * Copy up to @p max_blocks back to the replacement device,
-     * rounded up to whole spans. The copy reads the spare's lane
-     * through its VLEW correction (fixing latent spare errors on the
-     * way) and writes the corrected beats to the new device — under
-     * canonical lane storage that is a scrub of the lane's spans.
-     * Re-arms the spare when the last span lands.
+     * Advance up to @p max_blocks, rounded up to whole VLEW spans (at
+     * least one span per call); returns the blocks processed.
+     *
+     * Rebuild, per span: scrub every survivor's VLEW word (their
+     * findings land in @p survivors, -1 for uncorrectable, summed over
+     * the step; the dead lane reads 0), then RS-erasure-fill the dead
+     * lane and re-encode its code bits. A span with an unvouched
+     * survivor is poisoned instead of filled.
+     *
+     * Copy-back, per span: read the spare's lane through its VLEW
+     * correction (fixing latent spare errors on the way) and write the
+     * corrected beats to the new device — under canonical lane storage
+     * that is a scrub of the lane's span. @p survivors reads all 0.
      */
-    unsigned migrateBackStep(unsigned max_blocks);
+    unsigned step(unsigned max_blocks, ChipFindings &survivors);
 
   private:
+    /** End of a step of up to @p max_blocks from the cursor: rounded
+     *  up to whole VLEW spans, at least one. */
+    unsigned stepEnd(unsigned max_blocks) const;
+
     PmRank &rank;
     unsigned thresh;
-    SpareState st = SpareState::Armed;
-    unsigned chip = 0;
+    unsigned chip;
     unsigned cursor = 0;
-    unsigned backCursor = 0;
+    bool copyingBack = false;
     std::uint64_t poisonedCount = 0;
     std::uint64_t survivorBits = 0;
     std::uint64_t latentBits = 0;
@@ -168,7 +130,6 @@ enum class SparePlan
  *  SparePlan order. */
 constexpr const char *sparePlanNames[] = {"unarmed", "rebuild",
                                             "spare-loss", "repair"};
-constexpr unsigned numSparePlans = std::size(sparePlanNames);
 
 inline const char *
 sparePlanName(SparePlan plan)

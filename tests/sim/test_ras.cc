@@ -164,7 +164,7 @@ TEST(RasFailover, KillWithPendingEurDrainsBeforeMigration)
     EXPECT_TRUE(rig.mirror.completed());
     EXPECT_EQ(rig.mirror.engine().state(), RasState::Degraded);
     EXPECT_EQ(rig.mirror.engine().killedChip(), 3u);
-    EXPECT_GT(rig.mirror.engine().stats().drainedAtFailover, 0u);
+    EXPECT_GT(rig.mirror.engine().tally().drainedAtFailover, 0u);
     EXPECT_EQ(rig.mirror.engine().watermark(), rig.rank.blocks());
 
     RasTally tally;
@@ -218,6 +218,94 @@ TEST(RasFailover, DoubleKillReportsUnrecoverable)
     // Evidence for the already-dead chip stays ignored.
     rig.mirror.engine().noteChipErrors(2, 1000);
     EXPECT_EQ(rig.mirror.engine().stats().doubleKills, 1u);
+}
+
+// Evidence map --------------------------------------------------------
+
+/**
+ * A mirrored rank with no core started and no patrol cycle armed, and
+ * a ledger that never leaks: the only evidence is what a targeted
+ * patrol finds, at its exact weight.
+ */
+struct QuietRig
+{
+    Rng rng;
+    MirroredTrial trial;
+    RasMirror mirror;
+    RasEngine &eng = mirror.engine();
+
+    static RasConfig
+    noDecay()
+    {
+        RasConfig ras;
+        ras.decayStep = 0;
+        return ras;
+    }
+
+    explicit QuietRig(std::uint64_t seed)
+        : rng(seed), trial(LiveRig::shapeOf(256), rng),
+          mirror(trial.sys, trial.rank, trial.oracle, noDecay(), 2,
+                 seed + 3)
+    {
+    }
+
+    /** Raise a row alarm on @p span and run its targeted patrol to
+     *  completion. */
+    void
+    patrol(unsigned span)
+    {
+        const std::uint64_t scrubs = eng.tally().targetedScrubs;
+        eng.noteRowErrors(span, RasEngine::rowThreshold);
+        trial.sys.runUntil(trial.sys.now() + nsToTicks(4000));
+        ASSERT_EQ(eng.tally().targetedScrubs, scrubs + 1);
+        ASSERT_EQ(eng.patrolInFlight(), 0u);
+    }
+
+    std::uint64_t
+    level(unsigned chip) const
+    {
+        return eng.ledger().chipLevel(chip, trial.sys.now());
+    }
+};
+
+TEST(RasEvidence, UncorrectablePatrolFindingWeighsOneErasure)
+{
+    QuietRig rig(4711);
+    // Far more flips than chip 3's 22-EC VLEW word of span 1 can carry.
+    for (unsigned block = 32; block < 64; ++block) {
+        for (unsigned byte = 0; byte < chipBeatBytes; ++byte)
+            rig.trial.rank.corruptByte(3, block, byte, 0xff);
+    }
+    rig.patrol(1);
+
+    EXPECT_EQ(rig.level(3), RasEngine::erasureWeight);
+    for (unsigned c = 0; c < lockstepChips; ++c) {
+        if (c != 3) {
+            EXPECT_EQ(rig.level(c), 0u) << c;
+        }
+    }
+    // An uncorrectable word is erasure evidence, not corrected bits.
+    EXPECT_EQ(rig.eng.tally().scrubBits, 0u);
+    EXPECT_EQ(rig.eng.state(), RasState::Healthy);
+}
+
+TEST(RasEvidence, TwoBitPatrolFindingAddsTwo)
+{
+    QuietRig rig(4712);
+    // Two single-bit flips in chip 6's VLEW word of span 2.
+    rig.trial.rank.corruptByte(6, 70, 1, 0x04);
+    rig.trial.rank.corruptByte(6, 85, 3, 0x40);
+    rig.patrol(2);
+
+    EXPECT_EQ(rig.level(6), 2u);
+    EXPECT_EQ(rig.eng.tally().scrubBits, 2u);
+
+    // The scrub repaired both bits: a second pass over the span finds
+    // nothing and adds nothing.
+    rig.patrol(2);
+    EXPECT_EQ(rig.level(6), 2u);
+    EXPECT_EQ(rig.eng.tally().scrubBits, 2u);
+    EXPECT_TRUE(rig.trial.rank.isPristine());
 }
 
 // Campaign ------------------------------------------------------------

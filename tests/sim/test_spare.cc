@@ -42,19 +42,19 @@ TEST(SpareChip, RebuildRestoresNeverFailedImage)
     }
     rank.failChip(5, rng);
 
-    SpareChip spare(rank, 2);
-    spare.beginRebuild(5);
-    EXPECT_EQ(spare.state(), SpareState::Rebuilding);
+    SpareChip spare(rank, 2, 5);
+    EXPECT_EQ(spare.watermark(), 0u);
+    EXPECT_FALSE(spare.done());
     unsigned steps = 0;
-    std::vector<int> survivors;
-    while (!spare.rebuildDone()) {
+    ChipFindings survivors;
+    while (!spare.done()) {
         // Deliberately not span-aligned: rounding up must compose.
-        EXPECT_GT(spare.rebuildStep(17, &survivors), 0u);
+        EXPECT_GT(spare.step(17, survivors), 0u);
         EXPECT_EQ(survivors.size(), rank.chips());
         EXPECT_EQ(survivors[5], 0); // the dead lane is never scrubbed
         ++steps;
     }
-    EXPECT_EQ(spare.state(), SpareState::Active);
+    EXPECT_TRUE(spare.done());
     EXPECT_EQ(spare.watermark(), rank.blocks());
     EXPECT_GE(steps, rank.blocks() / 32);
     EXPECT_EQ(spare.poisonedBlocks(), 0u);
@@ -77,11 +77,11 @@ TEST(SpareChip, MigrateBackRestoresNeverFailedImage)
     const RankSnapshot before = rank.snapshot();
 
     rank.failChip(2, rng);
-    SpareChip spare(rank, 2);
-    spare.beginRebuild(2);
-    while (!spare.rebuildDone())
-        spare.rebuildStep(64);
-    ASSERT_EQ(spare.state(), SpareState::Active);
+    SpareChip spare(rank, 2, 2);
+    ChipFindings survivors;
+    while (!spare.done())
+        spare.step(64, survivors);
+    ASSERT_TRUE(spare.done());
 
     // Latent wear accumulates on the spare while it carries the lane;
     // the copy-back must verify-and-correct, not copy it onto the
@@ -94,13 +94,17 @@ TEST(SpareChip, MigrateBackRestoresNeverFailedImage)
     }
 
     spare.beginMigrateBack();
-    EXPECT_EQ(spare.state(), SpareState::CopyingBack);
-    while (!spare.migrateBackDone())
-        EXPECT_GT(spare.migrateBackStep(40), 0u);
-    EXPECT_EQ(spare.backWatermark(), rank.blocks());
+    EXPECT_EQ(spare.watermark(), 0u);
+    EXPECT_FALSE(spare.done());
+    while (!spare.done()) {
+        EXPECT_GT(spare.step(40, survivors), 0u);
+        // The copy-back scrubs the lane only: no survivor evidence.
+        EXPECT_EQ(survivors, ChipFindings{});
+    }
+    EXPECT_EQ(spare.watermark(), rank.blocks());
     EXPECT_GE(spare.latentBitsFixed(), 6u);
-    // Re-armed for the next kill.
-    EXPECT_EQ(spare.state(), SpareState::Armed);
+    // Copied back to the end of the rank: the spare is free again.
+    EXPECT_TRUE(spare.done());
 
     EXPECT_TRUE(rank.snapshot() == before);
     EXPECT_TRUE(rank.isPristine());
@@ -121,19 +125,39 @@ TEST(SpareChip, UnvouchedSurvivorPoisonsTheSpanInsteadOfMixing)
             rank.corruptByte(1, block, byte, 0xff);
     }
 
-    SpareChip spare(rank, 2);
-    spare.beginRebuild(7);
-    std::vector<int> survivors;
-    spare.rebuildStep(32, &survivors);
+    SpareChip spare(rank, 2, 7);
+    ChipFindings survivors;
+    spare.step(32, survivors);
     EXPECT_EQ(survivors[1], -1);
     EXPECT_EQ(spare.poisonedBlocks(), 32u);
     for (unsigned b = 0; b < 32; ++b)
         EXPECT_TRUE(rank.isPoisoned(b)) << b;
 
     // The untouched second span still rebuilds cleanly.
-    spare.rebuildStep(32, &survivors);
-    EXPECT_TRUE(spare.rebuildDone());
+    spare.step(32, survivors);
+    EXPECT_TRUE(spare.done());
     EXPECT_EQ(spare.poisonedBlocks(), 32u);
+}
+
+TEST(SpareChip, MaxStepRebuildsWholeRankInOneStep)
+{
+    Rng rng(1618);
+    PmRank rank(128);
+    rank.initialize(rng);
+    const RankSnapshot before = rank.snapshot();
+    rank.failChip(4, rng);
+
+    // NVCK_SPARE_REBUILD_BLOCKS accepts up to 2^32 - 1: the largest
+    // step must round up to the whole rank, not wrap to one span.
+    SpareChip spare(rank, 2, 4);
+    ChipFindings survivors;
+    EXPECT_EQ(spare.step(UINT32_MAX, survivors), rank.blocks());
+    ASSERT_TRUE(spare.done());
+    EXPECT_TRUE(rank.snapshot() == before);
+
+    spare.beginMigrateBack();
+    EXPECT_EQ(spare.step(UINT32_MAX, survivors), rank.blocks());
+    EXPECT_TRUE(spare.done());
 }
 
 // Live-system service routes ------------------------------------------
@@ -183,11 +207,12 @@ TEST(SpareLive, KillRebuildsOntoSpareAtFullStrength)
     EXPECT_TRUE(rig.mirror.spared());
     EXPECT_FALSE(rig.mirror.completed()); // no degraded migration ran
     EXPECT_EQ(rig.mirror.engine().state(), RasState::Spared);
-    EXPECT_EQ(rig.mirror.engine().stats().rebuildsStarted, 1u);
-    EXPECT_EQ(rig.mirror.engine().stats().rebuiltBlocks,
+    EXPECT_EQ(rig.mirror.engine().tally().rebuilds, 1u);
+    EXPECT_EQ(rig.mirror.engine().tally().rebuiltBlocks,
               rig.rank.blocks());
     ASSERT_NE(rig.mirror.spareChip(), nullptr);
-    EXPECT_EQ(rig.mirror.spareChip()->state(), SpareState::Active);
+    EXPECT_TRUE(rig.mirror.spareChip()->done());
+    EXPECT_EQ(rig.mirror.engine().rebuildWatermark(), rig.rank.blocks());
     EXPECT_EQ(rig.mirror.spareChip()->poisonedBlocks(), 0u);
 
     RasTally tally;
@@ -226,16 +251,60 @@ TEST(SpareLive, SpareDeathMidRebuildFallsBackToDegraded)
     EXPECT_FALSE(rig.mirror.spared());
     EXPECT_TRUE(rig.mirror.completed());
     EXPECT_EQ(eng.state(), RasState::Degraded);
-    EXPECT_EQ(eng.stats().spareAbandons, 1u);
+    EXPECT_EQ(eng.tally().spareAbandons, 1u);
     EXPECT_EQ(eng.watermark(), rig.rank.blocks());
     ASSERT_NE(rig.mirror.spareChip(), nullptr);
-    EXPECT_EQ(rig.mirror.spareChip()->state(), SpareState::Abandoned);
+    // The abandoned rebuild stopped where the spare died.
+    EXPECT_FALSE(rig.mirror.spareChip()->done());
+    EXPECT_GE(eng.rebuildWatermark(), rig.rank.blocks() / 2);
+    EXPECT_LT(eng.rebuildWatermark(), rig.rank.blocks());
 
     RasTally tally;
     rig.mirror.finalCheck(tally);
     EXPECT_EQ(tally.sdc, 0u);
     EXPECT_EQ(tally.lostDurable, 0u);
     EXPECT_EQ(tally.ue, 0u);
+}
+
+TEST(SpareLive, KilledLaneEvidenceRoutesByRebuildWatermark)
+{
+    RasConfig ras = sparedConfig();
+    // Slow pacing so the rebuild is reliably caught in flight.
+    ras.rebuildStepInterval = nsToTicks(500);
+    SpareRig rig(256, 7011, ras);
+    RasEngine &eng = rig.mirror.engine();
+
+    rig.sys.runUntil(nsToTicks(500));
+    eng.noteChipErrors(5, 1000);
+    Tick t = nsToTicks(500);
+    while (t < nsToTicks(20000) &&
+           !(eng.state() == RasState::Rebuilding &&
+             eng.rebuildWatermark() >= rig.rank.blocks() / 2)) {
+        t += nsToTicks(50);
+        rig.sys.runUntil(t);
+    }
+    ASSERT_EQ(eng.state(), RasState::Rebuilding);
+    const unsigned mark = eng.rebuildWatermark();
+    ASSERT_LT(mark, rig.rank.blocks());
+
+    // Below the watermark the spare serves the killed lane: its
+    // trouble is the spare's own health (the bucket after the nine
+    // lockstep chips). Above it the dead device's erasures carry no
+    // information. Nothing reaches the killed chip's own bucket.
+    const auto level = [&](unsigned bucket) {
+        return eng.ledger().chipLevel(bucket, rig.sys.now());
+    };
+    const std::uint64_t spare0 = level(lockstepChips);
+    const std::uint64_t killed0 = level(5);
+    ChipFindings found{};
+    found[5] = 3;
+    EXPECT_EQ(eng.noteFindings(found, mark - 1), 3u);
+    EXPECT_EQ(level(lockstepChips), spare0 + 3);
+    found[5] = -1;
+    EXPECT_EQ(eng.noteFindings(found, mark), 0u);
+    EXPECT_EQ(level(lockstepChips), spare0 + 3);
+    EXPECT_EQ(level(5), killed0);
+    EXPECT_EQ(eng.state(), RasState::Rebuilding);
 }
 
 TEST(SpareLive, ChipReplacedMigratesBackToHealthy)
@@ -257,9 +326,11 @@ TEST(SpareLive, ChipReplacedMigratesBackToHealthy)
 
     EXPECT_TRUE(rig.mirror.repaired());
     EXPECT_EQ(eng.state(), RasState::Healthy);
-    EXPECT_EQ(eng.stats().repairs, 1u);
+    EXPECT_EQ(eng.tally().repairs, 1u);
     ASSERT_NE(rig.mirror.spareChip(), nullptr);
-    EXPECT_EQ(rig.mirror.spareChip()->state(), SpareState::Armed);
+    // Copied back to the end of the rank: the spare is free again.
+    EXPECT_TRUE(rig.mirror.spareChip()->done());
+    EXPECT_EQ(eng.rebuildWatermark(), rig.rank.blocks());
     EXPECT_GE(eng.stats().repairedAt, eng.stats().sparedAt);
 
     RasTally tally;
