@@ -16,12 +16,13 @@
  * Usage: bench_codec_throughput [--quick] [--json PATH]
  *   --quick    shorter timing windows (CI smoke).
  *   --json P   write results to P (default BENCH_codec_throughput.json).
+ * An unwritable --json path exits 1.
  */
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "common/table.hh"
 #include "ecc/bch.hh"
 #include "ecc/rs.hh"
+#include "throughput_report.hh"
 
 namespace {
 
@@ -167,11 +169,7 @@ benchRs(std::vector<Record> &records, const std::string &name,
 void
 writeJson(const std::vector<Record> &records, const std::string &path)
 {
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "cannot write " << path << "\n";
-        return;
-    }
+    std::ostringstream os;
     os << "{\n  \"benchmark\": \"codec_throughput\",\n  \"results\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const auto &r = records[i];
@@ -183,7 +181,7 @@ writeJson(const std::vector<Record> &records, const std::string &path)
            << (i + 1 < records.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
-    std::cout << "wrote " << path << "\n";
+    writeReport(path, os.str());
 }
 
 } // namespace

@@ -36,22 +36,26 @@
  *               the end-to-end runs keep their simulated window, so
  *               their rates compare with a full run's.
  *   --json P    output path (default BENCH_timing_throughput.json).
+ * Junk, zero or signed numbers exit 2; an unwritable --json path
+ * exits 1.
  */
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "chipkill/schemes.hh"
 #include "common/event.hh"
+#include "common/env.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
+#include "throughput_report.hh"
 
 namespace {
 
@@ -233,11 +237,7 @@ benchEndToEnd(std::vector<Record> &records, const EndToEnd &shape,
 void
 writeJson(const std::vector<Record> &records, const std::string &path)
 {
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "cannot write " << path << "\n";
-        return;
-    }
+    std::ostringstream os;
     os << "{\n  \"benchmark\": \"timing_throughput\",\n"
        << "  \"results\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
@@ -255,7 +255,7 @@ writeJson(const std::vector<Record> &records, const std::string &path)
            << (i + 1 < records.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
-    std::cout << "wrote " << path << "\n";
+    writeReport(path, os.str());
 }
 
 } // namespace
@@ -274,9 +274,10 @@ main(int argc, char **argv)
             quick = true;
             min_seconds = 0.04;
         } else if (arg == "--points" && i + 1 < argc) {
-            points = static_cast<unsigned>(std::stoul(argv[++i]));
+            points = static_cast<unsigned>(
+                flagPositive(argv[0], "--points", argv[++i], UINT32_MAX));
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::stoull(argv[++i]);
+            seed = flagPositive(argv[0], "--seed", argv[++i]);
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else {

@@ -86,8 +86,9 @@ DegradedRank::readBlock(unsigned block, std::uint8_t *out)
     }
 
     // Without the RS tier every errored read needs the VLEW. The word
-    // scrub reports a clean word after its residue pass alone, so only
-    // a dirty word counts as a VLEW use.
+    // scrub reports a clean word without any decode (and from its
+    // verdict memo when the span is unchanged), so only a dirty word
+    // counts as a VLEW use.
     const auto res = media.scrubWord(vlew);
     if (res.corrections != 0) {
         result.usedVlew = true;

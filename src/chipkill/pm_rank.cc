@@ -411,9 +411,9 @@ PmRank::bootScrub()
     ScrubReport report;
     std::vector<bool> chip_failed(dataChips + 1, false);
 
-    // One batched residue pass over the whole rank (scrub.hh): clean
-    // VLEWs cost only the streaming residue, dirty ones the fast
-    // corrupt-word decode. An uncorrectable VLEW marks its chip for
+    // One batched sweep over the whole rank (scrub.hh): clean VLEWs
+    // cost the streaming residue at most (nothing when their verdict
+    // is memoized), dirty ones the fast corrupt-word decode. An uncorrectable VLEW marks its chip for
     // the wholesale rebuild below.
     const auto outcomes = ScrubEngine().sweep(media);
     for (unsigned chip = 0; chip <= dataChips; ++chip) {

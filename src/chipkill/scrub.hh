@@ -6,7 +6,9 @@
  * dominated by proving it: VlewStore::scrubWord classifies each word
  * with one streaming residue pass straight out of the media, with no
  * codeword assembly and no syndrome work for clean words, and decodes
- * a dirty word from that residue in place. The ScrubEngine only fans
+ * a dirty word from that residue in place. A word whose bits have not
+ * changed since its last clean or uncorrectable verdict is answered
+ * from the store's verdict memo without a pass. The ScrubEngine only fans
  * a store's words out to ThreadPool workers in fixed-size batches with
  * disjoint result slots, so outcomes are bit-identical for any worker
  * count (the determinism contract of common/threadpool.hh).

@@ -1,6 +1,7 @@
 #include "vlew_store.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/log.hh"
@@ -26,6 +27,7 @@ VlewStore::VlewStore(std::shared_ptr<const BchCodec> codec,
     stuckValBytes = media;
     codeBits.assign(numWords * codeStride, 0);
     goldenCode = codeBits;
+    verdicts.assign(numWords, Verdict::Unknown);
 }
 
 BitVec
@@ -73,6 +75,9 @@ VlewStore::applyDelta(std::size_t beat, const std::uint8_t *delta,
                       unsigned landed)
 {
     const std::size_t lo = beat * beatLen;
+    const std::size_t word = beat / beatsPerWord();
+    if (landed & (Data | Code))
+        forget(word);
     if (landed & Data) {
         // The chip XORs the received sum into the stored bits:
         // pre-existing cell errors propagate one-to-one.
@@ -88,23 +93,37 @@ VlewStore::applyDelta(std::size_t beat, const std::uint8_t *delta,
                     [](std::uint8_t b) { return b == 0; }))
         return;
 
-    // Linear code-bit update: f(x) ^ f(x') = f(x ^ x') (Fig 11).
-    const std::size_t word = beat / beatsPerWord();
-    BitVec delta_word(bch->k());
-    delta_word.setBytes((beat % beatsPerWord()) * beatLen * 8, delta,
-                        beatLen);
-    const BitVec code_delta = bch->encodeDelta(delta_word);
+    // Linear code-bit update: f(x) ^ f(x') = f(x ^ x') (Fig 11). The
+    // span delta is zero above the beat, which leaves the residue at
+    // zero, so the pass starts at the beat and then only shifts
+    // through the zero bytes below it.
+    static constexpr std::array<std::uint8_t, 256> zeros{};
+    thread_local BchResidue res;
+    bch->residueStart(res);
+    bch->residueAbsorbBytes(res, delta, beatLen);
+    for (std::size_t below = lo - word * spanLen; below != 0;) {
+        const std::size_t n = std::min(below, zeros.size());
+        bch->residueAbsorbBytes(res, zeros.data(), n);
+        below -= n;
+    }
     for (unsigned i = 0; i < codeStride; ++i) {
         if (landed & Code)
-            codeBits[word * codeStride + i] ^= code_delta.raw()[i];
+            codeBits[word * codeStride + i] ^= res.rem[i];
         if (landed & Golden)
-            goldenCode[word * codeStride + i] ^= code_delta.raw()[i];
+            goldenCode[word * codeStride + i] ^= res.rem[i];
     }
 }
 
 ScrubWordResult
 VlewStore::scrubWord(std::size_t word)
 {
+    ScrubWordResult out;
+    Verdict &verdict = verdicts[word];
+    if (verdict != Verdict::Unknown) { // the bits have not changed
+        out.corrections = verdict == Verdict::Clean ? 0 : -1;
+        return out;
+    }
+
     const unsigned r = bch->r();
     std::uint8_t *data = &media[word * spanLen];
     std::uint64_t *check = code(word);
@@ -116,12 +135,14 @@ VlewStore::scrubWord(std::size_t word)
     bch->residueAbsorbBytes(res, data, spanLen);
     bch->residueAbsorbBits(res, check, r);
 
-    ScrubWordResult out;
-    if (bch->residueIsZero(res))
-        return out; // clean: no syndrome work at all
+    if (bch->residueIsZero(res)) {
+        verdict = Verdict::Clean; // no syndrome work at all
+        return out;
+    }
 
     const auto dec = bch->solveFromResidue(res);
     if (dec.status == DecodeStatus::Uncorrectable) {
+        verdict = Verdict::Uncorrectable;
         out.corrections = -1;
         return out;
     }
@@ -146,15 +167,17 @@ VlewStore::reencode(std::size_t word, unsigned parts)
 {
     const auto encode = [&](const std::vector<std::uint8_t> &data,
                             std::vector<std::uint64_t> &check) {
-        BitVec span(bch->k());
-        span.setBytes(0, &data[word * spanLen], spanLen);
-        const BitVec c = bch->encodeDelta(span);
-        std::copy(c.raw().begin(), c.raw().end(),
+        BchResidue res;
+        bch->residueStart(res);
+        bch->residueAbsorbBytes(res, &data[word * spanLen], spanLen);
+        std::copy(res.rem.begin(), res.rem.end(),
                   check.begin() +
                       static_cast<std::ptrdiff_t>(word * codeStride));
     };
-    if (parts & Code)
+    if (parts & Code) {
+        forget(word);
         encode(media, codeBits);
+    }
     if (parts & Golden)
         encode(golden, goldenCode);
 }
@@ -163,8 +186,10 @@ void
 VlewStore::setBeat(std::size_t beat, const std::uint8_t *bytes,
                    unsigned parts)
 {
-    if (parts & Data)
+    if (parts & Data) {
+        forget(beat / beatsPerWord());
         std::memcpy(&media[beat * beatLen], bytes, beatLen);
+    }
     if (parts & Golden)
         std::memcpy(&golden[beat * beatLen], bytes, beatLen);
 }
@@ -174,6 +199,8 @@ VlewStore::zeroWord(std::size_t word, unsigned parts)
 {
     const auto span = static_cast<std::ptrdiff_t>(word * spanLen);
     const auto check = static_cast<std::ptrdiff_t>(word * codeStride);
+    if (parts & (Data | Code))
+        forget(word);
     if (parts & Data)
         std::fill_n(media.begin() + span, spanLen, 0);
     if (parts & Code)
@@ -189,6 +216,7 @@ VlewStore::corruptByte(std::size_t beat, unsigned byte,
                        std::uint8_t mask)
 {
     NVCK_ASSERT(byte < beatLen, "byte out of range");
+    forget(beat / beatsPerWord());
     media[beat * beatLen + byte] ^= mask;
 }
 
@@ -210,10 +238,12 @@ VlewStore::injectErrors(Rng &rng, double rber)
             break;
         const std::uint64_t idx = pos - 1;
         if (idx < data_bits) {
+            forget(idx / 8 / spanLen);
             media[idx / 8] ^= static_cast<std::uint8_t>(1u << (idx % 8));
         } else {
             const std::uint64_t cidx = idx - data_bits;
             const std::uint64_t bit = cidx % r;
+            forget(cidx / r);
             code(cidx / r)[bit >> 6] ^= 1ull << (bit & 63);
         }
         ++flipped;
@@ -224,6 +254,7 @@ VlewStore::injectErrors(Rng &rng, double rber)
 void
 VlewStore::randomize(std::size_t first, std::size_t count, Rng &rng)
 {
+    forget(first, count);
     for (std::size_t i = first * spanLen; i < (first + count) * spanLen;
          ++i)
         media[i] = static_cast<std::uint8_t>(rng.next() & 0xFF);
@@ -245,6 +276,7 @@ VlewStore::setStuckBit(std::size_t byte, unsigned bit, bool value)
     NVCK_ASSERT(byte < media.size(), "byte index out of range");
     NVCK_ASSERT(bit < 8, "bit out of range");
     const auto m = static_cast<std::uint8_t>(1u << bit);
+    forget(byte / spanLen);
     stuckMaskBytes[byte] |= m;
     if (value)
         stuckValBytes[byte] |= m;
@@ -256,6 +288,7 @@ VlewStore::setStuckBit(std::size_t byte, unsigned bit, bool value)
 void
 VlewStore::clearStuck(std::size_t first, std::size_t count)
 {
+    forget(first, count);
     const auto lo = static_cast<std::ptrdiff_t>(first * spanLen);
     const std::size_t n = count * spanLen;
     std::fill_n(stuckMaskBytes.begin() + lo, n, 0);
@@ -269,6 +302,7 @@ VlewStore::loadGolden()
         reencode(w, Golden);
     media = golden;
     codeBits = goldenCode;
+    forget(0, numWords);
 }
 
 void

@@ -16,15 +16,22 @@
  *    turns into the code delta f(delta) (applyDelta), so a write never
  *    re-reads the span;
  *  - one in-place word scrub (scrubWord) serves reads, patrol, spare
- *    copies and the batched whole-rank sweep (scrub.hh).
+ *    copies and the batched whole-rank sweep (scrub.hh);
+ *  - each word carries a verdict memo: what its last scrub proved
+ *    (clean or uncorrectable), kept until a mutator touches the
+ *    word's stored data, code or stuck bits. A word whose bits have
+ *    not changed is never re-proven.
  *
  * The codec is shared, immutable and not part of the persistent image:
- * copies (snapshots) share it, and operator== ignores it.
+ * copies (snapshots) share it, and operator== ignores it. The verdict
+ * memo is derived state: copies carry it with the bits it describes,
+ * and operator== ignores it too.
  */
 
 #ifndef NVCK_CHIPKILL_VLEW_STORE_HH
 #define NVCK_CHIPKILL_VLEW_STORE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -128,9 +135,11 @@ class VlewStore
     /**
      * Scrub @p word in place: one residue pass over [code | data]; a
      * nonzero residue is solved by the codec's one decode pipeline, the
-     * error bits are flipped in place and stuck cells re-asserted.
-     * Words touch disjoint storage, so distinct words may be scrubbed
-     * concurrently.
+     * error bits are flipped in place and stuck cells re-asserted. A
+     * clean or uncorrectable verdict is memoized and returned without a
+     * pass until the word's bits change; a corrected word is not, since
+     * re-asserted stuck cells can leave it dirty. Words touch disjoint
+     * storage, so distinct words may be scrubbed concurrently.
      */
     ScrubWordResult scrubWord(std::size_t word);
 
@@ -174,9 +183,21 @@ class VlewStore
     void adoptMedia();
 
   private:
+    /** What the last scrub of a word proved about its stored bits. */
+    enum class Verdict : std::uint8_t { Unknown, Clean, Uncorrectable };
+
     std::uint64_t *code(std::size_t word)
     {
         return &codeBits[word * codeStride];
+    }
+
+    /** Every mutator of data, code or stuck bits forgets the verdicts
+     *  of the words [first, first + count) it touches. */
+    void
+    forget(std::size_t first, std::size_t count = 1)
+    {
+        std::fill_n(verdicts.begin() + static_cast<std::ptrdiff_t>(first),
+                    count, Verdict::Unknown);
     }
 
     /** Re-assert stuck cells over data bytes [lo, hi). */
@@ -196,6 +217,8 @@ class VlewStore
     /** Stuck-cell masks and values per data byte. */
     std::vector<std::uint8_t> stuckMaskBytes;
     std::vector<std::uint8_t> stuckValBytes;
+    /** One byte per word, not packed bits: scrubs run concurrently. */
+    std::vector<Verdict> verdicts;
 };
 
 } // namespace nvck

@@ -57,6 +57,20 @@ envPositive(const char *name, std::uint64_t max)
     std::exit(2);
 }
 
+std::uint64_t
+flagPositive(const char *prog, const char *flag, const char *text,
+             std::uint64_t max)
+{
+    if (const auto v = parsePositive(text, max))
+        return *v;
+    std::fprintf(stderr, "%s: %s expects a positive integer", prog, flag);
+    if (max != UINT64_MAX)
+        std::fprintf(stderr, " <= %llu",
+                     static_cast<unsigned long long>(max));
+    std::fprintf(stderr, ", got '%s'\n", text);
+    std::exit(2);
+}
+
 std::optional<std::size_t>
 envChoice(const char *name,
           std::initializer_list<const char *> choices)

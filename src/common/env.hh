@@ -8,8 +8,8 @@
  * NVCK_JOBS or NVCK_RAS_PATROL_ORDER must not quietly change what
  * runs. The parse functions are pure so tests can cover every malformed
  * shape without death tests; the env* wrappers add the getenv + exit
- * policy. The benches' sweep flags (--jobs, --points, --seed) go
- * through parsePositive too.
+ * policy. The benches' numeric flags (--jobs, --points, --seed) go
+ * through flagPositive, the same policy for a command-line value.
  */
 
 #ifndef NVCK_COMMON_ENV_HH
@@ -42,6 +42,16 @@ parseChoice(const char *text,
  */
 std::optional<std::uint64_t>
 envPositive(const char *name, std::uint64_t max = UINT64_MAX);
+
+/**
+ * Parse the value @p text of command-line flag @p flag of program
+ * @p prog as a positive integer in [1, max]; otherwise prints
+ * "PROG: FLAG expects a positive integer [<= MAX], got '...'" and
+ * exits with status 2.
+ */
+std::uint64_t flagPositive(const char *prog, const char *flag,
+                           const char *text,
+                           std::uint64_t max = UINT64_MAX);
 
 /**
  * Read the enumerated knob @p name against @p choices: nullopt when

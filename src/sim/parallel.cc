@@ -83,21 +83,6 @@ flagValue(const char *flag, int argc, const char *const *argv, int &i)
     return argv[++i];
 }
 
-/** Strict positive integer in [1, max] (common/env.hh), else exit 2. */
-std::uint64_t
-parseCount(const char *prog, const char *flag, const char *text,
-           std::uint64_t max = UINT64_MAX)
-{
-    if (const auto v = parsePositive(text, max))
-        return *v;
-    std::fprintf(stderr, "%s: %s expects a positive integer", prog, flag);
-    if (max != UINT64_MAX)
-        std::fprintf(stderr, " <= %llu",
-                     static_cast<unsigned long long>(max));
-    std::fprintf(stderr, ", got '%s'\n", text);
-    std::exit(2);
-}
-
 } // namespace
 
 SweepOptions
@@ -113,14 +98,14 @@ SweepOptions::parse(int argc, const char *const *argv)
         else if (std::strcmp(argv[i], "--timing") == 0)
             opts.timing = true;
         else if (const char *v = flagValue("--points", argc, argv, i))
-            opts.points = parseCount(argv[0], "--points", v);
+            opts.points = flagPositive(argv[0], "--points", v);
         else if (const char *f = flagValue("--filter", argc, argv, i))
             opts.filter = f;
         else if (const char *j = flagValue("--jobs", argc, argv, i))
             opts.jobs = static_cast<unsigned>(
-                parseCount(argv[0], "--jobs", j, ThreadPool::maxJobs));
+                flagPositive(argv[0], "--jobs", j, ThreadPool::maxJobs));
         else if (const char *s = flagValue("--seed", argc, argv, i)) {
-            opts.seed = parseCount(argv[0], "--seed", s);
+            opts.seed = flagPositive(argv[0], "--seed", s);
             opts.seedSet = true;
         }
         else {

@@ -21,7 +21,8 @@
  *    bounded burst of patrol reads through the real MemController
  *    (isPatrol overhead traffic) and, when the last read completes,
  *    scrubs the covered VLEW span word-by-word through the
- *    rank's residue-first word scrub, feeding findings to the ledger.
+ *    rank's word scrub (a residue pass, skipped for a word whose
+ *    memoized verdict still holds), feeding findings to the ledger.
  *    A row bucket crossing its (lower) threshold schedules an
  *    immediate targeted scrub of that span — latent errors are
  *    repaired before they can accumulate past the RS budget;

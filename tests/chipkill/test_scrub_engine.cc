@@ -10,7 +10,10 @@
  *  - a whole-rank engine sweep must leave byte-identical media and
  *    report identical per-word outcomes as the word-at-a-time
  *    reference (scrub_reference.hh), over random error / burst /
- *    torn-write mixes, for 1 and 8 workers.
+ *    torn-write mixes, for 1 and 8 workers;
+ *  - a second sweep straight after the first, which the verdict memo
+ *    answers for every clean or uncorrectable word, matches the
+ *    reference on the swept bits at 1 and 8 workers.
  */
 
 #include <gtest/gtest.h>
@@ -250,6 +253,36 @@ TEST(ScrubEngineDiff, WorkerCountIsByteIdentical)
     EXPECT_EQ(outcomes[1], outcomes[0]);
     EXPECT_TRUE(media[1] == media[0]);
     sweepMatchesReference(dirty, {}, &eight);
+}
+
+TEST(ScrubEngineDiff, BackToBackSweepsMatchAtOneAndEightWorkers)
+{
+    const VlewStore dirty = messyRank(7).snapshot().media;
+
+    ThreadPool one(1);
+    ThreadPool eight(8);
+    std::vector<std::vector<ScrubWordResult>> first, second;
+    std::vector<VlewStore> media;
+    for (ThreadPool *pool : {&one, &eight}) {
+        media.push_back(dirty);
+        first.push_back(ScrubEngine(pool).sweep(media.back()));
+        const auto ref = scrubReference(media.back());
+        second.push_back(ScrubEngine(pool).sweep(media.back()));
+        EXPECT_EQ(second.back(), ref.outcomes);
+        EXPECT_TRUE(matchesReference(media.back(), ref));
+    }
+    EXPECT_EQ(first[1], first[0]);
+    EXPECT_EQ(second[1], second[0]);
+    EXPECT_TRUE(media[1] == media[0]);
+    // Clean and uncorrectable verdicts repeat; corrected words are
+    // re-proven and come back clean.
+    const auto stats = tally(first[0]);
+    EXPECT_GT(stats.wordsUncorrectable, 0u);
+    EXPECT_GT(stats.bitsCorrected, 0u);
+    for (std::size_t w = 0; w < first[0].size(); ++w)
+        EXPECT_EQ(second[0][w].corrections,
+                  first[0][w].corrections < 0 ? -1 : 0)
+            << "word " << w;
 }
 
 TEST(ScrubEngineDiff, StuckCellsReassertedLikeReference)

@@ -11,6 +11,11 @@
  * word-at-a-time reference (scrub_reference.hh) in outcome and
  * post-scrub media. Runs at the paper's VLEW point and at one small
  * code with several beats per word.
+ *
+ * The verdict memo is pinned the same way: sequences of every public
+ * mutator, with every word scrubbed twice after each step, must give
+ * the reference outcome and post-scrub bits on every scrub, memo hit
+ * or not; and the memo never takes part in equality.
  */
 
 #include <gtest/gtest.h>
@@ -363,6 +368,112 @@ TEST_P(VlewStoreSequences, MatchModelAndScrubReference)
     }
 }
 
+TEST_P(VlewStoreSequences, MemoizedScrubsMatchReference)
+{
+    const auto &p = GetParam();
+    const unsigned span = p.k / 8;
+    const std::size_t beats =
+        static_cast<std::size_t>(p.words) * (span / p.beat);
+
+    /** Scrub every word; each must equal the reference on the bits
+     *  it saw. The second pass sees only memoized or re-proven
+     *  words. */
+    const auto scrubAll = [](VlewStore &s) {
+        for (unsigned pass = 0; pass < 2; ++pass) {
+            const ScrubReference ref = scrubReference(s);
+            for (std::size_t w = 0; w < s.words(); ++w) {
+                ASSERT_EQ(s.scrubWord(w), ref.outcomes[w])
+                    << "pass " << pass << " word " << w;
+                ASSERT_TRUE(s.codeword(w) == ref.codewords[w])
+                    << "pass " << pass << " word " << w;
+            }
+        }
+    };
+
+    for (unsigned seq = 0; seq < p.seqs / 4; ++seq) {
+        SCOPED_TRACE("sequence " + std::to_string(seq));
+        Rng rng(0x3E30 + 131 * seq + p.k);
+        VlewStore s(codec, p.words, p.beat);
+        s.randomize(0, p.words, rng);
+        s.adoptMedia();
+        s.loadGolden();
+        VlewStore saved = s;
+        std::vector<std::uint8_t> buf(p.beat);
+        for (unsigned step = 0; step < 60; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            scrubAll(s);
+            if (HasFatalFailure())
+                return;
+            const std::size_t b = rng.below(beats);
+            const std::size_t w = rng.below(p.words);
+            const std::size_t count = 1 + rng.below(p.words - w);
+            for (auto &byte : buf)
+                byte = static_cast<std::uint8_t>(rng.next());
+            // Mostly single-byte deltas, so words move between clean,
+            // correctable and uncorrectable.
+            if (rng.chance(0.75))
+                for (unsigned i = 0; i < p.beat; ++i)
+                    buf[i] = i == 0 ? static_cast<std::uint8_t>(
+                                          1u << rng.below(8))
+                                    : 0;
+            switch (rng.below(13)) {
+              case 0: // every Part combination, Golden-only included
+              case 1:
+                s.applyDelta(b, buf.data(),
+                             static_cast<unsigned>(rng.below(8)));
+                break;
+              case 2:
+                s.setBeat(b, buf.data(),
+                          rng.chance(0.5) ? VlewStore::Data
+                                          : VlewStore::Golden);
+                break;
+              case 3:
+                s.zeroWord(w, static_cast<unsigned>(rng.below(8)));
+                break;
+              case 4:
+                s.reencode(w, static_cast<unsigned>(rng.below(8)));
+                break;
+              case 5:
+                s.corruptByte(b,
+                              static_cast<unsigned>(rng.below(p.beat)),
+                              static_cast<std::uint8_t>(
+                                  1u << rng.below(8)));
+                break;
+              case 6:
+                s.injectErrors(rng, 2.0 / (span * 8.0));
+                break;
+              case 7:
+                s.randomize(w, 1, rng);
+                break;
+              case 8:
+                s.setStuckBit(rng.below(p.words * span),
+                              static_cast<unsigned>(rng.below(8)),
+                              rng.chance(0.5));
+                break;
+              case 9:
+                s.clearStuck(w, count);
+                break;
+              case 10:
+                if (rng.chance(0.5))
+                    s.loadGolden();
+                else
+                    s.adoptMedia();
+                break;
+              case 11: // snapshot / restore carry the memo
+              case 12:
+                if (rng.chance(0.5))
+                    saved = s;
+                else
+                    s = saved;
+                break;
+            }
+        }
+        scrubAll(s);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Points, VlewStoreSequences,
     ::testing::Values(StorePoint{"vlew", 2048, 22, 8, 6, 24},
@@ -453,6 +564,23 @@ TEST(VlewStore, CopiesAreIndependentAndShareOnlyTheCodec)
     VlewStore d(vlewCodec(), 3, 8);
     EXPECT_TRUE(c == d);
     EXPECT_FALSE(c == VlewStore(vlewCodec(), 4, 8));
+}
+
+TEST(VlewStore, MemoIsNotPartOfTheImage)
+{
+    const auto codec = vlewCodec();
+    VlewStore a(codec, 4, 8);
+    Rng rng(5);
+    a.randomize(0, 1, rng); // word 0 uncorrectable, the rest clean
+    const VlewStore unscrubbed = a;
+    for (std::size_t w = 0; w < a.words(); ++w)
+        a.scrubWord(w);
+    EXPECT_TRUE(a == unscrubbed);
+    EXPECT_TRUE(unscrubbed == a);
+    // The memo answers the repeat scrub without changing any bit.
+    EXPECT_EQ(a.scrubWord(0).corrections, -1);
+    EXPECT_EQ(a.scrubWord(1).corrections, 0);
+    EXPECT_TRUE(a == unscrubbed);
 }
 
 TEST(VlewStore, StuckCellsHoldAgainstWrites)

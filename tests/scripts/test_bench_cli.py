@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Exit-code checks for the throughput benches' command lines.
+
+Usage:
+  test_bench_cli.py --bench build/bench/bench_scrub_throughput \
+                    --workdir DIR --case NAME
+
+Runs the bench with the case's arguments inside DIR (so a report never
+lands in the source tree) and exits 0 when its exit code is the
+expected one, 1 otherwise. Cases:
+
+  points-junk      --points abc                       -> 2
+  points-zero      --points 0                         -> 2
+  points-negative  --points -1                        -> 2
+  seed-junk        --seed 12abc                       -> 2
+  json-unwritable  --json into a missing directory    -> 1
+  ok               a --quick run writing its report   -> 0
+
+bench_codec_throughput takes no --points/--seed, so it runs only the
+last two; the smallest point set keeps the others fast.
+"""
+
+import argparse
+import subprocess
+import sys
+from pathlib import Path
+
+# name -> (arguments, expected exit code)
+CASES = {
+    "points-junk": (["--points", "abc"], 2),
+    "points-zero": (["--points", "0"], 2),
+    "points-negative": (["--points", "-1"], 2),
+    "seed-junk": (["--seed", "12abc"], 2),
+    "json-unwritable": (["--json", "missing-dir/report.json"], 1),
+    "ok": (["--json", "report.json"], 0),
+}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--bench", required=True)
+    parser.add_argument("--workdir", required=True)
+    parser.add_argument("--case", required=True, choices=sorted(CASES))
+    args = parser.parse_args()
+
+    extra, expected = CASES[args.case]
+    work = Path(args.workdir) / args.case
+    work.mkdir(parents=True, exist_ok=True)
+    report = work / "report.json"
+    report.unlink(missing_ok=True)
+    quick = ["--quick"]
+    if "codec" not in Path(args.bench).name:
+        quick += ["--points", "1"]
+
+    proc = subprocess.run([args.bench] + quick + extra, cwd=work,
+                          capture_output=True, text=True, check=False)
+    sys.stdout.write(proc.stdout[-2000:])
+    sys.stdout.write(proc.stderr)
+    if proc.returncode != expected:
+        print(f"case {args.case}: exit {proc.returncode}, "
+              f"expected {expected}")
+        return 1
+    if expected == 0 and not report.is_file():
+        print(f"case {args.case}: exit 0 but no report written")
+        return 1
+    print(f"case {args.case}: exit {proc.returncode} as expected")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
