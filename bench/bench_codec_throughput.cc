@@ -6,9 +6,11 @@
  * the 22-EC VLEW BCH(2048+264), the baseline per-block 14-EC
  * BCH(512+140), and the per-block RS(72,64) — it measures encode,
  * clean-word decode (syndrome check), and corrupt-word decode (t
- * errors: BM + Chien) in MB/s of protected data; for the two BCH codes
- * also dead-chip decode (a uniformly random word, the VLEW a failed
- * chip returns, which must come out Uncorrectable). It prints a table
+ * errors: BM + Chien) in MB/s of protected data, plus dead-chip decode:
+ * for the two BCH codes a uniformly random word (the VLEW a failed
+ * chip returns, which must come out Uncorrectable), for RS a word whose
+ * r symbols from one chip are random and decoded as erasures (the RS
+ * tier's chip-kill path). It prints a table
  * and emits a machine-readable JSON file for trend tracking in CI.
  * Every JSON record keeps the "kernel": "sliced" tag, part of the key
  * the checked-in baselines are compared by.
@@ -130,7 +132,7 @@ benchBch(std::vector<Record> &records, const std::string &name,
          })});
 }
 
-/** Same three operations for the RS code point. */
+/** Same four operations for the RS code point. */
 void
 benchRs(std::vector<Record> &records, const std::string &name,
         unsigned k, unsigned r, double min_seconds)
@@ -164,6 +166,27 @@ benchRs(std::vector<Record> &records, const std::string &name,
                            auto w = pool[next++ % pool.size()];
                            g_sink = g_sink + codec.decode(w).corrections;
                        })});
+
+    // Dead chip: one chip's r symbols (a chip beat, check bytes
+    // included) replaced by random ones and decoded as erasures.
+    std::vector<std::vector<GfElem>> dead(16, clean);
+    std::vector<std::vector<std::uint32_t>> erased(dead.size());
+    for (std::size_t i = 0; i < dead.size(); ++i) {
+        const unsigned first =
+            static_cast<unsigned>(rng.below(codec.n() / r)) * r;
+        for (unsigned s = first; s < first + r; ++s) {
+            dead[i][s] = static_cast<GfElem>(rng.below(256));
+            erased[i].push_back(s);
+        }
+    }
+    next = 0;
+    records.push_back(
+        {name, "decode_dead_chip",
+         measure(min_seconds, data_bytes, [&] {
+             const std::size_t i = next++ % dead.size();
+             auto w = dead[i];
+             g_sink = g_sink + codec.decode(w, erased[i]).corrections;
+         })});
 }
 
 void
@@ -204,8 +227,6 @@ main(int argc, char **argv)
         }
     }
 
-    // RS has no dead-chip op: its erasure path is the RS tier's, not
-    // a whole-word decode.
     std::vector<Record> records;
     benchBch(records, "bch_vlew_2048_22", 2048, 22, min_seconds);
     benchBch(records, "bch_base_512_14", 512, 14, min_seconds);

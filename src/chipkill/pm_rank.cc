@@ -24,6 +24,8 @@ PmRank::PmRank(unsigned num_blocks)
 {
     NVCK_ASSERT(numBlocks % blocksPerVlew == 0,
                 "block count must be a multiple of the VLEW span");
+    NVCK_ASSERT(rsCodec.n() == RsWord().size(),
+                "RS word must hold the check beat and the block");
 }
 
 void
@@ -66,10 +68,10 @@ PmRank::firstSymbol(unsigned chip) const
     return chip == dataChips ? 0 : geom.rsCheckBytes + chip * chipBeatBytes;
 }
 
-std::vector<GfElem>
+PmRank::RsWord
 PmRank::assembleRsWord(unsigned block) const
 {
-    std::vector<GfElem> word(rsCodec.n());
+    RsWord word{};
     for (unsigned chip = 0; chip <= dataChips; ++chip) {
         const std::uint8_t *beat = chipBeat(chip, block);
         for (unsigned b = 0; b < chipBeatBytes; ++b)
@@ -79,17 +81,17 @@ PmRank::assembleRsWord(unsigned block) const
 }
 
 void
-PmRank::beatFromWord(const std::vector<GfElem> &word, unsigned chip,
+PmRank::beatFromWord(const RsWord &word, unsigned chip,
                      std::uint8_t *out8) const
 {
     for (unsigned b = 0; b < chipBeatBytes; ++b)
         out8[b] = static_cast<std::uint8_t>(word[firstSymbol(chip) + b]);
 }
 
-std::vector<std::uint32_t>
+PmRank::ChipErasures
 PmRank::chipErasures(unsigned chip) const
 {
-    std::vector<std::uint32_t> erasures(chipBeatBytes);
+    ChipErasures erasures{};
     for (unsigned b = 0; b < chipBeatBytes; ++b)
         erasures[b] = firstSymbol(chip) + b;
     return erasures;
@@ -98,10 +100,11 @@ PmRank::chipErasures(unsigned chip) const
 void
 PmRank::rsParity(const std::uint8_t *data, std::uint8_t *parity8) const
 {
-    const std::vector<GfElem> syms(data, data + rsCodec.k());
-    const auto cw = rsCodec.encode(syms);
+    RsWord word{};
+    std::copy(data, data + blockBytes, word.begin() + geom.rsCheckBytes);
+    rsCodec.reencode(word);
     for (unsigned b = 0; b < geom.rsCheckBytes; ++b)
-        parity8[b] = static_cast<std::uint8_t>(cw[b]);
+        parity8[b] = static_cast<std::uint8_t>(word[b]);
 }
 
 void
@@ -308,7 +311,7 @@ PmRank::readBlock(unsigned block, std::uint8_t *out, unsigned threshold)
         return result;
     }
 
-    auto emit = [&](const std::vector<GfElem> &word) {
+    auto emit = [&](const RsWord &word) {
         for (unsigned i = 0; i < rsCodec.k(); ++i)
             out[i] = static_cast<std::uint8_t>(
                 word[geom.rsCheckBytes + i]);
@@ -325,7 +328,7 @@ PmRank::readBlock(unsigned block, std::uint8_t *out, unsigned threshold)
     };
 
     // Step 1: opportunistic per-block RS correction (Fig 9 top).
-    std::vector<GfElem> word = assembleRsWord(block);
+    RsWord word = assembleRsWord(block);
     const auto rs_res = rsCodec.decode(word, {}, /*max_errors=*/-1);
     if (rs_res.status == DecodeStatus::Clean) {
         result.path = ReadPath::Clean;
@@ -378,7 +381,7 @@ PmRank::readBlock(unsigned block, std::uint8_t *out, unsigned threshold)
     // miscorrection artifacts, so the final decode is bounded by the
     // same acceptance threshold: fail detectably instead of accepting
     // a word the SDC gate would reject.
-    std::vector<GfElem> word2 = assembleRsWord(block);
+    RsWord word2 = assembleRsWord(block);
     const auto rs2 =
         rsCodec.decode(word2, erasures, static_cast<int>(threshold));
     if (rs2.status == DecodeStatus::Uncorrectable) {
@@ -464,7 +467,7 @@ PmRank::rebuildDataChip(unsigned chip)
 {
     const auto erasures = chipErasures(chip);
     for (unsigned block = 0; block < numBlocks; ++block) {
-        std::vector<GfElem> word = assembleRsWord(block);
+        RsWord word = assembleRsWord(block);
         const auto res = rsCodec.decode(word, erasures, -1);
         if (res.status == DecodeStatus::Uncorrectable) {
             recCounters.count(RecoveryOutcome::DetectedUE);
@@ -530,7 +533,7 @@ PmRank::rebuildLaneSpan(unsigned chip, unsigned vlew,
             ++report.blocksFilled;
             continue;
         }
-        std::vector<GfElem> word = assembleRsWord(block);
+        RsWord word = assembleRsWord(block);
         const auto res =
             rsCodec.decode(word, erasures, static_cast<int>(threshold));
         if (res.status == DecodeStatus::Uncorrectable) {
@@ -652,7 +655,7 @@ PmRank::corruptByte(unsigned chip, unsigned block, unsigned byte,
 }
 
 void
-PmRank::storeRsWord(unsigned block, const std::vector<GfElem> &word)
+PmRank::storeRsWord(unsigned block, const RsWord &word)
 {
     // A data-only rewrite: stuck cells are re-asserted, the code bits
     // wait for crashRecovery()'s phase-3 re-encode.
@@ -744,7 +747,7 @@ PmRank::crashRecovery(unsigned threshold)
         struct PendingFill
         {
             unsigned block;
-            std::vector<GfElem> word;
+            RsWord word;
         };
         std::vector<PendingFill> pending;
         std::vector<unsigned> to_poison;
@@ -753,7 +756,7 @@ PmRank::crashRecovery(unsigned threshold)
              block < (v + 1) * blocksPerVlew; ++block) {
             if (disabled[block] || poisoned[block])
                 continue;
-            std::vector<GfElem> word = assembleRsWord(block);
+            RsWord word = assembleRsWord(block);
             const auto res = rsCodec.decode(word, {}, -1);
             if (res.status == DecodeStatus::Clean)
                 continue;
@@ -781,12 +784,12 @@ PmRank::crashRecovery(unsigned threshold)
             // code bits (a rollback proof, checked after the loop).
             if (bad.size() == 1) {
                 const auto erasures = chipErasures(bad[0]);
-                std::vector<GfElem> word2 = assembleRsWord(block);
+                RsWord word2 = assembleRsWord(block);
                 const auto res2 = rsCodec.decode(
                     word2, erasures, static_cast<int>(threshold));
                 if (res2.status != DecodeStatus::Uncorrectable) {
                     if (!dead[bad[0]]) {
-                        pending.push_back({block, std::move(word2)});
+                        pending.push_back({block, word2});
                         continue;
                     }
                     // A dead chip leaves no code bits to cross-check

@@ -30,6 +30,7 @@
 #ifndef NVCK_CHIPKILL_PM_RANK_HH
 #define NVCK_CHIPKILL_PM_RANK_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -377,16 +378,22 @@ class PmRank
      */
     unsigned firstSymbol(unsigned chip) const;
 
+    /** One block's RS word (check bytes, then the data chips' beats),
+     *  held without heap allocation. */
+    using RsWord = std::array<GfElem, chipBeatBytes + blockBytes>;
+    /** RS erasure positions covering one chip's beat. */
+    using ChipErasures = std::array<std::uint32_t, chipBeatBytes>;
+
     /** Assemble the stored RS codeword for a block. */
-    std::vector<GfElem> assembleRsWord(unsigned block) const;
+    RsWord assembleRsWord(unsigned block) const;
 
     /** @p chip's beat (RS check bytes for the parity chip) of an RS
      *  codeword. */
-    void beatFromWord(const std::vector<GfElem> &word, unsigned chip,
+    void beatFromWord(const RsWord &word, unsigned chip,
                       std::uint8_t *out8) const;
 
     /** RS erasure positions covering @p chip's beat. */
-    std::vector<std::uint32_t> chipErasures(unsigned chip) const;
+    ChipErasures chipErasures(unsigned chip) const;
 
     /** RS check bytes of 64B of @p data into @p parity8. */
     void rsParity(const std::uint8_t *data, std::uint8_t *parity8) const;
@@ -419,7 +426,7 @@ class PmRank
     void recomputeParityBeat(unsigned block);
 
     /** Write an RS word's beats (data + parity) back to the store. */
-    void storeRsWord(unsigned block, const std::vector<GfElem> &word);
+    void storeRsWord(unsigned block, const RsWord &word);
 
     /** Zero a block everywhere and flag it as a reported UE. */
     void poisonBlock(unsigned block);

@@ -8,8 +8,8 @@ namespace nvck {
 
 namespace {
 
-/** Field-size cap under which the per-feedback mul-tables are built:
- *  2^m x r GfElems per table, 32 KiB per table at m = 10, r = 8. */
+/** Field-size cap under which the per-feedback tap rows and syndrome
+ *  steppers are built: 16 KiB of taps at m = 10, r = 8. */
 constexpr std::uint32_t kMulTabMaxFieldSize = 1u << 10;
 
 } // namespace
@@ -18,25 +18,31 @@ RsCodec::RsCodec(unsigned data_symbols, unsigned check_symbols,
                  unsigned field_degree)
     : dataSymbols(data_symbols),
       checkSymbols(check_symbols),
-      gf(field_degree)
+      gf(field_degree),
+      laneBits(field_degree <= 8 ? 8 : 16)
 {
     NVCK_ASSERT(checkSymbols >= 1, "RS needs at least one check symbol");
     NVCK_ASSERT(n() <= gf.order(),
                 "RS codeword longer than field order");
+    const unsigned lanes = 64 / laneBits;
+    regWords = 1;
+    while (regWords * lanes < checkSymbols)
+        regWords *= 2;
+    NVCK_ASSERT(regWords <= kMaxRegisterWords,
+                "RS check symbols exceed the remainder register");
+    lanePad = regWords * lanes - checkSymbols;
+
     // Narrow-sense generator: g(x) = prod_{i=1}^{r} (x - alpha^i).
     GfPoly gen = GfPoly::constant(1);
     for (unsigned i = 1; i <= checkSymbols; ++i)
         gen = GfPoly::mul(gf, gen, GfPoly({gf.alphaPow(i), 1}));
 
-    // LFSR taps: the low generator coefficients and their logs.
-    genLow.resize(checkSymbols);
+    // LFSR taps: the low generator coefficients (monic top dropped).
     genLog.resize(checkSymbols);
-    for (unsigned i = 0; i < checkSymbols; ++i) {
-        genLow[i] = gen.coeff(i);
-        genLog[i] = genLow[i] != 0
-                        ? static_cast<std::int32_t>(gf.log(genLow[i]))
+    for (unsigned i = 0; i < checkSymbols; ++i)
+        genLog[i] = gen.coeff(i) != 0
+                        ? static_cast<std::int32_t>(gf.log(gen.coeff(i)))
                         : -1;
-    }
 
     // Chien-search strides alpha^(-j), hoisted out of the per-position
     // loop.
@@ -44,22 +50,12 @@ RsCodec::RsCodec(unsigned data_symbols, unsigned check_symbols,
     for (unsigned j = 1; j <= checkSymbols; ++j)
         chienStride[j] = gf.alphaPow(gf.order() - j);
 
-    buildMulTables();
-}
-
-void
-RsCodec::buildMulTables()
-{
     if (gf.size() > kMulTabMaxFieldSize)
         return;
     const std::uint32_t size = gf.size();
-    genMulTab.assign(static_cast<std::size_t>(size) * checkSymbols, 0);
-    for (std::uint32_t f = 1; f < size; ++f) {
-        GfElem *row = &genMulTab[static_cast<std::size_t>(f) *
-                                 checkSymbols];
-        for (unsigned i = 0; i < checkSymbols; ++i)
-            row[i] = gf.mul(f, genLow[i]);
-    }
+    genTab.assign(static_cast<std::size_t>(size) * regWords, 0);
+    for (std::uint32_t f = 1; f < size; ++f)
+        tapRow(f, &genTab[static_cast<std::size_t>(f) * regWords]);
     synMulTab.assign(static_cast<std::size_t>(checkSymbols) * size, 0);
     for (unsigned j = 1; j <= checkSymbols; ++j) {
         const GfElem point = gf.alphaPow(j);
@@ -69,67 +65,129 @@ RsCodec::buildMulTables()
     }
 }
 
+void
+RsCodec::unpack(const Register &reg, GfElem *out) const
+{
+    const std::uint64_t mask = (std::uint64_t{1} << laneBits) - 1;
+    for (unsigned j = 0; j < checkSymbols; ++j) {
+        const unsigned bit = (j + lanePad) * laneBits;
+        out[j] = static_cast<GfElem>((reg[bit / 64] >> (bit % 64)) & mask);
+    }
+}
+
+void
+RsCodec::addSymbol(Register &reg, unsigned j, GfElem v) const
+{
+    const unsigned bit = (j + lanePad) * laneBits;
+    reg[bit / 64] ^= std::uint64_t{v} << (bit % 64);
+}
+
+void
+RsCodec::tapRow(GfElem fb, std::uint64_t *row) const
+{
+    Register taps{};
+    const std::uint32_t lf = gf.log(fb);
+    for (unsigned j = 0; j < checkSymbols; ++j)
+        if (genLog[j] >= 0)
+            addSymbol(taps, j,
+                      gf.expSum(lf, static_cast<std::uint32_t>(genLog[j])));
+    std::copy(taps.begin(), taps.begin() + regWords, row);
+}
+
+template <unsigned W>
+RsCodec::Register
+RsCodec::divideWords(std::span<const GfElem> high) const
+{
+    // Synthetic division by the monic generator, one symbol per step:
+    // the feedback is the incoming symbol XOR the register's top lane,
+    // the register shifts up one lane, and the feedback's tap row
+    // (f * g_j in lane j) is XORed in. Small fields read the row from
+    // genTab (row 0 is zero, so no branch); larger ones pack it
+    // through log/exp.
+    const unsigned lb = laneBits;
+    const unsigned top = 64 - lb;
+    const std::uint64_t *tab = genTab.empty() ? nullptr : genTab.data();
+    std::uint64_t acc[W] = {};
+    for (std::size_t i = high.size(); i-- > 0;) {
+        const GfElem fb =
+            high[i] ^ static_cast<GfElem>(acc[W - 1] >> top);
+        for (unsigned w = W - 1; w > 0; --w)
+            acc[w] = (acc[w] << lb) | (acc[w - 1] >> top);
+        acc[0] <<= lb;
+        std::uint64_t packed[W] = {};
+        const std::uint64_t *row = packed;
+        if (tab) {
+            row = tab + static_cast<std::size_t>(fb) * W;
+        } else if (fb != 0) {
+            tapRow(fb, packed);
+        } else {
+            continue;
+        }
+        for (unsigned w = 0; w < W; ++w)
+            acc[w] ^= row[w];
+    }
+    Register reg{};
+    std::copy(acc, acc + W, reg.begin());
+    return reg;
+}
+
+RsCodec::Register
+RsCodec::divide(std::span<const GfElem> high) const
+{
+    switch (regWords) {
+      case 1: return divideWords<1>(high);
+      case 2: return divideWords<2>(high);
+      case 4: return divideWords<4>(high);
+      default: return divideWords<kMaxRegisterWords>(high);
+    }
+}
+
+RsCodec::Register
+RsCodec::reduce(std::span<const GfElem> cw) const
+{
+    // cw(x) = d(x) * x^r + p(x) with deg p < r, so
+    // cw mod g = (d(x) * x^r mod g) + p(x).
+    Register reg = divide(cw.subspan(checkSymbols));
+    for (unsigned j = 0; j < checkSymbols; ++j)
+        addSymbol(reg, j, cw[j]);
+    return reg;
+}
+
 std::vector<GfElem>
-RsCodec::encode(const std::vector<GfElem> &data) const
+RsCodec::encode(std::span<const GfElem> data) const
 {
     NVCK_ASSERT(data.size() == dataSymbols, "RS encode: bad data length");
-    // Systematic: codeword(x) = d(x) * x^r + (d(x) * x^r mod g(x)), by
-    // synthetic division of d(x) * x^r by the monic generator: one
-    // feedback symbol per data symbol, taps applied from a mul-table
-    // row (small fields) or via log/exp batching (one log per feedback
-    // instead of one per tap product).
-    std::vector<GfElem> parity(checkSymbols, 0);
-    for (unsigned i = dataSymbols; i-- > 0;) {
-        const GfElem feedback = data[i] ^ parity[checkSymbols - 1];
-        for (unsigned w = checkSymbols; w-- > 1;)
-            parity[w] = parity[w - 1];
-        parity[0] = 0;
-        if (feedback == 0)
-            continue;
-        if (!genMulTab.empty()) {
-            const GfElem *row =
-                &genMulTab[static_cast<std::size_t>(feedback) *
-                           checkSymbols];
-            for (unsigned w = 0; w < checkSymbols; ++w)
-                parity[w] ^= row[w];
-        } else {
-            const std::uint32_t lf = gf.log(feedback);
-            for (unsigned w = 0; w < checkSymbols; ++w)
-                if (genLog[w] >= 0)
-                    parity[w] ^= gf.expSum(
-                        lf, static_cast<std::uint32_t>(genLog[w]));
-        }
-    }
-
+    // Systematic: codeword(x) = d(x) * x^r + (d(x) * x^r mod g(x)).
     std::vector<GfElem> codeword(n(), 0);
-    std::copy(parity.begin(), parity.end(), codeword.begin());
+    unpack(divide(data), codeword.data());
     std::copy(data.begin(), data.end(),
               codeword.begin() + checkSymbols);
     return codeword;
 }
 
 void
-RsCodec::reencode(std::vector<GfElem> &codeword) const
+RsCodec::reencode(std::span<GfElem> codeword) const
 {
     NVCK_ASSERT(codeword.size() == n(), "RS reencode: bad length");
-    const auto fresh = encode(extractData(codeword));
-    std::copy(fresh.begin(), fresh.begin() + checkSymbols,
-              codeword.begin());
+    unpack(divide(codeword.subspan(checkSymbols)), codeword.data());
 }
 
 std::vector<GfElem>
-RsCodec::extractData(const std::vector<GfElem> &cw) const
+RsCodec::extractData(std::span<const GfElem> cw) const
 {
     NVCK_ASSERT(cw.size() == n(), "RS extractData: bad length");
     return std::vector<GfElem>(cw.begin() + checkSymbols, cw.end());
 }
 
 std::vector<GfElem>
-RsCodec::syndromes(const std::vector<GfElem> &cw) const
+RsCodec::syndromesOf(const Register &rem) const
 {
-    // S_j = R(alpha^j), j = 1..r, stored at index j-1, by Horner steps.
-    // Small fields take each multiply-by-alpha^j as one table lookup
-    // (the accumulator indexes the stepper row directly).
+    // S_j = cw(alpha^j) = R(alpha^j) because g(alpha^j) = 0, stored at
+    // index j-1: a Horner fold over the r remainder symbols. Small
+    // fields take each multiply-by-alpha^j as one table lookup (the
+    // accumulator indexes the stepper row directly).
+    GfElem coeff[kMaxRegisterWords * 8] = {};
+    unpack(rem, coeff);
     std::vector<GfElem> syn(checkSymbols, 0);
     const std::uint32_t size = gf.size();
     for (unsigned j = 1; j <= checkSymbols; ++j) {
@@ -137,29 +195,35 @@ RsCodec::syndromes(const std::vector<GfElem> &cw) const
         if (!synMulTab.empty()) {
             const GfElem *tab =
                 &synMulTab[static_cast<std::size_t>(j - 1) * size];
-            for (std::size_t i = cw.size(); i-- > 0;)
-                acc = tab[acc] ^ cw[i];
+            for (unsigned i = checkSymbols; i-- > 0;)
+                acc = tab[acc] ^ coeff[i];
         } else {
             const GfElem point = gf.alphaPow(j);
-            for (std::size_t i = cw.size(); i-- > 0;)
-                acc = Gf2m::add(gf.mul(acc, point), cw[i]);
+            for (unsigned i = checkSymbols; i-- > 0;)
+                acc = Gf2m::add(gf.mul(acc, point), coeff[i]);
         }
         syn[j - 1] = acc;
     }
     return syn;
 }
 
-bool
-RsCodec::isCodeword(const std::vector<GfElem> &codeword) const
+std::vector<GfElem>
+RsCodec::syndromes(std::span<const GfElem> cw) const
 {
-    const auto syn = syndromes(codeword);
-    return std::all_of(syn.begin(), syn.end(),
-                       [](GfElem s) { return s == 0; });
+    NVCK_ASSERT(cw.size() == n(), "RS syndromes: bad length");
+    return syndromesOf(reduce(cw));
+}
+
+bool
+RsCodec::isCodeword(std::span<const GfElem> codeword) const
+{
+    NVCK_ASSERT(codeword.size() == n(), "RS isCodeword: bad length");
+    return reduce(codeword) == Register{};
 }
 
 RsDecodeResult
-RsCodec::decode(std::vector<GfElem> &codeword,
-                const std::vector<std::uint32_t> &erasures,
+RsCodec::decode(std::span<GfElem> codeword,
+                std::span<const std::uint32_t> erasures,
                 int max_errors) const
 {
     NVCK_ASSERT(codeword.size() == n(), "RS decode: bad length");
@@ -171,14 +235,12 @@ RsCodec::decode(std::vector<GfElem> &codeword,
         return result;
     }
 
-    const std::vector<GfElem> syn = syndromes(codeword);
-    const bool syndrome_zero =
-        std::all_of(syn.begin(), syn.end(),
-                    [](GfElem s) { return s == 0; });
-    if (syndrome_zero) {
+    const Register rem = reduce(codeword);
+    if (rem == Register{}) {
         result.status = DecodeStatus::Clean;
         return result;
     }
+    const std::vector<GfElem> syn = syndromesOf(rem);
 
     // Erasure locator Gamma(x) = prod (1 - X_l x).
     GfPoly lambda = GfPoly::constant(1);

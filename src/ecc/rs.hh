@@ -7,12 +7,21 @@
  * plus 8 check bytes stored in the parity chip, able to correct 4 random
  * byte errors, or 8 erasures (a dead chip), or mixes with
  * 2*errors + erasures <= 8.
+ *
+ * Every operation runs one pipeline: the received word's remainder
+ * R(x) mod g(x) from one packed LFSR (zero means clean), then, for a
+ * dirty word only, the syndromes S_j = R(alpha^j) from the r-symbol
+ * remainder, then Berlekamp-Massey, Chien and Forney. The tests pin
+ * encode, syndromes and decode against a reference built
+ * only from this class's public API (tests/ecc/rs_reference).
  */
 
 #ifndef NVCK_ECC_RS_HH
 #define NVCK_ECC_RS_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ecc/bch.hh"
@@ -44,7 +53,8 @@ class RsCodec
   public:
     /**
      * @param data_symbols k, number of data symbols.
-     * @param check_symbols r = n - k, number of check symbols.
+     * @param check_symbols r = n - k, number of check symbols; at most
+     *        64 for m <= 8 and 32 otherwise (the remainder register).
      * @param field_degree m, symbol width in bits (default one byte).
      */
     RsCodec(unsigned data_symbols, unsigned check_symbols,
@@ -62,10 +72,10 @@ class RsCodec
     unsigned dmin() const { return checkSymbols + 1; }
 
     /** Encode @p data (k symbols) into an n-symbol codeword. */
-    std::vector<GfElem> encode(const std::vector<GfElem> &data) const;
+    std::vector<GfElem> encode(std::span<const GfElem> data) const;
 
     /** Recompute the check symbols of @p codeword in place. */
-    void reencode(std::vector<GfElem> &codeword) const;
+    void reencode(std::span<GfElem> codeword) const;
 
     /**
      * Decode in place.
@@ -79,45 +89,77 @@ class RsCodec
      *        lower caps model bounded-distance decoding used by the
      *        paper's threshold scheme.
      */
-    RsDecodeResult decode(std::vector<GfElem> &codeword,
-                          const std::vector<std::uint32_t> &erasures = {},
+    RsDecodeResult decode(std::span<GfElem> codeword,
+                          std::span<const std::uint32_t> erasures = {},
                           int max_errors = -1) const;
 
-    /** True if @p codeword has an all-zero syndrome. */
-    bool isCodeword(const std::vector<GfElem> &codeword) const;
+    /** True if @p codeword's remainder mod g is zero. */
+    bool isCodeword(std::span<const GfElem> codeword) const;
 
     /** Extract the data symbols. */
-    std::vector<GfElem> extractData(const std::vector<GfElem> &cw) const;
+    std::vector<GfElem> extractData(std::span<const GfElem> cw) const;
 
-    /**
-     * Syndromes S_1 .. S_r of the received word: a Horner evaluation
-     * whose multiply-by-alpha^j step is one mul-table lookup in small
-     * fields (m <= 10) and a GF multiply in larger ones.
-     */
-    std::vector<GfElem> syndromes(const std::vector<GfElem> &cw) const;
+    /** Syndromes S_1 .. S_r of the received word, from its remainder
+     *  R(x) = cw(x) mod g(x). */
+    std::vector<GfElem> syndromes(std::span<const GfElem> cw) const;
 
   private:
-    /** Build the small-field mul-tables (m <= 10 only). */
-    void buildMulTables();
+    /**
+     * Most words in the remainder register: r symbols in 8-bit lanes
+     * (m <= 8) or 16-bit lanes (m > 8) fill at most 512 bits.
+     */
+    static constexpr unsigned kMaxRegisterWords = 8;
+
+    /**
+     * Packed remainder: symbol j of R(x) sits in lane j + lanePad, so
+     * the top symbol r - 1 fills the top lane of word regWords - 1.
+     * The pad lanes below symbol 0 and the words from regWords up stay
+     * zero, so a zero remainder compares equal to Register{}.
+     */
+    using Register = std::array<std::uint64_t, kMaxRegisterWords>;
+
+    /** (high(x) * x^r) mod g(x) for the symbols of @p high (entry i is
+     *  the coefficient of x^i), fed in high symbol first. */
+    Register divide(std::span<const GfElem> high) const;
+    /** divide() over a register of @p W words. */
+    template <unsigned W>
+    Register divideWords(std::span<const GfElem> high) const;
+    /** The remainder of a whole n-symbol word. */
+    Register reduce(std::span<const GfElem> cw) const;
+    /** The r symbols of a packed remainder into @p out. */
+    void unpack(const Register &reg, GfElem *out) const;
+    /** XOR symbol value @p v into lane j of @p reg. */
+    void addSymbol(Register &reg, unsigned j, GfElem v) const;
+    /** S_j = R(alpha^j), j = 1..r, by Horner over the r symbols. */
+    std::vector<GfElem> syndromesOf(const Register &rem) const;
+    /** Packed taps fb * g_j through log/exp (fields without tables). */
+    void tapRow(GfElem fb, std::uint64_t *row) const;
 
     unsigned dataSymbols;
     unsigned checkSymbols;
     Gf2m gf;
 
-    /** Low generator coefficients g_0 .. g_{r-1} (monic top dropped). */
-    std::vector<GfElem> genLow;
-    /** Discrete logs of genLow (-1 for zero coefficients). */
+    /** Lane width in bits: 8 for m <= 8, else 16. */
+    unsigned laneBits;
+    /** Register words: ceil(r / lanes per word), rounded up to 1, 2, 4
+     *  or 8 so each width runs one instantiation of divideWords. */
+    unsigned regWords;
+    /** Zero lanes below symbol 0. */
+    unsigned lanePad;
+
+    /** Discrete logs of g_0 .. g_{r-1} (-1 for zero coefficients). */
     std::vector<std::int32_t> genLog;
     /**
-     * Encode taps, flattened 2^m x r: row f holds f * g_i for
-     * every tap, one row XOR per nonzero feedback. Built when the
-     * field is small (m <= 10); larger fields batch via log/exp.
+     * LFSR taps, 2^m rows of regWords words: row f packs f * g_j into
+     * lane j + lanePad, one row XOR per feedback symbol. Built when
+     * the field is small (m <= 10); larger fields pack the row through
+     * log/exp (tapRow).
      */
-    std::vector<GfElem> genMulTab;
+    std::vector<std::uint64_t> genTab;
     /**
      * Syndrome steppers, flattened r x 2^m: entry (j-1, a) is
      * a * alpha^j, turning each Horner step into one table lookup.
-     * Built under the same small-field gate as genMulTab.
+     * Built under the same small-field gate as genTab.
      */
     std::vector<GfElem> synMulTab;
     /** chienStride[j] = alpha^(order - j), hoisted out of the search. */

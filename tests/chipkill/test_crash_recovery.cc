@@ -257,8 +257,9 @@ TEST(CrashDegraded, TornWriteRecoversOrReportsInDegradedMode)
         const bool is_new = std::memcmp(out, newv, blockBytes) == 0;
         EXPECT_TRUE(is_old || is_new) << "trial " << trial;
         // Sparse tears fit the BCH budget and must roll back.
-        if (sparse)
+        if (sparse) {
             EXPECT_TRUE(is_old);
+        }
     }
 }
 

@@ -4,7 +4,8 @@
  * references built only from their public API (bch_reference.hh,
  * rs_reference.hh): for every BCH/RS parameter point the repo uses,
  * random data with 0..t+2 injected errors must produce the reference's
- * codewords, check-bit deltas, residues, syndromes and decode results.
+ * codewords, check-bit deltas, residues, syndromes and decode results,
+ * and full-weight random RS words the reference's syndromes.
  * This is the contract that lets the fast codecs run the Monte-Carlo
  * sweeps without perturbing any sampled statistic.
  */
@@ -212,6 +213,46 @@ TEST_P(KernelDiffRs, EncodeSyndromesDecodeIdentical)
     }
 }
 
+TEST_P(KernelDiffRs, RandomWordsSyndromesIdentical)
+{
+    // Full-weight random words, far outside any decoding sphere: the
+    // syndromes (taken from the remainder, which they determine
+    // uniquely) and the codeword verdict must match the reference for
+    // every lane of the remainder register.
+    const auto [k, r, m] = GetParam();
+    const RsCodec codec(k, r, m);
+    Rng rng(0x7E3A + k * 31 + r * 7 + m);
+    const auto zero = [](const std::vector<GfElem> &syn) {
+        return std::all_of(syn.begin(), syn.end(),
+                           [](GfElem s) { return s == 0; });
+    };
+
+    for (int trial = 0; trial < 64; ++trial) {
+        std::vector<GfElem> word(codec.n());
+        for (auto &s : word)
+            s = static_cast<GfElem>(rng.next() &
+                                    (codec.field().size() - 1));
+        const auto syn = referenceRsSyndromes(codec, word);
+        ASSERT_EQ(codec.syndromes(word), syn) << "trial " << trial;
+        EXPECT_EQ(codec.isCodeword(word), zero(syn));
+
+        auto decoded = word;
+        const auto res = codec.decode(decoded);
+        expectDecodeAgainstReference(codec, word, word, res, decoded,
+                                     false);
+    }
+
+    // One nonzero symbol at any position of a codeword.
+    const auto cw = referenceRsEncode(codec, randomSymbols(rng, codec));
+    for (std::size_t pos = 0; pos < cw.size(); ++pos) {
+        auto one = cw;
+        corruptSymbol(rng, codec, one, pos);
+        EXPECT_EQ(codec.syndromes(one), referenceRsSyndromes(codec, one))
+            << "pos " << pos;
+        EXPECT_FALSE(codec.isCodeword(one)) << "pos " << pos;
+    }
+}
+
 TEST_P(KernelDiffRs, ErasureDecodesIdentical)
 {
     const auto [k, r, m] = GetParam();
@@ -255,7 +296,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         RsPoint{64, 8, 8},  // the paper's RS(72,64) over GF(2^8)
         RsPoint{64, 8, 12}, // wide field: exercises the log/exp path
-        RsPoint{16, 6, 8}), // odd r: erasure/error mixes with r odd
+        RsPoint{16, 6, 8},  // odd r: erasure/error mixes with r odd
+        // Remainder-register widths: 16 symbols in two 64-bit words;
+        // 16-bit lanes on the table side of the m <= 10 gate (k64r8m12
+        // is the other side); four words; eight words, six used.
+        RsPoint{64, 16, 8}, RsPoint{64, 8, 10}, RsPoint{32, 32, 8},
+        RsPoint{40, 24, 12}),
     [](const auto &info) {
         return "k" + std::to_string(info.param.k) + "r" +
                std::to_string(info.param.r) + "m" +

@@ -85,8 +85,9 @@ TEST(Eur, PowerCutDuringFinalDrainSlot)
     std::vector<unsigned> observed;
     const unsigned drained = eur.drainSlots(0, [&](unsigned slot) {
         observed.push_back(slot);
-        if (observed.size() == 3)
+        if (observed.size() == 3) {
             EXPECT_EQ(eur.powerCut(), 1u); // only this slot still dirty
+        }
     });
     EXPECT_EQ(drained, 3u);
     EXPECT_EQ(observed, (std::vector<unsigned>{0, 2, 3}));
