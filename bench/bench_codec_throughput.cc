@@ -10,7 +10,8 @@
  * for the two BCH codes a uniformly random word (the VLEW a failed
  * chip returns, which must come out Uncorrectable), for RS a word whose
  * r symbols from one chip are random and decoded as erasures (the RS
- * tier's chip-kill path). It prints a table
+ * tier's chip-kill path) and the same words decoded blind, with no
+ * erasure hint (a runtime read's first RS pass). It prints a table
  * and emits a machine-readable JSON file for trend tracking in CI.
  * Every JSON record keeps the "kernel": "sliced" tag, part of the key
  * the checked-in baselines are compared by.
@@ -132,7 +133,8 @@ benchBch(std::vector<Record> &records, const std::string &name,
          })});
 }
 
-/** Same four operations for the RS code point. */
+/** The same four operations for the RS code point, plus the blind
+ *  dead-chip decode. */
 void
 benchRs(std::vector<Record> &records, const std::string &name,
         unsigned k, unsigned r, double min_seconds)
@@ -186,6 +188,14 @@ benchRs(std::vector<Record> &records, const std::string &name,
              const std::size_t i = next++ % dead.size();
              auto w = dead[i];
              g_sink = g_sink + codec.decode(w, erased[i]).corrections;
+         })});
+    next = 0;
+    records.push_back(
+        {name, "decode_blind_dead_chip",
+         measure(min_seconds, data_bytes, [&] {
+             auto w = dead[next++ % dead.size()];
+             g_sink = g_sink +
+                      static_cast<std::uint64_t>(codec.decode(w).status);
          })});
 }
 

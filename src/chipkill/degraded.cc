@@ -12,9 +12,7 @@ namespace nvck {
 DegradedRank::DegradedRank(unsigned num_blocks)
     : numBlocks(num_blocks),
       numVlews(num_blocks / blocksPerVlew()),
-      media(std::make_shared<const BchCodec>(geom.vlewDataBytes * 8,
-                                             geom.vlewT),
-            numVlews, blockBytes),
+      media(vlewCodec(), numVlews, blockBytes),
       poisonedVlew(numVlews, false)
 {
     NVCK_ASSERT(numBlocks % blocksPerVlew() == 0,

@@ -9,14 +9,30 @@
 
 namespace nvck {
 
+std::shared_ptr<const BchCodec>
+vlewCodec()
+{
+    constexpr ProposalParams geom{};
+    static const auto codec = std::make_shared<const BchCodec>(
+        geom.vlewDataBytes * 8, geom.vlewT);
+    return codec;
+}
+
+const RsCodec &
+blockRsCodec()
+{
+    constexpr ProposalParams geom{};
+    static const RsCodec codec(geom.rsDataBytes, geom.rsCheckBytes);
+    return codec;
+}
+
 PmRank::PmRank(unsigned num_blocks)
     : numBlocks(num_blocks),
       dataChips(geom.dataChips),
       blocksPerVlew(geom.blocksPerVlew()),
       numVlews(num_blocks / blocksPerVlew),
-      rsCodec(geom.rsDataBytes, geom.rsCheckBytes),
-      media(std::make_shared<const BchCodec>(geom.vlewDataBytes * 8,
-                                             geom.vlewT),
+      rsCodec(blockRsCodec()),
+      media(vlewCodec(),
             static_cast<std::size_t>(dataChips + 1) * numVlews,
             chipBeatBytes),
       disabled(num_blocks, false),

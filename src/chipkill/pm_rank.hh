@@ -123,6 +123,15 @@ struct CrashRecoveryReport
     std::vector<unsigned> ueBlocks;
 };
 
+/**
+ * The codecs of the fixed geometry (ProposalParams), built once per
+ * process on first use and shared by every rank: the per-chip VLEW BCH
+ * code (PmRank's and DegradedRank's media) and the per-block
+ * RS(72,64). Both are immutable, so any thread may read them.
+ */
+std::shared_ptr<const BchCodec> vlewCodec();
+const RsCodec &blockRsCodec();
+
 /** The rank. */
 class PmRank
 {
@@ -437,7 +446,8 @@ class PmRank
     unsigned blocksPerVlew;
     unsigned numVlews;
 
-    RsCodec rsCodec;
+    /** blockRsCodec(). */
+    const RsCodec &rsCodec;
 
     /** chips() x numVlews words, chip-major; the parity chip's beats
      *  hold the RS check bytes. */

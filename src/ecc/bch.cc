@@ -1,47 +1,49 @@
 #include "bch.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <set>
 
 #include "common/log.hh"
-#include "gf/gfpoly.hh"
 
 namespace nvck {
 
 namespace {
 
+/** Longest cyclotomic coset, hence the largest minimal-polynomial
+ *  degree: m <= 16. */
+constexpr unsigned kMaxCosetSize = 16;
+
 /**
- * Minimal polynomial (over GF(2)) of alpha^e: the product of
- * (x + alpha^c) over the cyclotomic coset of e modulo 2^m - 1.
+ * Minimal polynomial (over GF(2)) of alpha^e as a bit mask (bit i =
+ * coefficient of x^i): the product of (x + alpha^c) over the
+ * cyclotomic coset of e modulo 2^m - 1, multiplied out in place.
  */
-BinPoly
+std::uint32_t
 minimalPoly(const Gf2m &gf, std::uint32_t e)
 {
     const std::uint32_t n = gf.order();
-    std::vector<std::uint32_t> coset;
+    std::array<GfElem, kMaxCosetSize + 1> prod{};
+    prod[0] = 1;
+    unsigned deg = 0;
     std::uint32_t c = e % n;
     do {
-        coset.push_back(c);
-        c = static_cast<std::uint32_t>(
-            (2ull * c) % n);
+        const GfElem root = gf.alphaPow(c);
+        ++deg;
+        for (unsigned j = deg; j > 0; --j)
+            prod[j] = prod[j - 1] ^ gf.mul(prod[j], root);
+        prod[0] = gf.mul(prod[0], root);
+        c = static_cast<std::uint32_t>((2ull * c) % n);
     } while (c != e % n);
 
-    GfPoly prod = GfPoly::constant(1);
-    for (std::uint32_t exp : coset) {
-        const GfPoly factor({gf.alphaPow(exp), 1});
-        prod = GfPoly::mul(gf, prod, factor);
-    }
-
-    BinPoly out;
-    for (int i = 0; i <= prod.degree(); ++i) {
-        const GfElem coeff = prod.coeff(static_cast<std::size_t>(i));
-        NVCK_ASSERT(coeff == 0 || coeff == 1,
+    std::uint32_t mask = 0;
+    for (unsigned i = 0; i <= deg; ++i) {
+        NVCK_ASSERT(prod[i] == 0 || prod[i] == 1,
                     "minimal polynomial has non-binary coefficient");
-        if (coeff == 1)
-            out.setBit(static_cast<std::size_t>(i));
+        mask |= prod[i] << i;
     }
-    return out;
+    return mask;
 }
 
 /** Smallest coset member, used to deduplicate minimal polynomials. */
@@ -151,24 +153,41 @@ BchCodec::BchCodec(unsigned data_bits, unsigned correct_bits,
       gf(field_degree ? field_degree
                       : pickFieldDegree(data_bits, correct_bits))
 {
-    NVCK_ASSERT(correct_bits >= 1, "BCH needs t >= 1");
+    NVCK_ASSERT(correct_bits >= 1 && correct_bits <= kMaxCorrectBits,
+                "BCH t out of range 1..", kMaxCorrectBits);
 
     // Generator = product of the distinct minimal polynomials of
-    // alpha^1, alpha^3, ..., alpha^(2t-1).
+    // alpha^1, alpha^3, ..., alpha^(2t-1): each factor is a mask of
+    // at most 17 bits, multiplied in by shifted XORs of the words.
     std::set<std::uint32_t> leaders;
-    gen = BinPoly::one();
+    gen = {1};
     for (unsigned i = 1; i <= 2 * correct_bits - 1; i += 2) {
         const std::uint32_t leader = cosetLeader(i, gf.order());
-        if (leaders.insert(leader).second)
-            gen = BinPoly::mul(gen, minimalPoly(gf, i));
+        if (!leaders.insert(leader).second)
+            continue;
+        const std::uint32_t factor = minimalPoly(gf, i);
+        std::vector<std::uint64_t> prod(gen.size() + 1, 0);
+        for (unsigned b = 0; b <= kMaxCosetSize; ++b) {
+            if (((factor >> b) & 1) == 0)
+                continue;
+            for (std::size_t w = 0; w < gen.size(); ++w) {
+                prod[w] ^= gen[w] << b;
+                if (b != 0)
+                    prod[w + 1] ^= gen[w] >> (64 - b);
+            }
+        }
+        while (prod.back() == 0)
+            prod.pop_back();
+        gen = std::move(prod);
     }
-    checkBits = static_cast<unsigned>(gen.degree());
+    checkBits = static_cast<unsigned>(64 * (gen.size() - 1) + 63 -
+                                      std::countl_zero(gen.back()));
     NVCK_ASSERT(dataBits + checkBits <= gf.order(),
                 "shortened BCH does not fit in GF(2^", gf.m(), ")");
 
     // Keep only the low part of the generator (without the x^r term):
     // that is what the LFSR XORs into the remainder on feedback.
-    genWords = gen.raw();
+    genWords = gen;
     genWords.resize((checkBits + 64) / 64, 0);
     genWords[checkBits >> 6] &= ~(1ull << (checkBits & 63));
 
@@ -487,10 +506,12 @@ BchCodec::residueIsZero(const BchResidue &state) const
                        [](std::uint64_t w) { return w == 0; });
 }
 
-std::vector<GfElem>
-BchCodec::syndromesFromResidue(const BchResidue &state) const
+void
+BchCodec::syndromesFromResidue(const BchResidue &state,
+                               std::span<GfElem> out) const
 {
-    std::vector<GfElem> out(2 * correctBits, 0);
+    NVCK_ASSERT(out.size() >= 2 * correctBits,
+                "BCH syndromes: output shorter than 2t");
     const auto &words = state.rem;
     if (checkBits >= 8) {
         // S_{2idx+1} = sum over bytes w of alpha^(8wj) * synByteTab[byte_w],
@@ -531,19 +552,22 @@ BchCodec::syndromesFromResidue(const BchResidue &state) const
         const GfElem half = out[j / 2 - 1];
         out[j - 1] = gf.mul(half, half);
     }
-    return out;
 }
 
 bool
-BchCodec::bmLocator(const std::vector<GfElem> &syn, GfPoly &lambda,
-                    unsigned &len) const
+BchCodec::bmLocator(const GfElem *syn, GfElem *lambda, unsigned &len) const
 {
-    lambda = GfPoly::constant(1);
-    GfPoly prev = GfPoly::constant(1);
+    // lambda and prev hold 2t + 1 coefficients: every polynomial keeps
+    // degree <= the register length, which stops at 2t.
+    const unsigned top = 2 * correctBits;
+    std::array<GfElem, 2 * kMaxCorrectBits + 1> prev{};
+    std::fill_n(lambda, top + 1, 0);
+    lambda[0] = 1;
+    prev[0] = 1;
     unsigned l = 0;
     unsigned shift = 1;
     GfElem prev_disc = 1;
-    for (unsigned step = 0; step < 2 * correctBits; ++step) {
+    for (unsigned step = 0; step < top; ++step) {
         if ((step & 1) != 0) {
             // Berlekamp's binary trick: this step consumes the even
             // syndrome S_{step+1} = S_{(step+1)/2}^2, whose
@@ -555,90 +579,46 @@ BchCodec::bmLocator(const std::vector<GfElem> &syn, GfPoly &lambda,
         }
         GfElem disc = syn[step];
         for (unsigned i = 1; i <= l; ++i)
-            disc ^= gf.mul(lambda.coeff(i), syn[step - i]);
+            disc ^= gf.mul(lambda[i], syn[step - i]);
         if (disc == 0) {
             ++shift;
             continue;
         }
-        const GfPoly adjust = GfPoly::scale(
-            gf, GfPoly::mul(gf, GfPoly::monomial(1, shift), prev),
-            gf.div(disc, prev_disc));
-        const GfPoly next = GfPoly::add(lambda, adjust);
-        if (2 * l <= step) {
-            prev = lambda;
+        // lambda += (disc / prev_disc) * x^shift * prev, high to low so
+        // prev[j - shift] is still the old prev when read and a length
+        // change can save the old lambda[j] into prev[j] as it goes.
+        const GfElem factor = gf.div(disc, prev_disc);
+        const bool grows = 2 * l <= step;
+        for (unsigned j = top + 1; j-- > 0;) {
+            const GfElem old = lambda[j];
+            if (j >= shift)
+                lambda[j] ^= gf.mul(factor, prev[j - shift]);
+            if (grows)
+                prev[j] = old;
+        }
+        if (grows) {
             prev_disc = disc;
             l = step + 1 - l;
             shift = 1;
         } else {
             ++shift;
         }
-        lambda = next;
         // The register length never shrinks, so once it exceeds t the
         // word is uncorrectable no matter what the remaining steps do.
         if (l > correctBits)
             break;
     }
     len = l;
-    return l <= correctBits && lambda.degree() == static_cast<int>(l);
+    if (l > correctBits)
+        return false;
+    unsigned deg = top;
+    while (deg > 0 && lambda[deg] == 0)
+        --deg;
+    return deg == l;
 }
 
 bool
-BchCodec::locatorSplits(const GfPoly &lambda) const
-{
-    const int deg = lambda.degree();
-    if (deg < 2)
-        return true;
-    const auto nu = static_cast<unsigned>(deg);
-
-    // Reduction by the monic locator: x^nu = sum_{j<nu} mon_j x^j with
-    // mon_j = lambda_j / lambda_nu, kept as discrete logs (zero
-    // coefficients flagged) so each reduction product is one
-    // expSum lookup.
-    constexpr std::uint32_t zeroLog = ~0u;
-    const std::uint32_t ord = gf.order();
-    const std::uint32_t lead_inv = ord - gf.log(lambda.coeff(nu));
-    std::vector<std::uint32_t> mon_log(nu);
-    for (unsigned j = 0; j < nu; ++j) {
-        const GfElem c = lambda.coeff(j);
-        mon_log[j] = c == 0 ? zeroLog : (gf.log(c) + lead_inv) % ord;
-    }
-
-    // p <- p^2 mod lambda, m times, starting from p = x. Squaring is
-    // coefficient-wise in characteristic 2 (p_i x^i -> p_i^2 x^2i);
-    // the degree-(2nu-2) square is then reduced top-down.
-    std::vector<GfElem> sq(2 * nu - 1, 0);
-    std::vector<GfElem> p(nu, 0);
-    p[1] = 1;
-    for (unsigned s = 0; s < gf.m(); ++s) {
-        std::fill(sq.begin(), sq.end(), 0);
-        for (unsigned i = 0; i < nu; ++i) {
-            if (p[i] != 0) {
-                const std::uint32_t l = gf.log(p[i]);
-                sq[2 * i] = gf.expSum(l, l);
-            }
-        }
-        for (unsigned d = 2 * nu - 1; d-- > nu;) {
-            if (sq[d] == 0)
-                continue;
-            const std::uint32_t lc = gf.log(sq[d]);
-            GfElem *low = &sq[d - nu];
-            for (unsigned j = 0; j < nu; ++j)
-                if (mon_log[j] != zeroLog)
-                    low[j] ^= gf.expSum(lc, mon_log[j]);
-        }
-        std::copy_n(sq.begin(), nu, p.begin());
-    }
-
-    // lambda divides x^(2^m) - x, the product of (x - a) over the whole
-    // field, exactly when the reduced power is x itself.
-    for (unsigned i = 0; i < nu; ++i)
-        if (p[i] != (i == 1 ? 1 : 0))
-            return false;
-    return true;
-}
-
-bool
-BchCodec::chienSearch(const GfPoly &lambda, unsigned nu,
+BchCodec::chienSearch(const GfElem *lambda, unsigned nu,
                       std::vector<std::uint32_t> &positions) const
 {
     positions.clear();
@@ -647,13 +627,12 @@ BchCodec::chienSearch(const GfPoly &lambda, unsigned nu,
     // [0, n): reject it before the O(n * nu) scan. This is the common
     // case for a dead chip's VLEW, whose random syndromes give a
     // degree-t locator.
-    if (!locatorSplits(lambda))
+    if (!locatorSplits(gf, std::span(lambda, nu + 1)))
         return false;
 
     // term[j] tracks lambda_j * alpha^(-i*j) as i advances.
-    std::vector<GfElem> term(nu + 1);
-    for (unsigned j = 0; j <= nu; ++j)
-        term[j] = lambda.coeff(j);
+    std::array<GfElem, kMaxCorrectBits + 1> term{};
+    std::copy_n(lambda, nu + 1, term.begin());
     const unsigned n_bits = n();
     for (unsigned i = 0; i < n_bits; ++i) {
         GfElem sum = 0;
@@ -682,12 +661,13 @@ BchCodec::solveFromResidue(const BchResidue &state) const
     if (residueIsZero(state))
         return result; // Clean
 
-    const std::vector<GfElem> syn = syndromesFromResidue(state);
-    GfPoly lambda;
+    std::array<GfElem, 2 * kMaxCorrectBits> syn{};
+    syndromesFromResidue(state, syn);
+    std::array<GfElem, 2 * kMaxCorrectBits + 1> lambda{};
     unsigned nu = 0;
     std::vector<std::uint32_t> positions;
-    if (!bmLocator(syn, lambda, nu) ||
-        !chienSearch(lambda, nu, positions)) {
+    if (!bmLocator(syn.data(), lambda.data(), nu) ||
+        !chienSearch(lambda.data(), nu, positions)) {
         result.status = DecodeStatus::Uncorrectable;
         return result;
     }

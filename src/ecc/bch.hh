@@ -20,15 +20,13 @@
 #define NVCK_ECC_BCH_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "gf/binpoly.hh"
 #include "gf/gf2m.hh"
 
 namespace nvck {
-
-class GfPoly;
 
 /** Outcome of a BCH decode attempt. */
 enum class DecodeStatus
@@ -72,9 +70,16 @@ class BchCodec
 {
   public:
     /**
+     * Largest t the decoder's fixed arrays hold: the paper's 22-EC
+     * VLEW code, the strongest one the repository builds.
+     */
+    static constexpr unsigned kMaxCorrectBits = 22;
+
+    /**
      * Construct the code.
      * @param data_bits  k, number of protected data bits.
-     * @param correct_bits  t, the design correction capability.
+     * @param correct_bits  t, the design correction capability
+     *        (1 .. kMaxCorrectBits).
      * @param field_degree  m; 0 picks the smallest m that fits
      *        k + t*m check bits within 2^m - 1.
      */
@@ -122,8 +127,11 @@ class BchCodec
     /** Extract the data bits of a codeword. */
     BitVec extractData(const BitVec &codeword) const;
 
-    /** Generator polynomial (over GF(2)). */
-    const BinPoly &generator() const { return gen; }
+    /**
+     * Generator polynomial over GF(2), packed low-to-high into 64-bit
+     * words (bit i = coefficient of x^i, the x^r term included).
+     */
+    const std::vector<std::uint64_t> &generator() const { return gen; }
 
     /** Reset @p state to the empty-prefix residue (all zero). */
     void residueStart(BchResidue &state) const;
@@ -151,11 +159,13 @@ class BchCodec
     bool residueIsZero(const BchResidue &state) const;
 
     /**
-     * Syndromes S_1 .. S_2t evaluated from a fully absorbed residue:
+     * Syndromes S_1 .. S_2t evaluated from a fully absorbed residue
+     * into @p syn[0 .. 2t) (entry j-1 holds S_j):
      * S_j = rem(alpha^j) * alpha^(-rj), an r-bit evaluation instead of
      * an n-bit one: the whole-word syndromes of the absorbed word.
      */
-    std::vector<GfElem> syndromesFromResidue(const BchResidue &state) const;
+    void syndromesFromResidue(const BchResidue &state,
+                              std::span<GfElem> syn) const;
 
     /**
      * Decode from a fully absorbed residue without materialising the
@@ -164,21 +174,11 @@ class BchCodec
      * Berlekamp-Massey skips the provably zero-discrepancy
      * even-syndrome steps and aborts as soon as the register length
      * exceeds t; a locator that fails the split test
-     * (locatorSplits) is rejected before any Chien work, and the
-     * Chien scan stops at the nu-th root. The tests pin the result
-     * against a textbook reference decoder.
+     * (locatorSplits in gf/gf2m.hh) is rejected before any Chien
+     * work, and the Chien scan stops at the nu-th root. The tests pin
+     * the result against a textbook reference decoder.
      */
     BchDecodeResult solveFromResidue(const BchResidue &state) const;
-
-    /**
-     * Frobenius split test: true when @p lambda (nonzero constant term)
-     * is a product of distinct linear factors over GF(2^m), i.e. when
-     * x^(2^m) = x mod lambda. Computed by m squarings modulo lambda
-     * (about m * nu^2 multiplies for degree nu). A locator that fails
-     * it cannot have nu distinct roots, so the Chien scan could only
-     * report Uncorrectable. Degrees below 2 always pass.
-     */
-    bool locatorSplits(const GfPoly &lambda) const;
 
   private:
     /** Remainder of the first @p nbits of @p words times x^r, modulo
@@ -207,23 +207,23 @@ class BchCodec
     void shiftRemDown(std::vector<std::uint64_t> &rem) const;
 
     /**
-     * Binary Berlekamp-Massey: fill @p lambda / @p len from the
-     * syndromes and report whether they describe a correctable pattern
-     * (len <= t and deg(lambda) == len). Skips the even-syndrome steps
-     * whose discrepancy is structurally zero for binary BCH and aborts
-     * once len exceeds t (len never shrinks).
+     * Binary Berlekamp-Massey: fill @p lambda (2t + 1 coefficients,
+     * low-to-high) and @p len from the 2t syndromes @p syn and report
+     * whether they describe a correctable pattern (len <= t and
+     * deg(lambda) == len). Skips the even-syndrome steps whose
+     * discrepancy is structurally zero for binary BCH and aborts once
+     * len exceeds t (len never shrinks).
      */
-    bool bmLocator(const std::vector<GfElem> &syn, GfPoly &lambda,
-                   unsigned &len) const;
+    bool bmLocator(const GfElem *syn, GfElem *lambda, unsigned &len) const;
 
     /**
      * Root search over the shortened positions [0, n): reject a
-     * locator that fails locatorSplits, otherwise fill @p positions
-     * with the roots of @p lambda, stopping at the @p nu-th (a
-     * degree-nu locator has no more), and report whether exactly
+     * degree-@p nu locator that fails locatorSplits, otherwise fill
+     * @p positions with the roots of @p lambda, stopping at the nu-th
+     * (a degree-nu locator has no more), and report whether exactly
      * @p nu distinct in-range roots exist.
      */
-    bool chienSearch(const GfPoly &lambda, unsigned nu,
+    bool chienSearch(const GfElem *lambda, unsigned nu,
                      std::vector<std::uint32_t> &positions) const;
 
     /** Build the remainder and syndrome lookup tables. */
@@ -233,8 +233,10 @@ class BchCodec
     unsigned correctBits;
     unsigned checkBits;
     Gf2m gf;
-    BinPoly gen;
-    /** Generator packed low-to-high for the encode inner loop. */
+    /** Generator packed low-to-high (generator()). */
+    std::vector<std::uint64_t> gen;
+    /** The generator without its x^r term: what the LFSR XORs into
+     *  the remainder on feedback. */
     std::vector<std::uint64_t> genWords;
 
     // -- geometry of the packed remainder --

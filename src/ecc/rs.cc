@@ -12,6 +12,9 @@ namespace {
  *  steppers are built: 16 KiB of taps at m = 10, r = 8. */
 constexpr std::uint32_t kMulTabMaxFieldSize = 1u << 10;
 
+/** A polynomial of degree <= r <= kMaxLocatorDegree, low-to-high. */
+using Poly = std::array<GfElem, kMaxLocatorDegree + 1>;
+
 } // namespace
 
 RsCodec::RsCodec(unsigned data_symbols, unsigned check_symbols,
@@ -31,17 +34,25 @@ RsCodec::RsCodec(unsigned data_symbols, unsigned check_symbols,
     NVCK_ASSERT(regWords <= kMaxRegisterWords,
                 "RS check symbols exceed the remainder register");
     lanePad = regWords * lanes - checkSymbols;
+    static_assert(kMaxRegisterWords * 8 == kMaxLocatorDegree,
+                  "the decode arrays hold every check symbol");
 
-    // Narrow-sense generator: g(x) = prod_{i=1}^{r} (x - alpha^i).
-    GfPoly gen = GfPoly::constant(1);
-    for (unsigned i = 1; i <= checkSymbols; ++i)
-        gen = GfPoly::mul(gf, gen, GfPoly({gf.alphaPow(i), 1}));
+    // Narrow-sense generator: g(x) = prod_{i=1}^{r} (x - alpha^i),
+    // multiplied out in place one factor at a time.
+    Poly gen{};
+    gen[0] = 1;
+    for (unsigned i = 1; i <= checkSymbols; ++i) {
+        const GfElem root = gf.alphaPow(i);
+        for (unsigned j = i; j > 0; --j)
+            gen[j] = gen[j - 1] ^ gf.mul(gen[j], root);
+        gen[0] = gf.mul(gen[0], root);
+    }
 
     // LFSR taps: the low generator coefficients (monic top dropped).
     genLog.resize(checkSymbols);
     for (unsigned i = 0; i < checkSymbols; ++i)
-        genLog[i] = gen.coeff(i) != 0
-                        ? static_cast<std::int32_t>(gf.log(gen.coeff(i)))
+        genLog[i] = gen[i] != 0
+                        ? static_cast<std::int32_t>(gf.log(gen[i]))
                         : -1;
 
     // Chien-search strides alpha^(-j), hoisted out of the per-position
@@ -179,16 +190,15 @@ RsCodec::extractData(std::span<const GfElem> cw) const
     return std::vector<GfElem>(cw.begin() + checkSymbols, cw.end());
 }
 
-std::vector<GfElem>
-RsCodec::syndromesOf(const Register &rem) const
+void
+RsCodec::syndromesOf(const Register &rem, GfElem *syn) const
 {
     // S_j = cw(alpha^j) = R(alpha^j) because g(alpha^j) = 0, stored at
     // index j-1: a Horner fold over the r remainder symbols. Small
     // fields take each multiply-by-alpha^j as one table lookup (the
     // accumulator indexes the stepper row directly).
-    GfElem coeff[kMaxRegisterWords * 8] = {};
+    GfElem coeff[kMaxLocatorDegree] = {};
     unpack(rem, coeff);
-    std::vector<GfElem> syn(checkSymbols, 0);
     const std::uint32_t size = gf.size();
     for (unsigned j = 1; j <= checkSymbols; ++j) {
         GfElem acc = 0;
@@ -204,14 +214,15 @@ RsCodec::syndromesOf(const Register &rem) const
         }
         syn[j - 1] = acc;
     }
-    return syn;
 }
 
 std::vector<GfElem>
 RsCodec::syndromes(std::span<const GfElem> cw) const
 {
     NVCK_ASSERT(cw.size() == n(), "RS syndromes: bad length");
-    return syndromesOf(reduce(cw));
+    std::vector<GfElem> syn(checkSymbols);
+    syndromesOf(reduce(cw), syn.data());
+    return syn;
 }
 
 bool
@@ -228,9 +239,10 @@ RsCodec::decode(std::span<GfElem> codeword,
 {
     NVCK_ASSERT(codeword.size() == n(), "RS decode: bad length");
     RsDecodeResult result;
+    const unsigned r = checkSymbols;
 
     const unsigned num_erasures = static_cast<unsigned>(erasures.size());
-    if (num_erasures > checkSymbols) {
+    if (num_erasures > r) {
         result.status = DecodeStatus::Uncorrectable;
         return result;
     }
@@ -240,45 +252,75 @@ RsCodec::decode(std::span<GfElem> codeword,
         result.status = DecodeStatus::Clean;
         return result;
     }
-    const std::vector<GfElem> syn = syndromesOf(rem);
 
-    // Erasure locator Gamma(x) = prod (1 - X_l x).
-    GfPoly lambda = GfPoly::constant(1);
-    for (std::uint32_t pos : erasures) {
-        NVCK_ASSERT(pos < n(), "erasure position out of range");
-        lambda = GfPoly::mul(
-            gf, lambda, GfPoly({1, gf.alphaPow(pos)}));
-    }
-    GfPoly b = lambda;
-
-    // Berlekamp-Massey over the remaining degrees of freedom.
-    unsigned el = num_erasures;
-    for (unsigned step = num_erasures + 1; step <= checkSymbols; ++step) {
-        GfElem disc = 0;
-        for (unsigned i = 0; i < step; ++i) {
-            const GfElem li = lambda.coeff(i);
-            if (li != 0)
-                disc ^= gf.mul(li, syn[step - i - 1]);
+    // Erasures ascending (Chien's order). A repeated position squares
+    // a factor of the locator, which then has fewer distinct roots
+    // than its degree: Uncorrectable, as the scan would find.
+    std::array<std::uint32_t, kMaxLocatorDegree> erased{};
+    std::copy(erasures.begin(), erasures.end(), erased.begin());
+    std::sort(erased.begin(), erased.begin() + num_erasures);
+    for (unsigned l = 0; l < num_erasures; ++l) {
+        NVCK_ASSERT(erased[l] < n(), "erasure position out of range");
+        if (l > 0 && erased[l] == erased[l - 1]) {
+            result.status = DecodeStatus::Uncorrectable;
+            return result;
         }
+    }
+
+    GfElem syn[kMaxLocatorDegree] = {};
+    syndromesOf(rem, syn);
+
+    // Erasure locator Gamma(x) = prod (1 - X_l x), built in place.
+    Poly lambda{};
+    lambda[0] = 1;
+    for (unsigned l = 0; l < num_erasures; ++l) {
+        const GfElem x = gf.alphaPow(erased[l]);
+        for (unsigned j = l + 1; j > 0; --j)
+            lambda[j] ^= gf.mul(lambda[j - 1], x);
+    }
+
+    // Berlekamp-Massey seeded with Gamma over the remaining degrees of
+    // freedom. The correction term is disc * x^(b_shift + 1) * b; a
+    // length change saves the old lambda / disc as the new b. Every
+    // polynomial keeps degree <= the register length <= r.
+    Poly b = lambda;
+    unsigned b_shift = 0;
+    unsigned el = num_erasures;
+    bool saw_discrepancy = false;
+    for (unsigned step = num_erasures + 1; step <= r; ++step) {
+        GfElem disc = 0;
+        for (unsigned i = 0; i < step; ++i)
+            if (lambda[i] != 0)
+                disc ^= gf.mul(lambda[i], syn[step - i - 1]);
         if (disc == 0) {
-            b = GfPoly::mul(gf, b, GfPoly::monomial(1, 1));
+            ++b_shift;
             continue;
         }
-        const GfPoly shifted =
-            GfPoly::mul(gf, b, GfPoly::monomial(disc, 1));
-        const GfPoly next = GfPoly::add(lambda, shifted);
+        saw_discrepancy = true;
+        const unsigned lag = b_shift + 1;
         if (2 * el <= step + num_erasures - 1) {
+            // High to low, so b[j - lag] is still the old b when read
+            // and b[j] takes the old lambda[j] once it is spent.
+            const GfElem inv = gf.inv(disc);
+            for (unsigned j = r + 1; j-- > 0;) {
+                const GfElem old = lambda[j];
+                if (j >= lag)
+                    lambda[j] ^= gf.mul(disc, b[j - lag]);
+                b[j] = gf.mul(old, inv);
+            }
             el = step + num_erasures - el;
-            b = GfPoly::scale(gf, lambda, gf.inv(disc));
+            b_shift = 0;
         } else {
-            b = GfPoly::mul(gf, b, GfPoly::monomial(1, 1));
+            for (unsigned j = lag; j <= r; ++j)
+                lambda[j] ^= gf.mul(disc, b[j - lag]);
+            ++b_shift;
         }
-        lambda = next;
     }
 
-    const int nu = lambda.degree();
-    if (nu < 0 || static_cast<unsigned>(nu) != el ||
-        2 * (el - num_erasures) + num_erasures > checkSymbols) {
+    unsigned nu = r;
+    while (lambda[nu] == 0)
+        --nu;
+    if (nu != el || 2 * (el - num_erasures) + num_erasures > r) {
         result.status = DecodeStatus::Uncorrectable;
         return result;
     }
@@ -290,80 +332,89 @@ RsCodec::decode(std::span<GfElem> codeword,
         return result;
     }
 
-    // Chien search over the shortened positions: term[j] tracks
-    // lambda_j * alpha^(-i*j), stepped by the precomputed strides
-    // instead of re-evaluating lambda at alpha^(-i) per position.
-    std::vector<std::uint32_t> positions;
-    {
-        std::vector<GfElem> term(static_cast<unsigned>(nu) + 1);
-        for (unsigned j = 0; j <= static_cast<unsigned>(nu); ++j)
-            term[j] = lambda.coeff(j);
-        for (unsigned i = 0; i < n(); ++i) {
+    // With no discrepancy lambda is Gamma, whose roots are exactly the
+    // erasures. Otherwise a locator that does not split into distinct
+    // linear factors has fewer than nu roots in [0, n), so it is
+    // rejected before the scan. The Chien scan tracks lambda_j *
+    // alpha^(-i*j) in term[j], stepped by the precomputed strides, and
+    // stops at the nu-th root.
+    std::array<std::uint32_t, kMaxLocatorDegree> positions = erased;
+    if (saw_discrepancy) {
+        if (!locatorSplits(gf, std::span(lambda.data(), nu + 1))) {
+            result.status = DecodeStatus::Uncorrectable;
+            return result;
+        }
+        Poly term = lambda;
+        unsigned found = 0;
+        for (unsigned i = 0; i < n() && found < nu; ++i) {
             GfElem sum = 0;
-            for (unsigned j = 0; j <= static_cast<unsigned>(nu); ++j)
+            for (unsigned j = 0; j <= nu; ++j)
                 sum ^= term[j];
             if (sum == 0)
-                positions.push_back(i);
-            for (unsigned j = 1; j <= static_cast<unsigned>(nu); ++j)
+                positions[found++] = i;
+            for (unsigned j = 1; j <= nu; ++j)
                 term[j] = gf.mul(term[j], chienStride[j]);
         }
-    }
-    if (positions.size() != static_cast<std::size_t>(nu)) {
-        result.status = DecodeStatus::Uncorrectable;
-        return result;
+        if (found != nu) {
+            result.status = DecodeStatus::Uncorrectable;
+            return result;
+        }
     }
 
-    // Forney: e_i = Omega(X_i^{-1}) / Lambda'(X_i^{-1}) for fcr = 1.
-    GfPoly syn_poly;
-    for (unsigned j = 0; j < checkSymbols; ++j)
-        syn_poly.setCoeff(j, syn[j]);
-    const GfPoly omega = GfPoly::truncate(
-        GfPoly::mul(gf, syn_poly, lambda), checkSymbols);
-    const GfPoly lambda_prime = GfPoly::derivative(lambda);
-
-    std::vector<GfElem> magnitudes(positions.size());
-    for (std::size_t idx = 0; idx < positions.size(); ++idx) {
+    // Forney: e_i = Omega(X_i^{-1}) / Lambda'(X_i^{-1}) for fcr = 1,
+    // with Omega = S * Lambda mod x^r and Lambda' the odd-degree terms
+    // of Lambda shifted down one (the even ones vanish in
+    // characteristic 2), evaluated by Horner in x^2.
+    GfElem omega[kMaxLocatorDegree] = {};
+    for (unsigned j = 0; j < r; ++j) {
+        GfElem acc = 0;
+        for (unsigned i = 0; i <= std::min(j, nu); ++i)
+            acc ^= gf.mul(lambda[i], syn[j - i]);
+        omega[j] = acc;
+    }
+    const int top_odd = static_cast<int>(nu) - 1 + static_cast<int>(nu % 2);
+    GfElem magnitudes[kMaxLocatorDegree] = {};
+    for (unsigned idx = 0; idx < nu; ++idx) {
         const GfElem x_inv =
             gf.alphaPow((gf.order() - positions[idx]) % gf.order());
-        const GfElem denom = lambda_prime.eval(gf, x_inv);
+        const GfElem x_sq = gf.mul(x_inv, x_inv);
+        GfElem denom = 0;
+        for (int i = top_odd; i > 0; i -= 2)
+            denom = gf.mul(denom, x_sq) ^ lambda[i];
         if (denom == 0) {
             result.status = DecodeStatus::Uncorrectable;
             return result;
         }
-        magnitudes[idx] = gf.div(omega.eval(gf, x_inv), denom);
+        GfElem num = 0;
+        for (unsigned j = r; j-- > 0;)
+            num = gf.mul(num, x_inv) ^ omega[j];
+        magnitudes[idx] = gf.div(num, denom);
     }
 
     // Validate magnitudes before touching the codeword: a zero
     // magnitude at a non-erased position means "error with no value",
     // which signals an inconsistent (uncorrectable) pattern.
-    for (std::size_t idx = 0; idx < positions.size(); ++idx) {
-        const bool is_erasure =
-            std::find(erasures.begin(), erasures.end(), positions[idx]) !=
-            erasures.end();
-        if (magnitudes[idx] == 0 && !is_erasure) {
+    const auto is_erasure = [&](std::uint32_t pos) {
+        return std::binary_search(erased.begin(),
+                                  erased.begin() + num_erasures, pos);
+    };
+    for (unsigned idx = 0; idx < nu; ++idx) {
+        if (magnitudes[idx] == 0 && !is_erasure(positions[idx])) {
             result.status = DecodeStatus::Uncorrectable;
             return result;
         }
     }
 
-    unsigned applied = 0;
-    unsigned applied_errors = 0;
-    for (std::size_t idx = 0; idx < positions.size(); ++idx) {
+    for (unsigned idx = 0; idx < nu; ++idx) {
         if (magnitudes[idx] == 0)
             continue; // erased position happened to be correct
-        const bool is_erasure =
-            std::find(erasures.begin(), erasures.end(), positions[idx]) !=
-            erasures.end();
         codeword[positions[idx]] ^= magnitudes[idx];
-        ++applied;
-        if (!is_erasure)
-            ++applied_errors;
+        ++result.corrections;
+        if (!is_erasure(positions[idx]))
+            ++result.errorCorrections;
         result.positions.push_back(positions[idx]);
     }
-
     result.status = DecodeStatus::Corrected;
-    result.corrections = applied;
-    result.errorCorrections = applied_errors;
     return result;
 }
 

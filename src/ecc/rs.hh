@@ -1,19 +1,22 @@
 /**
  * @file
  * Reed-Solomon codec over GF(2^8) (or any GF(2^m)) with full
- * errors-and-erasures decoding (Berlekamp-Massey on Forney-modified
- * syndromes + Chien search + Forney value computation). This implements
- * the paper's per-block RS(72,64): 64 data bytes from eight data chips
- * plus 8 check bytes stored in the parity chip, able to correct 4 random
- * byte errors, or 8 erasures (a dead chip), or mixes with
- * 2*errors + erasures <= 8.
+ * errors-and-erasures decoding (Berlekamp-Massey seeded with the
+ * erasure locator + Chien search + Forney value computation). This
+ * implements the paper's per-block RS(72,64): 64 data bytes from eight
+ * data chips plus 8 check bytes stored in the parity chip, able to
+ * correct 4 random byte errors, or 8 erasures (a dead chip), or mixes
+ * with 2*errors + erasures <= 8.
  *
  * Every operation runs one pipeline: the received word's remainder
  * R(x) mod g(x) from one packed LFSR (zero means clean), then, for a
  * dirty word only, the syndromes S_j = R(alpha^j) from the r-symbol
- * remainder, then Berlekamp-Massey, Chien and Forney. The tests pin
- * encode, syndromes and decode against a reference built
- * only from this class's public API (tests/ecc/rs_reference).
+ * remainder, then Berlekamp-Massey, Chien and Forney on fixed-size
+ * arrays: decode() never allocates. A pure-erasure word skips Chien,
+ * and any other locator of degree >= 2 must pass the Frobenius split
+ * test (locatorSplits) before the scan. The tests pin encode,
+ * syndromes and decode against a reference built only from this
+ * class's public API (tests/ecc/rs_reference).
  */
 
 #ifndef NVCK_ECC_RS_HH
@@ -26,9 +29,26 @@
 
 #include "ecc/bch.hh"
 #include "gf/gf2m.hh"
-#include "gf/gfpoly.hh"
 
 namespace nvck {
+
+/**
+ * Symbol positions held inline: a decode corrects at most r <= 64
+ * symbols, so the list never allocates.
+ */
+class RsPositions
+{
+  public:
+    static constexpr unsigned capacity = kMaxLocatorDegree;
+
+    void push_back(std::uint32_t pos) { items[count++] = pos; }
+    const std::uint32_t *begin() const { return items.data(); }
+    const std::uint32_t *end() const { return items.data() + count; }
+
+  private:
+    std::array<std::uint32_t, capacity> items{};
+    unsigned count = 0;
+};
 
 /** Result of RsCodec::decode. */
 struct RsDecodeResult
@@ -38,8 +58,8 @@ struct RsDecodeResult
     unsigned corrections = 0;
     /** Of those, corrections at non-erased positions. */
     unsigned errorCorrections = 0;
-    /** Corrected symbol positions. */
-    std::vector<std::uint32_t> positions;
+    /** Corrected symbol positions, ascending. */
+    RsPositions positions;
 };
 
 /**
@@ -82,8 +102,9 @@ class RsCodec
      *
      * @param codeword n received symbols, corrected on success.
      * @param erasures positions whose symbols are known-suspect (e.g.
-     *        the beats from a failed chip). Correctable when
-     *        2 * errors + erasures <= r.
+     *        the beats from a failed chip), in any order. Correctable
+     *        when 2 * errors + erasures <= r; a repeated position is
+     *        Uncorrectable.
      * @param max_errors cap on the number of non-erasure errors the
      *        decoder will attempt (defaults to floor((r - e) / 2));
      *        lower caps model bounded-distance decoding used by the
@@ -130,8 +151,9 @@ class RsCodec
     void unpack(const Register &reg, GfElem *out) const;
     /** XOR symbol value @p v into lane j of @p reg. */
     void addSymbol(Register &reg, unsigned j, GfElem v) const;
-    /** S_j = R(alpha^j), j = 1..r, by Horner over the r symbols. */
-    std::vector<GfElem> syndromesOf(const Register &rem) const;
+    /** S_j = R(alpha^j), j = 1..r, by Horner over the r symbols, into
+     *  @p syn[j - 1]. */
+    void syndromesOf(const Register &rem, GfElem *syn) const;
     /** Packed taps fb * g_j through log/exp (fields without tables). */
     void tapRow(GfElem fb, std::uint64_t *row) const;
 

@@ -1,5 +1,8 @@
 #include "gf2m.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "common/log.hh"
 
 namespace nvck {
@@ -92,6 +95,64 @@ Gf2m::log(GfElem a) const
 {
     NVCK_ASSERT(a != 0, "log of zero");
     return logTable[a];
+}
+
+bool
+locatorSplits(const Gf2m &gf, std::span<const GfElem> lambda)
+{
+    std::size_t top = lambda.size();
+    while (top > 0 && lambda[top - 1] == 0)
+        --top;
+    if (top < 3)
+        return true;
+    const auto nu = static_cast<unsigned>(top - 1);
+    NVCK_ASSERT(nu <= kMaxLocatorDegree, "locator degree above the cap");
+
+    // Reduction by the monic locator: x^nu = sum_{j<nu} mon_j x^j with
+    // mon_j = lambda_j / lambda_nu, kept as discrete logs (zero
+    // coefficients flagged) so each reduction product is one
+    // expSum lookup.
+    constexpr std::uint32_t zeroLog = ~0u;
+    const std::uint32_t ord = gf.order();
+    const std::uint32_t lead_inv = ord - gf.log(lambda[nu]);
+    std::array<std::uint32_t, kMaxLocatorDegree> mon_log{};
+    for (unsigned j = 0; j < nu; ++j) {
+        const GfElem c = lambda[j];
+        mon_log[j] = c == 0 ? zeroLog : (gf.log(c) + lead_inv) % ord;
+    }
+
+    // p <- p^2 mod lambda, m times, starting from p = x. Squaring is
+    // coefficient-wise in characteristic 2 (p_i x^i -> p_i^2 x^2i);
+    // the degree-(2nu-2) square is then reduced top-down.
+    std::array<GfElem, 2 * kMaxLocatorDegree - 1> sq{};
+    std::array<GfElem, kMaxLocatorDegree> p{};
+    p[1] = 1;
+    for (unsigned s = 0; s < gf.m(); ++s) {
+        std::fill_n(sq.begin(), 2 * nu - 1, 0);
+        for (unsigned i = 0; i < nu; ++i) {
+            if (p[i] != 0) {
+                const std::uint32_t l = gf.log(p[i]);
+                sq[2 * i] = gf.expSum(l, l);
+            }
+        }
+        for (unsigned d = 2 * nu - 1; d-- > nu;) {
+            if (sq[d] == 0)
+                continue;
+            const std::uint32_t lc = gf.log(sq[d]);
+            GfElem *low = &sq[d - nu];
+            for (unsigned j = 0; j < nu; ++j)
+                if (mon_log[j] != zeroLog)
+                    low[j] ^= gf.expSum(lc, mon_log[j]);
+        }
+        std::copy_n(sq.begin(), nu, p.begin());
+    }
+
+    // lambda divides x^(2^m) - x, the product of (x - a) over the whole
+    // field, exactly when the reduced power is x itself.
+    for (unsigned i = 0; i < nu; ++i)
+        if (p[i] != (i == 1 ? 1 : 0))
+            return false;
+    return true;
 }
 
 } // namespace nvck

@@ -10,6 +10,7 @@
 #define NVCK_GF_GF2M_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace nvck {
@@ -96,6 +97,21 @@ class Gf2m
     /** logTable[a] = discrete log of a (undefined for 0). */
     std::vector<std::uint32_t> logTable;
 };
+
+/** Largest degree locatorSplits() takes: the RS codec's r <= 64. */
+inline constexpr unsigned kMaxLocatorDegree = 64;
+
+/**
+ * Frobenius split test: true when the polynomial with low-to-high
+ * coefficients @p lambda (nonzero constant term, degree at most
+ * kMaxLocatorDegree) is a product of distinct linear factors over
+ * GF(2^m), i.e. when x^(2^m) = x mod lambda. Computed by m squarings
+ * modulo lambda (about m * nu^2 multiplies for degree nu) in fixed
+ * arrays. A locator that fails it cannot have nu distinct roots, so a
+ * Chien scan could only report Uncorrectable. Degrees below 2 always
+ * pass. Both the BCH and RS decoders run it before their Chien scans.
+ */
+bool locatorSplits(const Gf2m &gf, std::span<const GfElem> lambda);
 
 } // namespace nvck
 

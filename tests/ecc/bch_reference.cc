@@ -4,6 +4,17 @@
 
 namespace nvck {
 
+BinPoly
+referenceGenerator(const BchCodec &codec)
+{
+    const std::vector<std::uint64_t> &words = codec.generator();
+    BinPoly gen;
+    for (std::size_t i = 0; i < 64 * words.size(); ++i)
+        if ((words[i / 64] >> (i % 64)) & 1)
+            gen.setBit(i);
+    return gen;
+}
+
 BitVec
 referenceResidue(const BchCodec &codec, const BitVec &word)
 {
@@ -11,8 +22,8 @@ referenceResidue(const BchCodec &codec, const BitVec &word)
     for (std::size_t i = 0; i < word.size(); ++i)
         if (word.get(i))
             poly.setBit(i);
-    const BinPoly rem =
-        BinPoly::mod(BinPoly::shift(poly, codec.r()), codec.generator());
+    const BinPoly rem = BinPoly::mod(BinPoly::shift(poly, codec.r()),
+                                     referenceGenerator(codec));
     BitVec out(codec.r());
     for (unsigned i = 0; i < codec.r(); ++i)
         out.set(i, rem.bit(i));

@@ -2,7 +2,8 @@
  * @file
  * Textbook binary BCH arithmetic, built only from BchCodec's public
  * API (generator(), field(), n(), r(), t()): the residue and encoder as
- * one BinPoly::mod against the generator, whole-word syndromes summed
+ * one BinPoly::mod against the generator (converted from the codec's
+ * packed words), whole-word syndromes summed
  * per set bit, and a decoder that runs the full 2t-step
  * Berlekamp-Massey iteration (no binary step skipping, no early abort)
  * and an exhaustive Chien scan evaluating the locator with
@@ -18,10 +19,14 @@
 
 #include "common/bitvec.hh"
 #include "ecc/bch.hh"
+#include "gf/binpoly.hh"
 #include "gf/gf2m.hh"
 #include "gf/gfpoly.hh"
 
 namespace nvck {
+
+/** The codec's generator (packed words, generator()) as a BinPoly. */
+BinPoly referenceGenerator(const BchCodec &codec);
 
 /**
  * (word(x) * x^r) mod g(x) as an r-bit vector: the check bits of

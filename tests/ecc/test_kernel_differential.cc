@@ -5,7 +5,11 @@
  * rs_reference.hh): for every BCH/RS parameter point the repo uses,
  * random data with 0..t+2 injected errors must produce the reference's
  * codewords, check-bit deltas, residues, syndromes and decode results,
- * and full-weight random RS words the reference's syndromes.
+ * and full-weight random RS words the reference's syndromes. The RS
+ * erasure cases (a full erasure, erasures plus errors at the
+ * 2 * errors + erasures = r boundary, repeated or check-symbol
+ * erasures, and dead-chip words decoded blind) must match the
+ * reference decoder field for field.
  * This is the contract that lets the fast codecs run the Monte-Carlo
  * sweeps without perturbing any sampled statistic.
  */
@@ -57,8 +61,9 @@ TEST_P(KernelDiffBch, EncodeSyndromesDecodeIdentical)
         codec.residueStart(state);
         codec.residueAbsorbBits(state, noisy.raw().data(), noisy.size());
         EXPECT_EQ(state.rem, residue.raw()) << "errors=" << errors;
-        EXPECT_EQ(codec.syndromesFromResidue(state),
-                  referenceSyndromes(codec, noisy))
+        std::vector<GfElem> syn(2 * t);
+        codec.syndromesFromResidue(state, syn);
+        EXPECT_EQ(syn, referenceSyndromes(codec, noisy))
             << "errors=" << errors;
 
         const BchDecodeResult ref = referenceDecode(codec, noisy);
@@ -105,7 +110,9 @@ TEST_P(KernelDiffBch, SyndromesMaskOversizedTail)
     codec.residueStart(state);
     codec.residueAbsorbBits(state, oversized.raw().data(), codec.n());
     EXPECT_EQ(state.rem, referenceResidue(codec, noisy).raw());
-    EXPECT_EQ(codec.syndromesFromResidue(state), clean);
+    std::vector<GfElem> syn(2 * t);
+    codec.syndromesFromResidue(state, syn);
+    EXPECT_EQ(syn, clean);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -177,6 +184,39 @@ expectDecodeAgainstReference(const RsCodec &codec,
         EXPECT_EQ(decoded, noisy);
     else
         EXPECT_TRUE(zero(referenceRsSyndromes(codec, decoded)));
+}
+
+/** codec.decode() of @p noisy must equal referenceRsDecode field for
+ *  field, the decoded word included. */
+void
+expectMatchesReferenceDecode(const RsCodec &codec,
+                             const std::vector<GfElem> &noisy,
+                             const std::vector<std::uint32_t> &erasures,
+                             int max_errors = -1)
+{
+    const ReferenceRsDecode ref =
+        referenceRsDecode(codec, noisy, erasures, max_errors);
+    auto decoded = noisy;
+    const RsDecodeResult res = codec.decode(decoded, erasures, max_errors);
+    EXPECT_EQ(res.status, ref.status);
+    EXPECT_EQ(res.corrections, ref.corrections);
+    EXPECT_EQ(res.errorCorrections, ref.errorCorrections);
+    EXPECT_EQ(std::vector<std::uint32_t>(res.positions.begin(),
+                                         res.positions.end()),
+              ref.positions);
+    EXPECT_EQ(decoded, ref.word);
+}
+
+/** The n positions in a random order. */
+std::vector<std::uint32_t>
+shuffledPositions(Rng &rng, const RsCodec &codec)
+{
+    std::vector<std::uint32_t> positions(codec.n());
+    for (std::size_t i = 0; i < positions.size(); ++i)
+        positions[i] = static_cast<std::uint32_t>(i);
+    for (std::size_t i = positions.size(); i > 1; --i)
+        std::swap(positions[i - 1], positions[rng.next() % i]);
+    return positions;
 }
 
 TEST_P(KernelDiffRs, EncodeSyndromesDecodeIdentical)
@@ -267,14 +307,7 @@ TEST_P(KernelDiffRs, ErasureDecodesIdentical)
             const auto sent =
                 referenceRsEncode(codec, randomSymbols(rng, codec));
             auto noisy = sent;
-
-            std::vector<std::uint32_t> positions(noisy.size());
-            for (std::size_t i = 0; i < positions.size(); ++i)
-                positions[i] = static_cast<std::uint32_t>(i);
-            for (std::size_t i = positions.size(); i > 1; --i)
-                std::swap(positions[i - 1],
-                          positions[rng.next() % i]);
-
+            const auto positions = shuffledPositions(rng, codec);
             std::vector<std::uint32_t> erased(
                 positions.begin(), positions.begin() + erasures);
             for (unsigned e = 0; e < erasures + errors; ++e)
@@ -287,8 +320,166 @@ TEST_P(KernelDiffRs, ErasureDecodesIdentical)
                          << " errors=" << errors);
             expectDecodeAgainstReference(codec, sent, noisy, res, decoded,
                                          2 * errors + erasures <= r);
+            expectMatchesReferenceDecode(codec, noisy, erased);
         }
     }
+}
+
+TEST_P(KernelDiffRs, FullErasureMatchesReference)
+{
+    // r erasures: no degree of freedom is left for Berlekamp-Massey, so
+    // the locator is the erasure locator and the fill is pure Forney.
+    // Some erased symbols keep their sent value (zero magnitude).
+    const auto [k, r, m] = GetParam();
+    const RsCodec codec(k, r, m);
+    Rng rng(0xF0E + k + r + m);
+    for (int trial = 0; trial < 32; ++trial) {
+        const auto sent =
+            referenceRsEncode(codec, randomSymbols(rng, codec));
+        const auto order = shuffledPositions(rng, codec);
+        const std::vector<std::uint32_t> erased(order.begin(),
+                                                order.begin() + r);
+        auto noisy = sent;
+        for (const std::uint32_t pos : erased)
+            if (rng.next() % 4 != 0)
+                corruptSymbol(rng, codec, noisy, pos);
+        SCOPED_TRACE(::testing::Message() << "trial=" << trial);
+        expectMatchesReferenceDecode(codec, noisy, erased);
+        auto decoded = noisy;
+        const auto res = codec.decode(decoded, erased);
+        if (noisy != sent) {
+            EXPECT_EQ(res.status, DecodeStatus::Corrected);
+            EXPECT_EQ(res.errorCorrections, 0u);
+        }
+        EXPECT_EQ(decoded, sent);
+    }
+}
+
+TEST_P(KernelDiffRs, ErasuresAndErrorsAtBoundaryMatchReference)
+{
+    // Every split of the budget with 2 * errors + erasures = r (r - 1
+    // for odd r), decoded with no error cap and with a cap one short.
+    const auto [k, r, m] = GetParam();
+    const RsCodec codec(k, r, m);
+    Rng rng(0xB0D + k + r + m);
+    for (unsigned errors = 0; 2 * errors <= r; ++errors) {
+        const unsigned erasures = r - 2 * errors - (r % 2);
+        for (int trial = 0; trial < 8; ++trial) {
+            const auto sent =
+                referenceRsEncode(codec, randomSymbols(rng, codec));
+            const auto order = shuffledPositions(rng, codec);
+            const std::vector<std::uint32_t> erased(
+                order.begin(), order.begin() + erasures);
+            auto noisy = sent;
+            for (unsigned i = 0; i < erasures + errors; ++i)
+                corruptSymbol(rng, codec, noisy, order[i]);
+            SCOPED_TRACE(::testing::Message()
+                         << "errors=" << errors << " erasures="
+                         << erasures << " trial=" << trial);
+            expectMatchesReferenceDecode(codec, noisy, erased);
+            auto decoded = noisy;
+            const auto res = codec.decode(decoded, erased);
+            EXPECT_EQ(res.status, DecodeStatus::Corrected);
+            EXPECT_EQ(res.errorCorrections, errors);
+            EXPECT_EQ(decoded, sent);
+            if (errors > 0) {
+                expectMatchesReferenceDecode(
+                    codec, noisy, erased, static_cast<int>(errors) - 1);
+                auto capped = noisy;
+                EXPECT_EQ(codec.decode(capped, erased,
+                                       static_cast<int>(errors) - 1)
+                              .status,
+                          DecodeStatus::Uncorrectable);
+                EXPECT_EQ(capped, noisy);
+            }
+        }
+    }
+}
+
+TEST_P(KernelDiffRs, DuplicateErasuresMatchReference)
+{
+    // A repeated erasure position squares a factor of the locator: a
+    // dirty word is Uncorrectable and left as it was, a clean one
+    // stays Clean.
+    const auto [k, r, m] = GetParam();
+    const RsCodec codec(k, r, m);
+    Rng rng(0xD0B + k + r + m);
+    for (unsigned erasures = 2; erasures <= r; ++erasures) {
+        const auto sent =
+            referenceRsEncode(codec, randomSymbols(rng, codec));
+        const auto order = shuffledPositions(rng, codec);
+        std::vector<std::uint32_t> erased(order.begin(),
+                                          order.begin() + erasures - 1);
+        erased.push_back(erased[rng.next() % erased.size()]);
+        SCOPED_TRACE(::testing::Message() << "erasures=" << erasures);
+        expectMatchesReferenceDecode(codec, sent, erased);
+        auto clean = sent;
+        EXPECT_EQ(codec.decode(clean, erased).status, DecodeStatus::Clean);
+
+        auto noisy = sent;
+        corruptSymbol(rng, codec, noisy, erased.front());
+        expectMatchesReferenceDecode(codec, noisy, erased);
+        auto decoded = noisy;
+        EXPECT_EQ(codec.decode(decoded, erased).status,
+                  DecodeStatus::Uncorrectable);
+        EXPECT_EQ(decoded, noisy);
+    }
+}
+
+TEST_P(KernelDiffRs, CheckSymbolErasuresMatchReference)
+{
+    // Erasures confined to the check symbols [0, r) (the parity chip's
+    // beat), alone and with the errors the remaining budget allows.
+    const auto [k, r, m] = GetParam();
+    const RsCodec codec(k, r, m);
+    Rng rng(0xC4E + k + r + m);
+    for (unsigned erasures = 1; erasures <= r; ++erasures) {
+        const auto sent =
+            referenceRsEncode(codec, randomSymbols(rng, codec));
+        std::vector<std::uint32_t> erased;
+        for (std::uint32_t pos = 0; erased.size() < erasures; ++pos)
+            erased.push_back(pos);
+        auto noisy = sent;
+        for (const std::uint32_t pos : erased)
+            corruptSymbol(rng, codec, noisy, pos);
+        const unsigned errors = (r - erasures) / 2;
+        for (unsigned i = 0; i < errors; ++i)
+            corruptSymbol(rng, codec, noisy, r + i * (k / (errors + 1)));
+        SCOPED_TRACE(::testing::Message() << "erasures=" << erasures);
+        expectMatchesReferenceDecode(codec, noisy, erased);
+        auto decoded = noisy;
+        EXPECT_EQ(codec.decode(decoded, erased).status,
+                  DecodeStatus::Corrected);
+        EXPECT_EQ(decoded, sent);
+    }
+}
+
+TEST_P(KernelDiffRs, BlindDeadChipMatchesReference)
+{
+    // A dead chip's beat (r consecutive symbols, aligned, replaced by
+    // random ones) decoded with no erasure hint, as a runtime read's
+    // first RS pass sees it: the reference's verdict every time,
+    // whether the locator is rejected by the split test, by the Chien
+    // scan or by Forney, or the word miscorrects to a codeword.
+    const auto [k, r, m] = GetParam();
+    const RsCodec codec(k, r, m);
+    Rng rng(0xDEADC + k + r + m);
+    unsigned uncorrectable = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        auto noisy = referenceRsEncode(codec, randomSymbols(rng, codec));
+        const unsigned first =
+            static_cast<unsigned>(rng.next() % (codec.n() / r)) * r;
+        for (unsigned s = first; s < first + r; ++s)
+            noisy[s] = static_cast<GfElem>(rng.next() &
+                                           (codec.field().size() - 1));
+        SCOPED_TRACE(::testing::Message() << "trial=" << trial);
+        expectMatchesReferenceDecode(codec, noisy, {});
+        expectMatchesReferenceDecode(codec, noisy, {}, 2);
+        auto decoded = noisy;
+        if (codec.decode(decoded).status == DecodeStatus::Uncorrectable)
+            ++uncorrectable;
+    }
+    EXPECT_GT(uncorrectable, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
