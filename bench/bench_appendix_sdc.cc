@@ -18,8 +18,9 @@
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     banner("Appendix", "RS(72,64) miscorrection probability model");
 
     for (double rber : {rber::runtimePcm3Hourly, rber::runtimeReram}) {

@@ -37,6 +37,17 @@ banner(const std::string &artifact, const std::string &description)
               << "==============================================================\n";
 }
 
+/** For a bench without sweep points: any argument exits 2. */
+inline void
+rejectArguments(int argc, char **argv)
+{
+    if (argc <= 1)
+        return;
+    std::cerr << argv[0] << ": takes no options (got '" << argv[1]
+              << "')\n";
+    std::exit(2);
+}
+
 /**
  * The canonical bench windows (nanoseconds of simulated time). The
  * perf/traffic figures (14-18, ablation) warm caches for 30us and

@@ -14,8 +14,9 @@
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     banner("Figure 1", "RBERs of memory and storage vs retention time");
 
     const double times[] = {1.0,

@@ -8,33 +8,15 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "common/table.hh"
-#include "ecc/code_params.hh"
-#include "reliability/storage_model.hh"
+#include "sweeps.hh"
 
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const auto opts = SweepOptions::parse(argc, argv);
     banner("Figure 3", "BCH ECC words used by commercial Flash (512B data)");
-
-    const auto rows = flashEccCatalogue({1, 4, 8, 12, 24, 41}, 1e-15);
-    Table t({"correction (bits)", "code bits", "storage overhead",
-             "max RBER @ 1e-15 UE"});
-    for (const auto &row : rows) {
-        t.row()
-            .cell(std::uint64_t{row.t})
-            .cell(std::uint64_t{bchCheckBitsPaper(row.t, 512 * 8)})
-            .pct(row.overhead)
-            .cell(row.maxRber, 2);
-    }
-    t.print(std::cout);
-
-    std::cout << "\nStorage-style chipkill (Section IV): 41-EC per chip"
-                 " + 1 parity chip per 8 =\n  "
-              << 100.0 * (rows.back().overhead +
-                          (1.0 + rows.back().overhead) / 8.0)
-              << "% total (paper: 13% + 1/8*(1+13%) = 27%)\n";
+    fig03FlashEcc(std::cout, opts);
     return 0;
 }

@@ -5,8 +5,7 @@
  * 256B of data per word reaches the paper's 27% sweet spot.
  *
  * Each codeword length is one analytic ParallelSweep point (the
- * vlewScheme strength solver); the underlying vlewSweep() library
- * entry point fans out the same way for other callers.
+ * vlewScheme strength solver).
  */
 
 #include <iostream>

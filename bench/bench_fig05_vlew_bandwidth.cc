@@ -20,8 +20,9 @@
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     banner("Figure 5 + Section V-C",
            "read/write bandwidth overheads: naive VLEW vs proposal");
 

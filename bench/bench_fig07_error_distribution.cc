@@ -5,21 +5,29 @@
  * word) and validated by Monte-Carlo injection against the real
  * RS(72,64) codec. The paper's threshold choice rests on >99.98% of
  * accesses having <= 2 errors.
+ *
+ * The 200k injection trials run as one sweep point per 512-trial chunk;
+ * trial i draws substream (seed, i) whichever point runs it, so the
+ * merged report is the same for any worker count.
  */
 
+#include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hh"
 #include "common/table.hh"
 #include "reliability/binomial.hh"
 #include "reliability/injector.hh"
 #include "reliability/error_model.hh"
+#include "sim/parallel.hh"
 
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const auto opts = SweepOptions::parse(argc, argv);
     banner("Figure 7",
            "distribution of byte errors per 64B request @ 2e-4 RBER");
 
@@ -30,9 +38,19 @@ main()
     const RsCodec rs(64, 8);
     RsCampaign campaign;
     campaign.rber = rber;
-    campaign.trials = 200000;
-    campaign.seed = 2018;
-    const auto report = injectRs(rs, campaign);
+    campaign.seed = opts.seedSet ? opts.seed : 2018;
+    constexpr std::uint64_t kTrials = 200000, kChunk = 512;
+    ParallelSweep<InjectionReport> sweep(7, opts);
+    for (std::uint64_t lo = 0; lo < kTrials; lo += kChunk) {
+        const std::uint64_t hi = std::min(lo + kChunk, kTrials);
+        sweep.add("trials " + std::to_string(lo),
+                  [&rs, &campaign, lo, hi] {
+                      return injectRs(rs, campaign, lo, hi);
+                  });
+    }
+    InjectionReport report;
+    for (const auto &out : sweep.run())
+        report.merge(out.value);
 
     Table t({"byte errors", "analytical P", "Monte-Carlo P",
              "cumulative (analytical)"});
@@ -59,7 +77,11 @@ main()
               << "P(>= 5 errors) analytical: "
               << binomialTail(word_bytes, 5, p_byte)
               << "  (paper: 1.5e-7 of accesses can defeat t = 4)\n"
-              << "\nMonte-Carlo sanity (200k trials on the real codec): "
+              << "\nMonte-Carlo sanity ("
+              << (report.trials % 1000
+                      ? std::to_string(report.trials)
+                      : std::to_string(report.trials / 1000) + "k")
+              << " trials on the real codec): "
               << report.corrected + report.clean << " OK, "
               << report.detected << " deferred to VLEW, "
               << report.miscorrected << " SDC\n";

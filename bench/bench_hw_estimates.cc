@@ -15,8 +15,9 @@
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     banner("Section V-E / Fig 13", "hardware cost and engagement model");
 
     const HwEstimates hw;

@@ -12,87 +12,16 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "common/table.hh"
-#include "ecc/code_params.hh"
-#include "reliability/error_model.hh"
-#include "reliability/sdc_model.hh"
-#include "reliability/ue_model.hh"
+#include "sweeps.hh"
 
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const auto opts = SweepOptions::parse(argc, argv);
     banner("Refresh trade-off (Section IV)",
            "refresh interval vs RBER vs bandwidth");
-
-    // Refresh = fetching and re-writing all VLEWs; bandwidth fraction
-    // = capacity * (1 + overhead) * 2 / (interval * bus BW).
-    const double capacity = 160e9; // the paper's small-channel example
-    const double bus = 2400e6 * 8.0;
-    const ProposalParams p;
-
-    const std::pair<const char *, double> intervals[] = {
-        {"1 s", 1.0},          {"1 min", 60.0},
-        {"10 min", 600.0},     {"1 hour", secondsPerHour},
-        {"1 day", secondsPerDay},
-    };
-
-    // One analytic model evaluation per interval, fanned out through
-    // the UE-model sweep (submission-order results, any NVCK_JOBS).
-    std::vector<double> rbers;
-    for (const auto &iv : intervals)
-        rbers.push_back(rberAfter(MemTech::Pcm3, iv.second));
-    const auto points = evaluateProposalSweep(rbers, p);
-
-    Table t({"refresh interval", "PCM-3 RBER", "VLEW fallback",
-             "fallback read BW", "refresh BW", "SDC @ t=2"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto &[label, seconds] = intervals[i];
-        const double fallback = points[i].vlewFallbackFraction;
-        const double fallback_bw =
-            fallback * (p.vlewFetchOverheadBlocks() + 1);
-        const double refresh_bw =
-            capacity * (1.0 + p.totalStorageCost()) * 2.0 /
-            (seconds * bus);
-        t.row()
-            .cell(label)
-            .cell(points[i].rber, 2)
-            .pct(fallback, 3)
-            .pct(fallback_bw, 2)
-            .pct(refresh_bw, 2)
-            .cell(points[i].blockSdcRuntime, 2);
-    }
-    t.print(std::cout);
-
-    std::cout << "\nPaper checkpoints: refreshing every second costs"
-                 " ~1000% of a 160GB channel's\nbandwidth; hourly"
-                 " refresh leaves RBER at 2e-4 where the threshold-2"
-                 " policy still\nmeets the 1e-17 SDC target at 0.02%"
-                 " fallback.\n";
-
-    std::cout << "\nOutage tolerance at the boot tier"
-                 " (UE target 1e-15/block):\n";
-    const std::vector<MemTech> techs = {MemTech::Reram, MemTech::Pcm3};
-    const auto outages = maxOutageSweep(
-        {static_cast<int>(techs[0]), static_cast<int>(techs[1])}, 1e-15);
-    Table o({"technology", "max unrefreshed outage"});
-    for (std::size_t i = 0; i < techs.size(); ++i) {
-        const MemTech tech = techs[i];
-        const double secs = outages[i];
-        std::string label;
-        if (secs >= secondsPerYear)
-            label = ">= 1 year";
-        else if (secs >= secondsPerDay)
-            label = Table::formatNumber(secs / secondsPerDay, 3) +
-                    " days";
-        else
-            label = Table::formatNumber(secs / secondsPerHour, 3) +
-                    " hours";
-        o.row().cell(memTechName(tech)).cell(label);
-    }
-    o.print(std::cout);
-    std::cout << "\nPaper: 'reliable data survival for a week to a"
-                 " year without refresh'.\n";
+    refreshTradeoff(std::cout, opts);
     return 0;
 }

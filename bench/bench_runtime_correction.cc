@@ -6,130 +6,23 @@
  * erasure recovery when a chip dies at runtime. Measures the fallback
  * rate against the analytical ~0.018-0.02%.
  *
- * The accumulation sweep is sharded into independent 256-block ranks,
- * each seeded from its own (baseSeed, shard) Rng substream and run as
- * one work item on the parallel experiment engine; per-shard counters
- * merge in submission order, so totals are byte-identical for any
- * NVCK_JOBS value.
+ * Each 256-block accumulation shard and the chip-failure check is one
+ * sweep point with its own Rng substream; exits 1 when the chip-failure
+ * self-check loses a block.
  */
 
 #include <iostream>
 
 #include "bench_common.hh"
-#include "chipkill/pm_rank.hh"
-#include "common/table.hh"
-#include "reliability/error_model.hh"
-#include "reliability/sdc_model.hh"
-#include "sim/parallel.hh"
+#include "sweeps.hh"
 
 using namespace nvck;
 
-namespace {
-
-struct ShardCounters
-{
-    std::uint64_t reads = 0, clean = 0, accepted = 0, fallback = 0,
-                  recovered = 0, failed = 0, wrong = 0;
-};
-
-/** 12 inject/read/scrub rounds on one independent 256-block rank. */
-ShardCounters
-runShard(const Rng &base, std::size_t shard, double rber)
-{
-    ShardCounters c;
-    Rng rng = base.substream(shard);
-    PmRank rank(256);
-    rank.initialize(rng);
-
-    std::uint8_t out[blockBytes];
-    for (int round = 0; round < 12; ++round) {
-        rank.injectErrors(rng, rber);
-        for (unsigned b = 0; b < rank.blocks(); ++b) {
-            const auto res = rank.readBlock(b, out);
-            ++c.reads;
-            switch (res.path) {
-              case ReadPath::Clean: ++c.clean; break;
-              case ReadPath::RsAccepted: ++c.accepted; break;
-              case ReadPath::VlewFallback: ++c.fallback; break;
-              case ReadPath::ChipRecovered: ++c.recovered; break;
-              case ReadPath::Failed: ++c.failed; break;
-            }
-            if (!res.dataCorrect && res.path != ReadPath::Failed)
-                ++c.wrong;
-        }
-        // Scrub between rounds so per-round RBER matches the model's
-        // "errors since last correction" assumption.
-        rank.bootScrub();
-    }
-    return c;
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
+    const auto opts = SweepOptions::parse(argc, argv);
     banner("Figures 8/9 + Section V-C",
            "runtime correction paths on the bit-accurate rank");
-
-    // Runtime error accumulation at the 2e-4 stress point across eight
-    // independent 256-block shards (2048 blocks total, as before).
-    const double rber = rber::runtimePcm3Hourly;
-    const Rng base(42);
-    constexpr std::size_t kShards = 8;
-
-    const auto shards = parallelMap<ShardCounters>(
-        kShards,
-        [&](std::size_t s) { return runShard(base, s, rber); });
-
-    ShardCounters sum;
-    for (const auto &s : shards) {
-        sum.reads += s.reads;
-        sum.clean += s.clean;
-        sum.accepted += s.accepted;
-        sum.fallback += s.fallback;
-        sum.recovered += s.recovered;
-        sum.failed += s.failed;
-        sum.wrong += s.wrong;
-    }
-
-    Table t({"outcome", "reads", "fraction"});
-    t.row().cell("clean (zero syndrome)").cell(sum.clean).pct(
-        static_cast<double>(sum.clean) / sum.reads, 3);
-    t.row().cell("RS accepted (<= 2 corrections)").cell(sum.accepted).pct(
-        static_cast<double>(sum.accepted) / sum.reads, 3);
-    t.row().cell("VLEW fallback").cell(sum.fallback).pct(
-        static_cast<double>(sum.fallback) / sum.reads, 4);
-    t.row().cell("chip recovered via erasures").cell(sum.recovered).pct(
-        static_cast<double>(sum.recovered) / sum.reads, 4);
-    t.row().cell("uncorrectable").cell(sum.failed).pct(
-        static_cast<double>(sum.failed) / sum.reads, 4);
-    t.print(std::cout);
-
-    SdcInputs in;
-    in.rber = rber;
-    std::cout << "\nwrong data returned (SDC): " << sum.wrong << " of "
-              << sum.reads << " reads\n"
-              << "analytical VLEW fallback rate @ 2e-4: "
-              << 100.0 * vlewFallbackFraction(in, 2)
-              << "%  (paper: ~0.018% of reads on average)\n";
-
-    // Runtime chip failure: VLEWs flag the dead chip, RS erasures
-    // recover every block. (Single rank; inherently serial.)
-    Rng chip_rng = base.substream(kShards);
-    PmRank rank(1024);
-    rank.initialize(chip_rng);
-    rank.failChip(5, chip_rng);
-    std::uint8_t out[blockBytes];
-    std::uint64_t chip_reads = 0, chip_ok = 0;
-    for (unsigned b = 0; b < rank.blocks(); b += 3) {
-        const auto res = rank.readBlock(b, out);
-        ++chip_reads;
-        if (res.path == ReadPath::ChipRecovered && res.dataCorrect)
-            ++chip_ok;
-    }
-    std::cout << "\nruntime chip failure: " << chip_ok << "/"
-              << chip_reads
-              << " sampled blocks recovered via RS erasure correction\n";
-    return chip_ok == chip_reads ? 0 : 1;
+    return runtimeCorrection(std::cout, opts) ? 0 : 1;
 }

@@ -13,8 +13,9 @@
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     banner("Table I", "microarchitectural parameters");
 
     const SystemConfig cfg = SystemConfig::make(

@@ -41,6 +41,9 @@ struct BenchScale
 /** The scale the golden regression tests (and their files) use. */
 BenchScale goldenScale();
 
+/** Figure 3: BCH strengths of commercial Flash (analytic model). */
+void fig03FlashEcc(std::ostream &os, const SweepOptions &opts);
+
 /** Figure 4: storage cost vs VLEW codeword length (analytic model). */
 void fig04StorageVsCodeword(std::ostream &os, const SweepOptions &opts);
 
@@ -75,6 +78,17 @@ void wearLevelingCampaign(std::ostream &os, const SweepOptions &opts,
 /** Fault sweep: read-path distribution vs RBER on the rank. */
 void faultSweep(std::ostream &os, const SweepOptions &opts,
                 const BenchScale &scale = BenchScale{});
+
+/** Section IV: refresh interval vs RBER vs bandwidth, and the outage
+ *  each technology tolerates (analytic model). */
+void refreshTradeoff(std::ostream &os, const SweepOptions &opts);
+
+/**
+ * Figures 8/9 + Section V-C: runtime read paths on the bit-accurate
+ * rank, then a runtime chip failure. Returns false when a sampled
+ * block of the dead chip was not recovered by RS erasure correction.
+ */
+bool runtimeCorrection(std::ostream &os, const SweepOptions &opts);
 
 } // namespace nvck
 

@@ -59,19 +59,6 @@ class ThreadPool
                      const std::function<void(std::size_t)> &body);
 
     /**
-     * Ordered parallel map: out[i] = fn(i). Results land in submission
-     * order regardless of which worker ran which index.
-     */
-    template <typename T>
-    std::vector<T>
-    map(std::size_t count, const std::function<T(std::size_t)> &fn)
-    {
-        std::vector<T> out(count);
-        parallelFor(count, [&](std::size_t i) { out[i] = fn(i); });
-        return out;
-    }
-
-    /**
      * Process-wide pool sized by defaultJobCount(). Experiment code
      * funnels through this instance so NVCK_JOBS controls everything.
      */

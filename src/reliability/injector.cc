@@ -8,42 +8,30 @@ namespace nvck {
 
 namespace {
 
-/**
- * Trials per work item. Fixed (never derived from the worker count) so
- * the chunk decomposition — and therefore the merged report — is
- * identical no matter how many threads execute it.
- */
-constexpr std::uint64_t kTrialsPerChunk = 512;
-
-/**
- * Run @p perTrial over [0, trials) in fixed-size chunks on @p pool and
- * merge the per-chunk partial reports in submission order.
- */
-template <typename PerTrial>
-InjectionReport
-runCampaign(std::uint64_t trials, ThreadPool *pool, PerTrial perTrial)
+/** Count one decoded trial; @p matches: the word equals the sent one. */
+void
+tally(InjectionReport &report, DecodeStatus status, bool matches)
 {
-    ThreadPool &p = pool ? *pool : ThreadPool::global();
-    const std::uint64_t chunks =
-        (trials + kTrialsPerChunk - 1) / kTrialsPerChunk;
-    std::vector<InjectionReport> parts(chunks);
-    p.parallelFor(chunks, [&](std::size_t ci) {
-        const std::uint64_t lo = ci * kTrialsPerChunk;
-        const std::uint64_t hi =
-            lo + kTrialsPerChunk < trials ? lo + kTrialsPerChunk : trials;
-        for (std::uint64_t trial = lo; trial < hi; ++trial)
-            perTrial(trial, parts[ci]);
-    });
-    InjectionReport report;
-    for (const auto &part : parts)
-        report.merge(part);
-    return report;
+    ++report.trials;
+    switch (status) {
+      case DecodeStatus::Clean:
+        // A clean mismatch: the errors formed another codeword.
+        ++(matches ? report.clean : report.miscorrected);
+        break;
+      case DecodeStatus::Corrected:
+        ++(matches ? report.corrected : report.miscorrected);
+        break;
+      case DecodeStatus::Uncorrectable:
+        ++report.detected;
+        break;
+    }
 }
 
 } // namespace
 
 InjectionReport
-injectRs(const RsCodec &codec, const RsCampaign &c, ThreadPool *pool)
+injectRs(const RsCodec &codec, const RsCampaign &c, std::uint64_t first,
+         std::uint64_t last)
 {
     const unsigned n = codec.n();
     const unsigned m = codec.field().m();
@@ -54,104 +42,70 @@ injectRs(const RsCodec &codec, const RsCampaign &c, ThreadPool *pool)
         // Data chip f contributes symbols [r + f*beat, r + (f+1)*beat);
         // chip index dataChips means the parity chip (symbols [0, r)).
         const unsigned beat = c.chipBeatBytes;
-        const unsigned first =
+        const unsigned first_sym =
             codec.r() + static_cast<unsigned>(c.failedChip) * beat;
-        if (first >= codec.n()) {
+        if (first_sym >= codec.n()) {
             for (std::uint32_t s = 0; s < codec.r(); ++s)
                 erasures.push_back(s);
         } else {
-            for (std::uint32_t s = first; s < first + beat; ++s)
+            for (std::uint32_t s = first_sym; s < first_sym + beat; ++s)
                 erasures.push_back(s);
         }
     }
 
     const Rng base(c.seed);
-    return runCampaign(
-        c.trials, pool,
-        [&](std::uint64_t trial, InjectionReport &report) {
-            Rng rng = base.substream(trial);
-            std::vector<GfElem> data(codec.k());
-            for (auto &sym : data)
-                sym = static_cast<GfElem>(rng.next() & 0xFF);
-            const auto clean = codec.encode(data);
-            auto noisy = clean;
+    InjectionReport report;
+    for (std::uint64_t trial = first; trial < last; ++trial) {
+        Rng rng = base.substream(trial);
+        std::vector<GfElem> data(codec.k());
+        for (auto &sym : data)
+            sym = static_cast<GfElem>(rng.next() & 0xFF);
+        const auto clean = codec.encode(data);
+        auto noisy = clean;
 
-            // Random bit errors across the whole codeword.
-            std::uint64_t injected_symbols = 0;
-            for (unsigned s = 0; s < n; ++s) {
-                GfElem flip = 0;
-                for (unsigned b = 0; b < 8; ++b)
-                    if (rng.chance(c.rber))
-                        flip |= 1u << b;
-                if (flip) {
-                    noisy[s] ^= flip;
-                    ++injected_symbols;
-                }
+        // Random bit errors across the whole codeword.
+        std::uint64_t injected_symbols = 0;
+        for (unsigned s = 0; s < n; ++s) {
+            GfElem flip = 0;
+            for (unsigned b = 0; b < 8; ++b)
+                if (rng.chance(c.rber))
+                    flip |= 1u << b;
+            if (flip) {
+                noisy[s] ^= flip;
+                ++injected_symbols;
             }
-            // Chip failure: garble the failed chip's symbols entirely.
-            for (auto pos : erasures)
-                noisy[pos] = static_cast<GfElem>(rng.next() & 0xFF);
+        }
+        // Chip failure: garble the failed chip's symbols entirely.
+        for (auto pos : erasures)
+            noisy[pos] = static_cast<GfElem>(rng.next() & 0xFF);
 
-            report.errorCount.sample(
-                static_cast<std::size_t>(injected_symbols));
+        report.errorCount.sample(
+            static_cast<std::size_t>(injected_symbols));
 
-            const auto res = codec.decode(noisy, erasures, c.maxErrors);
-            ++report.trials;
-            switch (res.status) {
-              case DecodeStatus::Clean:
-                if (noisy == clean)
-                    ++report.clean;
-                else
-                    ++report.miscorrected; // errors formed another codeword
-                break;
-              case DecodeStatus::Corrected:
-                if (noisy == clean)
-                    ++report.corrected;
-                else
-                    ++report.miscorrected;
-                break;
-              case DecodeStatus::Uncorrectable:
-                ++report.detected;
-                break;
-            }
-        });
+        const auto res = codec.decode(noisy, erasures, c.maxErrors);
+        tally(report, res.status, noisy == clean);
+    }
+    return report;
 }
 
 InjectionReport
-injectBch(const BchCodec &codec, const BchCampaign &c, ThreadPool *pool)
+injectBch(const BchCodec &codec, const BchCampaign &c, std::uint64_t first,
+          std::uint64_t last)
 {
     const Rng base(c.seed);
-    return runCampaign(
-        c.trials, pool,
-        [&](std::uint64_t trial, InjectionReport &report) {
-            Rng rng = base.substream(trial);
-            BitVec data(codec.k());
-            data.randomize(rng);
-            const BitVec clean = codec.encode(data);
-            BitVec noisy = clean;
-            const std::size_t injected = noisy.injectErrors(rng, c.rber);
-            report.errorCount.sample(injected);
+    InjectionReport report;
+    for (std::uint64_t trial = first; trial < last; ++trial) {
+        Rng rng = base.substream(trial);
+        BitVec data(codec.k());
+        data.randomize(rng);
+        const BitVec clean = codec.encode(data);
+        BitVec noisy = clean;
+        report.errorCount.sample(noisy.injectErrors(rng, c.rber));
 
-            const auto res = codec.decode(noisy);
-            ++report.trials;
-            switch (res.status) {
-              case DecodeStatus::Clean:
-                if (noisy == clean)
-                    ++report.clean;
-                else
-                    ++report.miscorrected;
-                break;
-              case DecodeStatus::Corrected:
-                if (noisy == clean)
-                    ++report.corrected;
-                else
-                    ++report.miscorrected;
-                break;
-              case DecodeStatus::Uncorrectable:
-                ++report.detected;
-                break;
-            }
-        });
+        const auto res = codec.decode(noisy);
+        tally(report, res.status, noisy == clean);
+    }
+    return report;
 }
 
 } // namespace nvck

@@ -13,7 +13,6 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/threadpool.hh"
 #include "ecc/bch.hh"
 #include "ecc/rs.hh"
 
@@ -27,7 +26,6 @@ struct InjectionReport
     std::uint64_t corrected = 0;      //!< fixed, matches ground truth
     std::uint64_t detected = 0;       //!< reported uncorrectable
     std::uint64_t miscorrected = 0;   //!< silent data corruption
-    std::uint64_t rejectedByCap = 0;  //!< exceeded the max_errors cap
     Histogram errorCount{32};         //!< injected symbol/bit errors
 
     double rate(std::uint64_t n) const
@@ -47,7 +45,6 @@ struct InjectionReport
         corrected += other.corrected;
         detected += other.detected;
         miscorrected += other.miscorrected;
-        rejectedByCap += other.rejectedByCap;
         errorCount.merge(other.errorCount);
     }
 };
@@ -56,7 +53,6 @@ struct InjectionReport
 struct RsCampaign
 {
     double rber = 2e-4;      //!< per-bit error probability
-    std::uint64_t trials = 10000;
     int maxErrors = -1;      //!< decode cap (-1 = full capability)
     int failedChip = -1;     //!< >= 0: garble that chip's symbols and
                              //!< pass them as erasures
@@ -65,25 +61,26 @@ struct RsCampaign
 };
 
 /**
- * Run RS injection against a codec. Trial i draws from the substream
- * derived from (c.seed, i), so the report is identical for any worker
- * count (NVCK_JOBS=1 included). @p pool defaults to the global pool.
+ * Run trials [@p first, @p last) of an RS injection campaign against a
+ * codec. Trial i draws from the substream derived from (c.seed, i), so
+ * reports of disjoint ranges merge to the report of their union: a
+ * caller may split the campaign into ParallelSweep points of any size
+ * and get the same totals for any worker count.
  */
 InjectionReport injectRs(const RsCodec &codec, const RsCampaign &c,
-                         ThreadPool *pool = nullptr);
+                         std::uint64_t first, std::uint64_t last);
 
 /** Campaign settings for a BCH codec (e.g. the VLEW). */
 struct BchCampaign
 {
     double rber = 1e-3;
-    std::uint64_t trials = 1000;
     std::uint64_t seed = 1;
 };
 
-/** Run BCH injection against a codec (same determinism contract as
- *  injectRs: per-trial substreams, worker-count independent). */
+/** Run trials [@p first, @p last) of a BCH injection campaign (same
+ *  contract as injectRs: trial i draws substream (c.seed, i)). */
 InjectionReport injectBch(const BchCodec &codec, const BchCampaign &c,
-                          ThreadPool *pool = nullptr);
+                          std::uint64_t first, std::uint64_t last);
 
 } // namespace nvck
 

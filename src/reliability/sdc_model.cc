@@ -1,10 +1,8 @@
 #include "sdc_model.hh"
 
 #include <cmath>
-#include <vector>
 
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "reliability/binomial.hh"
 
 namespace nvck {
@@ -43,43 +41,6 @@ vlewFallbackFraction(const SdcInputs &in, unsigned threshold)
     const unsigned n = in.dataSymbols + in.checkSymbols;
     const double p_sym = symbolErrorProb(in.rber, in.symbolBits);
     return binomialTail(n, threshold + 1, p_sym);
-}
-
-double
-vlewFallbackFractionMc(const SdcInputs &in, unsigned threshold,
-                       std::uint64_t trials, std::uint64_t seed,
-                       ThreadPool *pool)
-{
-    if (trials == 0)
-        return 0.0;
-    const unsigned n = in.dataSymbols + in.checkSymbols;
-    const double p_sym = symbolErrorProb(in.rber, in.symbolBits);
-
-    // Fixed chunking keeps the decomposition — and the substream each
-    // trial draws from — independent of the worker count.
-    constexpr std::uint64_t kTrialsPerChunk = 4096;
-    const std::uint64_t chunks =
-        (trials + kTrialsPerChunk - 1) / kTrialsPerChunk;
-    std::vector<std::uint64_t> rejected(chunks, 0);
-
-    ThreadPool &p = pool ? *pool : ThreadPool::global();
-    const Rng base(seed);
-    p.parallelFor(chunks, [&](std::size_t ci) {
-        Rng rng = base.substream(ci);
-        const std::uint64_t lo = ci * kTrialsPerChunk;
-        const std::uint64_t hi =
-            lo + kTrialsPerChunk < trials ? lo + kTrialsPerChunk : trials;
-        std::uint64_t count = 0;
-        for (std::uint64_t t = lo; t < hi; ++t)
-            if (rng.binomial(n, p_sym) > threshold)
-                ++count;
-        rejected[ci] = count;
-    });
-
-    std::uint64_t total = 0;
-    for (const auto r : rejected)
-        total += r;
-    return static_cast<double>(total) / static_cast<double>(trials);
 }
 
 double

@@ -11,10 +11,6 @@
 #ifndef NVCK_RELIABILITY_SDC_MODEL_HH
 #define NVCK_RELIABILITY_SDC_MODEL_HH
 
-#include <cstdint>
-
-#include "common/threadpool.hh"
-
 namespace nvck {
 
 /** Inputs describing the per-block RS code and the channel. */
@@ -49,19 +45,6 @@ double sdcRate(const SdcInputs &in, unsigned t);
  * fetch. Section V-C quotes ~0.018% on average.
  */
 double vlewFallbackFraction(const SdcInputs &in, unsigned threshold);
-
-/**
- * Monte-Carlo cross-check of vlewFallbackFraction(): sample the
- * per-read symbol-error count Binomial(n, p_sym) and count reads whose
- * errors exceed @p threshold. Trials run in fixed-size chunks on the
- * parallel engine, each chunk drawing from its own (seed, chunk)
- * substream, so the estimate is reproducible and independent of the
- * worker count. Only meaningful at RBERs where the tail is observable
- * within @p trials samples.
- */
-double vlewFallbackFractionMc(const SdcInputs &in, unsigned threshold,
-                              std::uint64_t trials, std::uint64_t seed,
-                              ThreadPool *pool = nullptr);
 
 /** Probability a block read contains at least one bit error. */
 double blockErrorFraction(const SdcInputs &in);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "common/threadpool.hh"
 #include "ecc/code_params.hh"
 #include "reliability/binomial.hh"
 
@@ -158,44 +157,25 @@ vlewScheme(const StorageTargets &in, unsigned vlew_data_bytes)
     return out;
 }
 
-std::vector<StorageSolution>
-vlewSweep(const StorageTargets &in,
-          const std::vector<unsigned> &data_sizes_bytes)
-{
-    // Each size runs its own strength solver: independent work items
-    // on the global pool, collected in submission order, so the rows
-    // match a serial evaluation exactly for any NVCK_JOBS.
-    return ThreadPool::global().map<StorageSolution>(
-        data_sizes_bytes.size(), [&](std::size_t i) {
-            return vlewScheme(in, data_sizes_bytes[i]);
-        });
-}
-
-std::vector<FlashEccRow>
-flashEccCatalogue(const std::vector<unsigned> &strengths,
-                  double ue_target)
+FlashEccRow
+flashEccRow(unsigned t, double ue_target)
 {
     const unsigned k_bits = 512 * 8;
-    // One binary search per strength; independent points on the pool.
-    return ThreadPool::global().map<FlashEccRow>(
-        strengths.size(), [&](std::size_t i) {
-            const unsigned t = strengths[i];
-            FlashEccRow row;
-            row.t = t;
-            row.overhead = bchOverheadPaper(t, k_bits);
-            const unsigned n = k_bits + bchCheckBitsPaper(t, k_bits);
-            // Largest RBER this strength tolerates at the UE target.
-            double lo = 1e-12, hi = 0.5;
-            for (int iter = 0; iter < 80; ++iter) {
-                const double mid = std::sqrt(lo * hi);
-                if (binomialTail(n, t + 1, mid) <= ue_target)
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            row.maxRber = lo;
-            return row;
-        });
+    FlashEccRow row;
+    row.t = t;
+    row.overhead = bchOverheadPaper(t, k_bits);
+    const unsigned n = k_bits + bchCheckBitsPaper(t, k_bits);
+    // Largest RBER this strength tolerates at the UE target.
+    double lo = 1e-12, hi = 0.5;
+    for (int iter = 0; iter < 80; ++iter) {
+        const double mid = std::sqrt(lo * hi);
+        if (binomialTail(n, t + 1, mid) <= ue_target)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    row.maxRber = lo;
+    return row;
 }
 
 } // namespace nvck

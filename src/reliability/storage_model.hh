@@ -14,7 +14,6 @@
 #define NVCK_RELIABILITY_STORAGE_MODEL_HH
 
 #include <string>
-#include <vector>
 
 namespace nvck {
 
@@ -77,15 +76,10 @@ StorageSolution duoExtension(const StorageTargets &in);
 StorageSolution vlewScheme(const StorageTargets &in,
                            unsigned vlew_data_bytes);
 
-/** Fig 4 sweep over VLEW data sizes (bytes per in-chip codeword). */
-std::vector<StorageSolution>
-vlewSweep(const StorageTargets &in,
-          const std::vector<unsigned> &data_sizes_bytes);
-
 /**
- * Flash-style ECC catalogue (Fig 3): 512B codewords at the correction
- * strengths commercial flash uses; reports overhead and the maximum
- * RBER each strength tolerates at the UE target.
+ * One row of the flash-style ECC catalogue (Fig 3): a 512B codeword at
+ * a correction strength commercial flash uses, its overhead and the
+ * maximum RBER it tolerates at the UE target.
  */
 struct FlashEccRow
 {
@@ -93,9 +87,7 @@ struct FlashEccRow
     double overhead;
     double maxRber;
 };
-std::vector<FlashEccRow>
-flashEccCatalogue(const std::vector<unsigned> &strengths,
-                  double ue_target);
+FlashEccRow flashEccRow(unsigned t, double ue_target);
 
 } // namespace nvck
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "common/threadpool.hh"
 #include "reliability/binomial.hh"
 #include "reliability/error_model.hh"
 #include "reliability/sdc_model.hh"
@@ -63,24 +62,6 @@ maxOutageSeconds(int tech, double ue_target)
             hi = mid;
     }
     return lo;
-}
-
-std::vector<ReliabilityPoint>
-evaluateProposalSweep(const std::vector<double> &rbers,
-                      const ProposalParams &p)
-{
-    return ThreadPool::global().map<ReliabilityPoint>(
-        rbers.size(),
-        [&](std::size_t i) { return evaluateProposal(rbers[i], p); });
-}
-
-std::vector<double>
-maxOutageSweep(const std::vector<int> &techs, double ue_target)
-{
-    return ThreadPool::global().map<double>(
-        techs.size(), [&](std::size_t i) {
-            return maxOutageSeconds(techs[i], ue_target);
-        });
 }
 
 double

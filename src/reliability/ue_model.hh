@@ -11,8 +11,6 @@
 #ifndef NVCK_RELIABILITY_UE_MODEL_HH
 #define NVCK_RELIABILITY_UE_MODEL_HH
 
-#include <vector>
-
 #include "ecc/code_params.hh"
 
 namespace nvck {
@@ -42,17 +40,6 @@ ReliabilityPoint evaluateProposal(double rber,
                                       ProposalParams{});
 
 /**
- * Evaluate the proposal at every RBER in @p rbers. The points are
- * independent analytic work items fanned across the global thread
- * pool (NVCK_JOBS) and collected in submission order, so the result
- * is element-for-element identical to calling evaluateProposal() in a
- * serial loop — for any worker count and any submission order.
- */
-std::vector<ReliabilityPoint>
-evaluateProposalSweep(const std::vector<double> &rbers,
-                      const ProposalParams &p = ProposalParams{});
-
-/**
  * Largest time-without-refresh (seconds) a technology tolerates while
  * keeping the per-block boot UE under @p ue_target. Binary-searches
  * the technology's RBER-vs-time curve; the paper's design point is a
@@ -60,14 +47,6 @@ evaluateProposalSweep(const std::vector<double> &rbers,
  */
 double maxOutageSeconds(int tech /* MemTech as int to avoid include */,
                         double ue_target);
-
-/**
- * maxOutageSeconds() for every technology in @p techs, one pool work
- * item per technology (each is an independent 64-step binary search
- * over the RBER-vs-time curve); results in submission order.
- */
-std::vector<double> maxOutageSweep(const std::vector<int> &techs,
-                                   double ue_target);
 
 /**
  * Chipkill value: ratio of the block-failure probability without chip

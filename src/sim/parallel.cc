@@ -10,30 +10,6 @@
 
 namespace nvck {
 
-std::vector<RunMetrics>
-runAll(const std::vector<ExperimentJob> &jobs, ThreadPool *pool)
-{
-    ThreadPool &p = pool ? *pool : ThreadPool::global();
-    std::vector<RunMetrics> out(jobs.size());
-    p.parallelFor(jobs.size(), [&](std::size_t i) {
-        out[i] = runOnce(jobs[i].config, jobs[i].rc);
-    });
-    return out;
-}
-
-std::vector<AbResult>
-runAbSweep(PmTech tech, const std::vector<std::string> &workloads,
-           std::uint64_t seed, const RunControl &rc, ThreadPool *pool)
-{
-    ThreadPool &p = pool ? *pool : ThreadPool::global();
-    std::vector<AbResult> out(workloads.size());
-    p.parallelFor(workloads.size(), [&](std::size_t i) {
-        out[i].baseline = runBaseline(tech, workloads[i], seed, rc);
-        out[i].proposal = runProposal(tech, workloads[i], seed, rc);
-    });
-    return out;
-}
-
 namespace {
 
 [[noreturn]] void

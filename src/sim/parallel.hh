@@ -1,25 +1,24 @@
 /**
  * @file
- * Parallel experiment engine: fans independent experiment work items —
- * (SystemConfig, RunControl) pairs for the figure benches, per-trial
- * fault-injection campaigns in src/reliability/ — across the global
- * work-stealing thread pool (common/threadpool.hh), collecting results
- * in submission order so every output table is byte-identical to a
- * serial run.
+ * The one sweep driver: every bench and campaign that fans independent
+ * work out — simulated systems, Monte-Carlo trial chunks, analytic
+ * model points — declares it as ParallelSweep points. The driver runs
+ * them on the work-stealing thread pool (common/threadpool.hh) and
+ * collects results in declaration order, so every output table is
+ * byte-identical to a serial run. The only other fan-out is
+ * ScrubEngine's batched word scrub inside one store.
  *
- * Determinism contract: each work item owns its System (or derives a
- * per-trial Rng substream from (baseSeed, trialIndex)); no mutable
- * state is shared across items, and per-item results/StatGroups are
- * merged after the barrier in submission order. NVCK_JOBS=1 opts out
- * of threading entirely and must reproduce the same bytes.
+ * Determinism contract: each point owns its state (its System, its
+ * rank) and draws randomness only from its own Rng substream (or from
+ * a pure function of its inputs); no mutable state is shared across
+ * points, and callers merge outcomes after run() in declaration order.
+ * NVCK_JOBS=1 opts out of threading entirely and must reproduce the
+ * same bytes.
  *
- * ParallelSweep is the shared sweep driver the figure benches declare
- * their work through: a list of labelled points, each a closure that
- * may draw from its own Rng substream. The driver owns the NVCK_JOBS
- * plumbing, per-point wall-clock timing, and the --points/--filter
- * CLI (SweepOptions::parse) so any individual sweep point can be
- * re-run in isolation with the exact same random stream it would get
- * in a full run.
+ * The driver also owns the NVCK_JOBS plumbing, per-point wall-clock
+ * timing, and the --points/--filter CLI (SweepOptions::parse) so any
+ * individual sweep point can be re-run in isolation with the exact
+ * same random stream it would get in a full run.
  */
 
 #ifndef NVCK_SIM_PARALLEL_HH
@@ -36,53 +35,8 @@
 
 #include "common/rng.hh"
 #include "common/threadpool.hh"
-#include "sim/experiment.hh"
 
 namespace nvck {
-
-/** One independent experiment: a configured system plus run control. */
-struct ExperimentJob
-{
-    SystemConfig config;
-    RunControl rc;
-};
-
-/**
- * Run every job across the pool (global pool when @p pool is null);
- * results land in submission order.
- */
-std::vector<RunMetrics> runAll(const std::vector<ExperimentJob> &jobs,
-                               ThreadPool *pool = nullptr);
-
-/** Baseline/proposal pair for one workload (Figs 16/17). */
-struct AbResult
-{
-    RunMetrics baseline;
-    RunMetrics proposal;
-};
-
-/**
- * The Fig 16/17 sweep: for each workload run the bit-error-only
- * baseline and the two-pass proposal protocol under @p tech. Workloads
- * are independent work items; the two runs inside one item stay
- * sequential (the proposal's pass 2 depends on pass 1's C factor).
- */
-std::vector<AbResult> runAbSweep(PmTech tech,
-                                 const std::vector<std::string> &workloads,
-                                 std::uint64_t seed, const RunControl &rc,
-                                 ThreadPool *pool = nullptr);
-
-/**
- * Ordered parallel map over [0, count) on the global pool — the entry
- * point the figure benches submit through for non-System work items
- * (e.g. per-RBER fault-sweep points, per-shard rank simulations).
- */
-template <typename T>
-std::vector<T>
-parallelMap(std::size_t count, const std::function<T(std::size_t)> &fn)
-{
-    return ThreadPool::global().map<T>(count, fn);
-}
 
 /**
  * Options shared by every sweep-driven bench. parse() understands:

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 
 #include "chipkill/pm_rank.hh"
 
@@ -18,6 +19,15 @@ struct PropertyPoint
     double rber;
     unsigned threshold;
 };
+
+// Without a printer gtest names each case by the struct's raw bytes,
+// padding included, so the discovered test names would change from
+// one build to the next.
+void
+PrintTo(const PropertyPoint &p, std::ostream *os)
+{
+    *os << "rber" << p.rber << "_t" << p.threshold;
+}
 
 class RankProperty : public ::testing::TestWithParam<PropertyPoint>
 {};

@@ -34,16 +34,6 @@ TEST(ThreadPool, SingleWorkerRunsInline)
         EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPool, MapPreservesSubmissionOrder)
-{
-    ThreadPool pool(4);
-    const auto out = pool.map<std::size_t>(
-        1000, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(out.size(), 1000u);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], i * i);
-}
-
 TEST(ThreadPool, NestedCallsRunInline)
 {
     // A body that itself calls parallelFor must not deadlock; the

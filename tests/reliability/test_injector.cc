@@ -12,8 +12,7 @@ TEST(Injector, RsCleanChannel)
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 0.0;
-    c.trials = 50;
-    const auto rep = injectRs(rs, c);
+    const auto rep = injectRs(rs, c, 0, 50);
     EXPECT_EQ(rep.clean, rep.trials);
     EXPECT_EQ(rep.miscorrected, 0u);
 }
@@ -25,8 +24,7 @@ TEST(Injector, RsModerateChannelAllCorrected)
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 2e-4;
-    c.trials = 20000;
-    const auto rep = injectRs(rs, c);
+    const auto rep = injectRs(rs, c, 0, 20000);
     EXPECT_EQ(rep.miscorrected, 0u);
     EXPECT_EQ(rep.clean + rep.corrected + rep.detected, rep.trials);
     // ~10.9% of blocks contain at least one error (Section IV-A).
@@ -41,8 +39,7 @@ TEST(Injector, RsErrorDistributionMatchesFig7)
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 2e-4;
-    c.trials = 50000;
-    const auto rep = injectRs(rs, c);
+    const auto rep = injectRs(rs, c, 0, 50000);
     EXPECT_GT(rep.errorCount.cumulativeAt(2), 0.9995);
 }
 
@@ -53,9 +50,8 @@ TEST(Injector, RsThresholdRejectsLargePatterns)
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 5e-3; // elevated to make >2-error words common
-    c.trials = 20000;
     c.maxErrors = 2;
-    const auto rep = injectRs(rs, c);
+    const auto rep = injectRs(rs, c, 0, 20000);
     EXPECT_GT(rep.detected, 100u);
     EXPECT_EQ(rep.miscorrected, 0u);
 }
@@ -69,15 +65,14 @@ TEST(Injector, RsFullCapabilityMiscorrectsEventually)
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 2e-2;
-    c.trials = 60000;
     c.maxErrors = 4;
-    const auto rep = injectRs(rs, c);
+    const auto rep = injectRs(rs, c, 0, 60000);
     // Sanity: mostly detected.
     EXPECT_GT(rep.detected, rep.trials / 2);
     // Thresholding at 2 must strictly reduce (here: eliminate) SDC.
     RsCampaign c2 = c;
     c2.maxErrors = 2;
-    const auto rep2 = injectRs(rs, c2);
+    const auto rep2 = injectRs(rs, c2, 0, 60000);
     EXPECT_LE(rep2.miscorrected, rep.miscorrected);
 }
 
@@ -89,9 +84,8 @@ TEST(Injector, RsChipFailurePlusBitErrors)
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 0.0;
-    c.trials = 2000;
     c.failedChip = 3;
-    const auto rep = injectRs(rs, c);
+    const auto rep = injectRs(rs, c, 0, 2000);
     EXPECT_EQ(rep.miscorrected, 0u);
     EXPECT_EQ(rep.detected, 0u);
 }
@@ -101,9 +95,8 @@ TEST(Injector, RsParityChipFailure)
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 0.0;
-    c.trials = 500;
     c.failedChip = 8; // beyond data chips = the parity chip itself
-    const auto rep = injectRs(rs, c);
+    const auto rep = injectRs(rs, c, 0, 500);
     EXPECT_EQ(rep.miscorrected, 0u);
     EXPECT_EQ(rep.detected, 0u);
 }
@@ -115,8 +108,7 @@ TEST(Injector, BchVlewSurvivesBootRber)
     const BchCodec vlew(2048, 22);
     BchCampaign c;
     c.rber = 1e-3;
-    c.trials = 400;
-    const auto rep = injectBch(vlew, c);
+    const auto rep = injectBch(vlew, c, 0, 400);
     EXPECT_EQ(rep.miscorrected, 0u);
     EXPECT_EQ(rep.detected, 0u);
     EXPECT_EQ(rep.clean + rep.corrected, rep.trials);
@@ -128,8 +120,7 @@ TEST(Injector, BchErrorCountsMatchBinomial)
     const BchCodec vlew(2048, 22);
     BchCampaign c;
     c.rber = 1e-3;
-    c.trials = 3000;
-    const auto rep = injectBch(vlew, c);
+    const auto rep = injectBch(vlew, c, 0, 3000);
     // Mean injected errors ~= n * p.
     double mean = 0;
     for (std::size_t k = 0; k < rep.errorCount.buckets(); ++k)
@@ -145,8 +136,7 @@ TEST(Injector, BchDetectsOverloadChannel)
     const BchCodec small(256, 4);
     BchCampaign c;
     c.rber = 0.05;
-    c.trials = 300;
-    const auto rep = injectBch(small, c);
+    const auto rep = injectBch(small, c, 0, 300);
     EXPECT_GT(rep.detected, rep.trials / 2);
 }
 

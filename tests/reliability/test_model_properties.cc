@@ -1,20 +1,23 @@
 /**
  * @file
- * Property-based tests for the analytic UE/storage model sweeps that
- * now fan out across the thread pool: physical monotonicity in RBER,
- * the closed-form storage cost at the paper's VLEW design point, and
- * — the determinism contract — independence of the results from the
- * order and grouping in which sweep points are submitted.
+ * Property-based tests for the analytic UE/storage models: physical
+ * monotonicity in RBER, the closed-form storage cost at the paper's
+ * VLEW design point, and — the determinism contract of the benches
+ * that declare model points through ParallelSweep — independence of
+ * the results from the order in which points are declared and from
+ * the worker count (1, 2 and 8).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "reliability/error_model.hh"
 #include "reliability/storage_model.hh"
 #include "reliability/ue_model.hh"
+#include "sim/sweep_on.hh"
 
 namespace nvck {
 namespace {
@@ -24,8 +27,9 @@ const std::vector<double> kRberLadder = {1e-6, 1e-5, 5e-5, 1e-4, 2e-4,
 
 TEST(ModelProperties, UeRateMonotoneInRber)
 {
-    const auto pts = evaluateProposalSweep(kRberLadder);
-    ASSERT_EQ(pts.size(), kRberLadder.size());
+    std::vector<ReliabilityPoint> pts;
+    for (double rber : kRberLadder)
+        pts.push_back(evaluateProposal(rber));
     for (std::size_t i = 1; i < pts.size(); ++i) {
         SCOPED_TRACE("rber=" + std::to_string(kRberLadder[i]));
         // More raw errors can never make any failure mode less likely.
@@ -73,16 +77,22 @@ TEST(ModelProperties, VlewSweepIndependentOfSubmissionOrder)
     // must yield the bitwise-same solution per size.
     const std::vector<unsigned> shuffled = {256, 8,   1024, 64,
                                             16,  512, 32,   128};
-    const auto rows = vlewSweep(in, shuffled);
-    ASSERT_EQ(rows.size(), shuffled.size());
-    for (std::size_t i = 0; i < shuffled.size(); ++i) {
-        SCOPED_TRACE("size=" + std::to_string(shuffled[i]));
-        const auto solo = vlewScheme(in, shuffled[i]);
-        EXPECT_EQ(rows[i].feasible, solo.feasible);
-        EXPECT_EQ(rows[i].t, solo.t);
-        EXPECT_EQ(rows[i].codeOverhead, solo.codeOverhead);
-        EXPECT_EQ(rows[i].totalOverhead, solo.totalOverhead);
-        EXPECT_EQ(rows[i].scheme, solo.scheme);
+    for (unsigned workers : {1u, 2u, 8u}) {
+        const auto rows = sweepOn<StorageSolution>(
+            workers, 4, shuffled.size(), [&](std::size_t i, Rng &) {
+                return vlewScheme(in, shuffled[i]);
+            });
+        ASSERT_EQ(rows.size(), shuffled.size());
+        for (std::size_t i = 0; i < shuffled.size(); ++i) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " size=" + std::to_string(shuffled[i]));
+            const auto solo = vlewScheme(in, shuffled[i]);
+            EXPECT_EQ(rows[i].feasible, solo.feasible);
+            EXPECT_EQ(rows[i].t, solo.t);
+            EXPECT_EQ(rows[i].codeOverhead, solo.codeOverhead);
+            EXPECT_EQ(rows[i].totalOverhead, solo.totalOverhead);
+            EXPECT_EQ(rows[i].scheme, solo.scheme);
+        }
     }
 }
 
@@ -94,17 +104,23 @@ TEST(ModelProperties, UeSweepIndependentOfSubmissionOrder)
     std::reverse(shuffled.begin(), shuffled.end());
     std::swap(shuffled[1], shuffled[4]);
 
-    const auto swept = evaluateProposalSweep(shuffled);
-    ASSERT_EQ(swept.size(), shuffled.size());
-    for (std::size_t i = 0; i < shuffled.size(); ++i) {
-        SCOPED_TRACE("rber=" + std::to_string(shuffled[i]));
-        const auto solo = evaluateProposal(shuffled[i]);
-        EXPECT_EQ(swept[i].rber, solo.rber);
-        EXPECT_EQ(swept[i].vlewFailureProb, solo.vlewFailureProb);
-        EXPECT_EQ(swept[i].blockUeBoot, solo.blockUeBoot);
-        EXPECT_EQ(swept[i].blockSdcRuntime, solo.blockSdcRuntime);
-        EXPECT_EQ(swept[i].vlewFallbackFraction,
-                  solo.vlewFallbackFraction);
+    for (unsigned workers : {1u, 2u, 8u}) {
+        const auto swept = sweepOn<ReliabilityPoint>(
+            workers, 1, shuffled.size(), [&](std::size_t i, Rng &) {
+                return evaluateProposal(shuffled[i]);
+            });
+        ASSERT_EQ(swept.size(), shuffled.size());
+        for (std::size_t i = 0; i < shuffled.size(); ++i) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " rber=" + std::to_string(shuffled[i]));
+            const auto solo = evaluateProposal(shuffled[i]);
+            EXPECT_EQ(swept[i].rber, solo.rber);
+            EXPECT_EQ(swept[i].vlewFailureProb, solo.vlewFailureProb);
+            EXPECT_EQ(swept[i].blockUeBoot, solo.blockUeBoot);
+            EXPECT_EQ(swept[i].blockSdcRuntime, solo.blockSdcRuntime);
+            EXPECT_EQ(swept[i].vlewFallbackFraction,
+                      solo.vlewFallbackFraction);
+        }
     }
 }
 
@@ -113,10 +129,16 @@ TEST(ModelProperties, OutageSweepMatchesSerialCalls)
     const std::vector<int> techs = {static_cast<int>(MemTech::Reram),
                                     static_cast<int>(MemTech::Pcm3),
                                     static_cast<int>(MemTech::Pcm2)};
-    const auto swept = maxOutageSweep(techs, 1e-15);
-    ASSERT_EQ(swept.size(), techs.size());
-    for (std::size_t i = 0; i < techs.size(); ++i)
-        EXPECT_EQ(swept[i], maxOutageSeconds(techs[i], 1e-15));
+    for (unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        const auto swept = sweepOn<double>(
+            workers, 2, techs.size(), [&](std::size_t i, Rng &) {
+                return maxOutageSeconds(techs[i], 1e-15);
+            });
+        ASSERT_EQ(swept.size(), techs.size());
+        for (std::size_t i = 0; i < techs.size(); ++i)
+            EXPECT_EQ(swept[i], maxOutageSeconds(techs[i], 1e-15));
+    }
 }
 
 } // namespace

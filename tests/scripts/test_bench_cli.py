@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Exit-code checks for the throughput benches' command lines.
+"""Exit-code checks for the bench command lines.
 
 Usage:
   test_bench_cli.py --bench build/bench/bench_scrub_throughput \
@@ -15,9 +15,12 @@ expected one, 1 otherwise. Cases:
   seed-junk        --seed 12abc                       -> 2
   json-unwritable  --json into a missing directory    -> 1
   ok               a --quick run writing its report   -> 0
+  unknown-flag     --bogus alone                      -> 2
 
-bench_codec_throughput takes no --points/--seed, so it runs only the
-last two; the smallest point set keeps the others fast.
+Every bench binary runs unknown-flag. The other cases are for the
+throughput benches: they run on top of --quick (and, except for
+bench_codec_throughput, which takes no --points/--seed, --points 1) so
+they stay fast.
 """
 
 import argparse
@@ -33,6 +36,7 @@ CASES = {
     "seed-junk": (["--seed", "12abc"], 2),
     "json-unwritable": (["--json", "missing-dir/report.json"], 1),
     "ok": (["--json", "report.json"], 0),
+    "unknown-flag": (["--bogus"], 2),
 }
 
 
@@ -48,9 +52,11 @@ def main():
     work.mkdir(parents=True, exist_ok=True)
     report = work / "report.json"
     report.unlink(missing_ok=True)
-    quick = ["--quick"]
-    if "codec" not in Path(args.bench).name:
-        quick += ["--points", "1"]
+    quick = []
+    if args.case != "unknown-flag":
+        quick = ["--quick"]
+        if "codec" not in Path(args.bench).name:
+            quick += ["--points", "1"]
 
     proc = subprocess.run([args.bench] + quick + extra, cwd=work,
                           capture_output=True, text=True, check=False)

@@ -34,11 +34,35 @@ namespace {
 using SweepFn = void (*)(std::ostream &, const SweepOptions &,
                          const BenchScale &);
 
+// The analytic sweeps have no cost to scale; runtime correction is
+// cheap enough to lock at full size.
+void
+fig03Adapter(std::ostream &os, const SweepOptions &opts,
+             const BenchScale &)
+{
+    fig03FlashEcc(os, opts);
+}
+
 void
 fig04Adapter(std::ostream &os, const SweepOptions &opts,
              const BenchScale &)
 {
-    fig04StorageVsCodeword(os, opts); // purely analytic: no scale knob
+    fig04StorageVsCodeword(os, opts);
+}
+
+void
+refreshTradeoffAdapter(std::ostream &os, const SweepOptions &opts,
+                       const BenchScale &)
+{
+    refreshTradeoff(os, opts);
+}
+
+void
+runtimeCorrectionAdapter(std::ostream &os, const SweepOptions &opts,
+                         const BenchScale &)
+{
+    EXPECT_TRUE(runtimeCorrection(os, opts))
+        << "a dead chip's sampled block was not recovered";
 }
 
 void
@@ -93,6 +117,7 @@ struct GoldenCase
 };
 
 const GoldenCase kCases[] = {
+    {"fig03_flash_ecc", fig03Adapter},
     {"fig04_storage_vs_codeword", fig04Adapter},
     {"fig14_access_breakdown", fig14AccessBreakdown},
     {"fig15_cfactor", fig15Cfactor},
@@ -102,6 +127,8 @@ const GoldenCase kCases[] = {
     {"boot_scrub", bootScrubCampaign},
     {"wear_leveling", wearLevelingCampaign},
     {"fault_sweep", faultSweep},
+    {"refresh_tradeoff", refreshTradeoffAdapter},
+    {"runtime_correction", runtimeCorrectionAdapter},
     {"spare_campaign", spareCampaignAdapter},
     {"ras_campaign", rasCampaignAdapter},
     {"crash_campaign", crashCampaignAdapter},

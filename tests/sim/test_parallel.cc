@@ -1,15 +1,29 @@
+/**
+ * @file
+ * The sweep driver's determinism contract: whole-System runs, chunked
+ * injection campaigns and Monte-Carlo chunks declared as ParallelSweep
+ * points give the serial loop's results for 1, 2 and 8 workers, in
+ * declaration order, whatever the scheduling; plus the driver's own
+ * selection, seeding and CLI parsing.
+ */
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "reliability/binomial.hh"
 #include "reliability/injector.hh"
 #include "reliability/sdc_model.hh"
+#include "sim/experiment.hh"
 #include "sim/parallel.hh"
+#include "sim/sweep_on.hh"
 
 namespace nvck {
 namespace {
@@ -24,20 +38,17 @@ quickRun()
     return rc;
 }
 
-std::vector<ExperimentJob>
-sampleJobs()
+std::vector<SystemConfig>
+sampleConfigs()
 {
-    const RunControl rc = quickRun();
-    std::vector<ExperimentJob> jobs;
+    std::vector<SystemConfig> configs;
     for (const char *wl : {"echo", "ycsb", "hashmap", "ctree"}) {
-        jobs.push_back({SystemConfig::make(PmTech::Reram,
-                                           bitErrorOnlyScheme(), wl, 1),
-                        rc});
-        jobs.push_back({SystemConfig::make(PmTech::Pcm,
-                                           proposalScheme(2e-4), wl, 7),
-                        rc});
+        configs.push_back(SystemConfig::make(PmTech::Reram,
+                                             bitErrorOnlyScheme(), wl, 1));
+        configs.push_back(SystemConfig::make(PmTech::Pcm,
+                                             proposalScheme(2e-4), wl, 7));
     }
-    return jobs;
+    return configs;
 }
 
 /** Bit-identical comparison of every RunMetrics field. */
@@ -69,44 +80,52 @@ expectSameMetrics(const RunMetrics &a, const RunMetrics &b)
 
 TEST(ParallelEngine, MatchesSerialForAnyWorkerCount)
 {
-    const auto jobs = sampleJobs();
+    const auto configs = sampleConfigs();
+    const RunControl rc = quickRun();
 
-    // Ground truth: the plain serial loop, no engine involved.
+    // Ground truth: the plain serial loop, no driver involved.
     std::vector<RunMetrics> serial;
-    for (const auto &job : jobs)
-        serial.push_back(runOnce(job.config, job.rc));
+    for (const auto &cfg : configs)
+        serial.push_back(runOnce(cfg, rc));
 
     for (unsigned workers : {1u, 2u, 8u}) {
-        ThreadPool pool(workers);
-        const auto parallel = runAll(jobs, &pool);
-        ASSERT_EQ(parallel.size(), serial.size());
+        const auto swept = sweepOn<RunMetrics>(
+            workers, 0, configs.size(),
+            [&](std::size_t i, Rng &) { return runOnce(configs[i], rc); });
+        ASSERT_EQ(swept.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("workers=" + std::to_string(workers) +
-                         " job=" + std::to_string(i));
-            expectSameMetrics(serial[i], parallel[i]);
+                         " config=" + std::to_string(i));
+            expectSameMetrics(serial[i], swept[i]);
         }
     }
 }
 
 TEST(ParallelEngine, AbSweepMatchesSerialPair)
 {
+    // Fig 16/17's point shape: a workload's baseline and proposal
+    // runs stay sequential inside one point.
+    using AbPair = std::pair<RunMetrics, RunMetrics>;
     const RunControl rc = quickRun();
     const std::vector<std::string> workloads = {"echo", "ycsb"};
+    const auto ab = [&](std::size_t i, Rng &) {
+        return AbPair{runBaseline(PmTech::Reram, workloads[i], 1, rc),
+                      runProposal(PmTech::Reram, workloads[i], 1, rc)};
+    };
 
-    std::vector<AbResult> serial(workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        serial[i].baseline = runBaseline(PmTech::Reram, workloads[i], 1, rc);
-        serial[i].proposal = runProposal(PmTech::Reram, workloads[i], 1, rc);
-    }
+    std::vector<AbPair> serial;
+    Rng unused(0);
+    for (std::size_t i = 0; i < workloads.size(); ++i)
+        serial.push_back(ab(i, unused));
 
-    for (unsigned workers : {1u, 4u}) {
-        ThreadPool pool(workers);
-        const auto par = runAbSweep(PmTech::Reram, workloads, 1, rc, &pool);
-        ASSERT_EQ(par.size(), serial.size());
+    for (unsigned workers : {1u, 2u, 8u}) {
+        const auto swept =
+            sweepOn<AbPair>(workers, 0, workloads.size(), ab);
+        ASSERT_EQ(swept.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("workers=" + std::to_string(workers));
-            expectSameMetrics(serial[i].baseline, par[i].baseline);
-            expectSameMetrics(serial[i].proposal, par[i].proposal);
+            expectSameMetrics(serial[i].first, swept[i].first);
+            expectSameMetrics(serial[i].second, swept[i].second);
         }
     }
 }
@@ -119,7 +138,6 @@ expectSameReport(const InjectionReport &a, const InjectionReport &b)
     EXPECT_EQ(a.corrected, b.corrected);
     EXPECT_EQ(a.detected, b.detected);
     EXPECT_EQ(a.miscorrected, b.miscorrected);
-    EXPECT_EQ(a.rejectedByCap, b.rejectedByCap);
     ASSERT_EQ(a.errorCount.buckets(), b.errorCount.buckets());
     for (std::size_t k = 0; k < a.errorCount.buckets(); ++k)
         EXPECT_EQ(a.errorCount.bucket(k), b.errorCount.bucket(k));
@@ -127,35 +145,59 @@ expectSameReport(const InjectionReport &a, const InjectionReport &b)
     EXPECT_EQ(a.errorCount.samples(), b.errorCount.samples());
 }
 
+/**
+ * @p trials injection trials as one sweep point per 512-trial chunk
+ * (bench_fig07's shape) on @p workers workers, merged in declaration
+ * order. @p inject runs one trial range.
+ */
+template <typename Inject>
+InjectionReport
+chunkedCampaign(unsigned workers, std::uint64_t trials,
+                const Inject &inject)
+{
+    constexpr std::uint64_t kChunk = 512;
+    InjectionReport merged;
+    for (const auto &part : sweepOn<InjectionReport>(
+             workers, 0, (trials + kChunk - 1) / kChunk,
+             [&](std::size_t c, Rng &) {
+                 const std::uint64_t lo = c * kChunk;
+                 return inject(lo, std::min(lo + kChunk, trials));
+             }))
+        merged.merge(part);
+    return merged;
+}
+
 TEST(ParallelEngine, InjectionCountersBitIdenticalAcrossWorkers)
 {
     const RsCodec rs(64, 8);
     RsCampaign c;
     c.rber = 1e-3;
-    c.trials = 5000; // spans several 512-trial chunks
     c.seed = 11;
-
-    ThreadPool serial(1);
-    const auto ref = injectRs(rs, c, &serial);
-    EXPECT_EQ(ref.trials, c.trials);
-
-    for (unsigned workers : {2u, 8u}) {
-        ThreadPool pool(workers);
+    constexpr std::uint64_t kRsTrials = 5000; // several 512-trial chunks
+    const auto rs_range = [&](std::uint64_t lo, std::uint64_t hi) {
+        return injectRs(rs, c, lo, hi);
+    };
+    const auto ref = rs_range(0, kRsTrials);
+    EXPECT_EQ(ref.trials, kRsTrials);
+    for (unsigned workers : {1u, 2u, 8u}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        expectSameReport(ref, injectRs(rs, c, &pool));
+        expectSameReport(ref, chunkedCampaign(workers, kRsTrials, rs_range));
     }
 
     const BchCodec vlew(512, 8);
     BchCampaign bc;
     bc.rber = 2e-3;
-    bc.trials = 1500;
     bc.seed = 5;
-    const auto bch_ref = injectBch(vlew, bc, &serial);
-    EXPECT_EQ(bch_ref.trials, bc.trials);
-    for (unsigned workers : {2u, 8u}) {
-        ThreadPool pool(workers);
+    constexpr std::uint64_t kBchTrials = 1500;
+    const auto bch_range = [&](std::uint64_t lo, std::uint64_t hi) {
+        return injectBch(vlew, bc, lo, hi);
+    };
+    const auto bch_ref = bch_range(0, kBchTrials);
+    EXPECT_EQ(bch_ref.trials, kBchTrials);
+    for (unsigned workers : {1u, 2u, 8u}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        expectSameReport(bch_ref, injectBch(vlew, bc, &pool));
+        expectSameReport(bch_ref,
+                         chunkedCampaign(workers, kBchTrials, bch_range));
     }
 }
 
@@ -351,19 +393,65 @@ TEST(SweepOptions, JobsAcceptsTheWorkerCap)
     EXPECT_EQ(SweepOptions::parse(3, argv).jobs, ThreadPool::maxJobs);
 }
 
+/** Reads, of @p trials drawn from @p rng, whose Binomial(n, p_sym)
+ *  symbol-error count exceeds @p threshold. */
+std::uint64_t
+fallbackReads(const SdcInputs &in, unsigned threshold,
+              std::uint64_t trials, Rng &rng)
+{
+    const unsigned n = in.dataSymbols + in.checkSymbols;
+    const double p_sym = symbolErrorProb(in.rber, in.symbolBits);
+    std::uint64_t count = 0;
+    for (std::uint64_t t = 0; t < trials; ++t)
+        if (rng.binomial(n, p_sym) > threshold)
+            ++count;
+    return count;
+}
+
+constexpr std::uint64_t kMcChunk = 4096;
+
+/**
+ * Serial Monte-Carlo reference for vlewFallbackFraction(): chunk c of
+ * @p trials reads, kMcChunk reads each, draws substream (seed, c).
+ */
+double
+vlewFallbackFractionMc(const SdcInputs &in, unsigned threshold,
+                       std::uint64_t trials, std::uint64_t seed)
+{
+    const Rng base(seed);
+    std::uint64_t rejected = 0;
+    for (std::uint64_t lo = 0, c = 0; lo < trials; lo += kMcChunk, ++c) {
+        Rng rng = base.substream(c);
+        rejected += fallbackReads(in, threshold,
+                                  std::min(kMcChunk, trials - lo), rng);
+    }
+    return static_cast<double>(rejected) / static_cast<double>(trials);
+}
+
 TEST(ParallelEngine, SdcMonteCarloDeterministicAndNearAnalytic)
 {
     SdcInputs in;
     in.rber = 2e-3; // elevated so the tail is observable in 200k trials
     const double analytic = vlewFallbackFraction(in, 2);
+    constexpr std::uint64_t kTrials = 200000;
+    const double serial = vlewFallbackFractionMc(in, 2, kTrials, 3);
+    EXPECT_NEAR(serial, analytic, 0.25 * analytic);
 
-    ThreadPool serial(1);
-    ThreadPool wide(8);
-    const double mc1 =
-        vlewFallbackFractionMc(in, 2, 200000, 3, &serial);
-    const double mc8 = vlewFallbackFractionMc(in, 2, 200000, 3, &wide);
-    EXPECT_EQ(mc1, mc8); // byte-identical estimate, any worker count
-    EXPECT_NEAR(mc1, analytic, 0.25 * analytic);
+    // Chunk c as sweep point c: the point's Rng is substream (3, c),
+    // so the estimate is the serial one, any worker count.
+    for (unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        std::uint64_t rejected = 0;
+        for (const auto n : sweepOn<std::uint64_t>(
+                 workers, 3, (kTrials + kMcChunk - 1) / kMcChunk,
+                 [&](std::size_t c, Rng &rng) {
+                     const std::uint64_t lo = c * kMcChunk;
+                     return fallbackReads(
+                         in, 2, std::min(kMcChunk, kTrials - lo), rng);
+                 }))
+            rejected += n;
+        EXPECT_EQ(static_cast<double>(rejected) / kTrials, serial);
+    }
 }
 
 } // namespace
