@@ -84,7 +84,7 @@ ablateOne(PmTech tech, const std::string &w, const RunControl &rc)
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Ablation", "what each optimization of the proposal buys");
 
     const auto rc = benchRunControl();

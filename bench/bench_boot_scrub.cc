@@ -21,7 +21,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Section V-B", "boot-time scrub on the bit-accurate rank");
     bootScrubCampaign(std::cout, opts);
     return 0;

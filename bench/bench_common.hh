@@ -19,8 +19,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 
 namespace nvck {
 
@@ -37,15 +39,20 @@ banner(const std::string &artifact, const std::string &description)
               << "==============================================================\n";
 }
 
-/** For a bench without sweep points: any argument exits 2. */
-inline void
-rejectArguments(int argc, char **argv)
+/**
+ * The sweep command line of a bench main (SweepOptions::parse). Under
+ * --list the bench prints only the selected point labels: each sweep's
+ * run() writes them past std::cout, and std::cout is muted here, so the
+ * banner and the tables the main goes on to format from no outcomes
+ * are dropped.
+ */
+inline SweepOptions
+benchSweepOptions(int argc, char **argv)
 {
-    if (argc <= 1)
-        return;
-    std::cerr << argv[0] << ": takes no options (got '" << argv[1]
-              << "')\n";
-    std::exit(2);
+    SweepOptions opts = SweepOptions::parse(argc, argv);
+    if (opts.list)
+        std::cout.setstate(std::ios::badbit);
+    return opts;
 }
 
 /**

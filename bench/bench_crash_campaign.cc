@@ -29,7 +29,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Crash campaign",
            "power-failure atomicity of the XOR/EUR write path");
 

@@ -22,7 +22,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Fault sweep",
            "read-path distribution vs RBER on the bit-accurate rank");
     faultSweep(std::cout, opts);

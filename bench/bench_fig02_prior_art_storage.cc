@@ -24,7 +24,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 2",
            "storage cost of DRAM-chipkill extensions vs RBER");
 

@@ -15,7 +15,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 3", "BCH ECC words used by commercial Flash (512B data)");
     fig03FlashEcc(std::cout, opts);
     return 0;

@@ -18,7 +18,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 4", "storage cost vs VLEW codeword length @ RBER 1e-3");
     fig04StorageVsCodeword(std::cout, opts);
     return 0;

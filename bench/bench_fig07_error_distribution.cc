@@ -27,7 +27,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 7",
            "distribution of byte errors per 64B request @ 2e-4 RBER");
 

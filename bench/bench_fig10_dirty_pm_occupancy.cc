@@ -22,7 +22,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 10",
            "dirty-PM fraction of cache hierarchy capacity");
 

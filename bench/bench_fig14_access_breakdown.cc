@@ -20,7 +20,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 14", "off-chip memory access breakdown");
     fig14AccessBreakdown(std::cout, opts);
     return 0;

@@ -20,7 +20,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 15",
            "C factor: VLEW code-bit writes per PM write request");
     fig15Cfactor(std::cout, opts);

@@ -22,7 +22,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 16",
            "performance normalized to baseline, ReRAM latencies");
     fig16PerfReram(std::cout, opts);

@@ -23,7 +23,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 17",
            "performance normalized to baseline, PCM latencies");
     fig17PerfPcm(std::cout, opts);

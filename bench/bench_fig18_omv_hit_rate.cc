@@ -21,7 +21,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 18", "OMV served-from-LLC rate for PM writes");
     fig18OmvHitRate(std::cout, opts);
     return 0;

@@ -34,7 +34,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("RAS lifecycle campaign",
            "patrol scrub, health ledger, and live degraded failover");
 

@@ -19,7 +19,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Refresh trade-off (Section IV)",
            "refresh interval vs RBER vs bandwidth");
     refreshTradeoff(std::cout, opts);

@@ -21,7 +21,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Figures 8/9 + Section V-C",
            "runtime correction paths on the bit-accurate rank");
     return runtimeCorrection(std::cout, opts) ? 0 : 1;

@@ -35,7 +35,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Hot-sparing campaign",
            "spare rebuild, degraded fallback, and repair/migrate-back");
 

@@ -20,7 +20,7 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
-    const auto opts = SweepOptions::parse(argc, argv);
+    const auto opts = benchSweepOptions(argc, argv);
     banner("Section V-E", "start-gap wear leveling on the protected rank");
     wearLevelingCampaign(std::cout, opts);
     return 0;

@@ -14,13 +14,15 @@
 
 #include "chipkill/degraded.hh"
 #include "chipkill/pm_rank.hh"
+#include "common/env.hh"
 #include "reliability/error_model.hh"
 
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     Rng rng(4242);
     PmRank healthy(512);
     healthy.initialize(rng);

@@ -22,12 +22,16 @@ using namespace nvck;
 int
 main(int argc, char **argv)
 {
+    // The whole argument must be a number in (0, 0.5): trailing junk
+    // ("1e-3junk"), a word, NaN and out-of-range values exit 2.
     double rber = rber::bootTarget;
+    char *end = nullptr;
     if (argc > 1)
-        rber = std::atof(argv[1]);
-    if (rber <= 0.0 || rber >= 0.5) {
+        rber = std::strtod(argv[1], &end);
+    if (argc > 2 || (argc > 1 && (end == argv[1] || *end != '\0')) ||
+        !(rber > 0.0 && rber < 0.5)) {
         std::fprintf(stderr, "usage: %s [rber in (0, 0.5)]\n", argv[0]);
-        return 1;
+        return 2;
     }
 
     std::printf("design-space explorer @ boot RBER %.2e "

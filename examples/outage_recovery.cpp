@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "chipkill/pm_rank.hh"
+#include "common/env.hh"
 #include "common/table.hh"
 #include "reliability/binomial.hh"
 #include "reliability/error_model.hh"
@@ -21,8 +22,9 @@
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     std::printf("outage-recovery study: VLEW survival vs time without "
                 "refresh\n\n");
 

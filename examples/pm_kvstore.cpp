@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "chipkill/pm_rank.hh"
+#include "common/env.hh"
 #include "reliability/error_model.hh"
 
 using namespace nvck;
@@ -103,8 +104,9 @@ class MiniKvStore
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     MiniKvStore store(256);
     Rng rng(99);
 

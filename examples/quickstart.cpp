@@ -13,13 +13,15 @@
 #include <cstring>
 
 #include "chipkill/pm_rank.hh"
+#include "common/env.hh"
 #include "reliability/error_model.hh"
 
 using namespace nvck;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectArguments(argc, argv);
     // A small rank: 1024 blocks = 64KB of protected persistent memory.
     PmRank rank(1024);
     Rng rng(12345);

@@ -10,9 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 
+#include "common/env.hh"
 #include "sim/experiment.hh"
 #include "workload/profiles.hh"
 
@@ -22,9 +23,15 @@ int
 main(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "btree";
-    PmTech tech = PmTech::Pcm;
-    if (argc > 2 && std::strcmp(argv[2], "reram") == 0)
-        tech = PmTech::Reram;
+    const auto tech_idx =
+        argc > 2 ? parseChoice(argv[2], {"reram", "pcm"})
+                 : std::optional<std::size_t>(1);
+    if (argc > 3 || !tech_idx) {
+        std::fprintf(stderr, "usage: %s [workload] [reram|pcm]\n",
+                     argv[0]);
+        return 2;
+    }
+    const PmTech tech = *tech_idx == 0 ? PmTech::Reram : PmTech::Pcm;
 
     bool known = false;
     for (const auto &name : allBenchmarkNames())
@@ -35,7 +42,7 @@ main(int argc, char **argv)
         for (const auto &name : allBenchmarkNames())
             std::fprintf(stderr, " %s", name.c_str());
         std::fprintf(stderr, "\n");
-        return 1;
+        return 2;
     }
 
     RunControl rc;

@@ -46,6 +46,11 @@ replayRun(const std::string &path, const SchemeTiming &scheme)
 int
 main(int argc, char **argv)
 {
+    // One optional trace path; a flag-like argument is not a path.
+    if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+        std::fprintf(stderr, "usage: %s [trace path]\n", argv[0]);
+        return 2;
+    }
     const std::string path =
         argc > 1 ? argv[1] : "/tmp/nvchipkill_demo.trace";
 

@@ -26,14 +26,28 @@ SetAssocCache::setBase(Addr addr)
     return &store[setIndex(addr) * numWays];
 }
 
+void
+SetAssocCache::untally(const CacheLine &line)
+{
+    dirtyPm -= line.valid && line.dirty && line.isPm;
+    omvCount -= line.valid && line.omv;
+}
+
+void
+SetAssocCache::tally(const CacheLine &line)
+{
+    dirtyPm += line.valid && line.dirty && line.isPm;
+    omvCount += line.valid && line.omv;
+}
+
 CacheLine *
 SetAssocCache::lookup(Addr addr)
 {
-    const Addr block = addr / blockBytes * blockBytes;
+    const Addr block = addr / blockBytes;
     CacheLine *base = setBase(addr);
     for (unsigned w = 0; w < numWays; ++w) {
         CacheLine &line = base[w];
-        if (line.valid && !line.omv && line.blockAddr == block) {
+        if (line.valid && !line.omv && line.block == block) {
             touch(line);
             return &line;
         }
@@ -44,11 +58,11 @@ SetAssocCache::lookup(Addr addr)
 CacheLine *
 SetAssocCache::lookupOmv(Addr addr)
 {
-    const Addr block = addr / blockBytes * blockBytes;
+    const Addr block = addr / blockBytes;
     CacheLine *base = setBase(addr);
     for (unsigned w = 0; w < numWays; ++w) {
         CacheLine &line = base[w];
-        if (line.valid && line.omv && line.blockAddr == block)
+        if (line.valid && line.omv && line.block == block)
             return &line;
     }
     return nullptr;
@@ -72,19 +86,39 @@ SetAssocCache::victim(Addr addr)
 void
 SetAssocCache::fill(CacheLine &line, Addr addr, bool is_pm, bool dirty)
 {
-    line.blockAddr = addr / blockBytes * blockBytes;
+    untally(line);
+    line.block = addr / blockBytes;
     line.valid = true;
     line.dirty = dirty;
     line.isPm = is_pm;
     line.sam = false;
     line.omv = false;
+    tally(line);
     touch(line);
 }
 
 void
 SetAssocCache::invalidate(CacheLine &line)
 {
+    untally(line);
     line = CacheLine{};
+}
+
+void
+SetAssocCache::setDirty(CacheLine &line, bool dirty)
+{
+    untally(line);
+    line.dirty = dirty;
+    tally(line);
+}
+
+void
+SetAssocCache::makeOmv(CacheLine &line)
+{
+    untally(line);
+    line.omv = true;
+    line.sam = false;
+    tally(line);
 }
 
 } // namespace nvck

@@ -4,6 +4,11 @@
  * simulation tracks tags and state bits (dirty, PM, and the proposal's
  * SAM/OMV bits) but not data contents; data-path correctness is
  * validated separately by the bit-accurate ECC pipeline.
+ *
+ * The directory keeps its occupancy as data: every write of a line's
+ * valid/dirty/isPm/omv flags goes through SetAssocCache (fill,
+ * invalidate, setDirty, makeOmv), which maintains the dirty-PM and OMV
+ * line counts that Fig 10's sampler reads, so a sample walks no line.
  */
 
 #ifndef NVCK_CACHE_CACHE_HH
@@ -17,26 +22,35 @@
 
 namespace nvck {
 
-/** State of one cache line. */
+/**
+ * State of one cache line. Callers read the flags freely but change
+ * valid/dirty/isPm/omv only through SetAssocCache, which tallies them.
+ * The block number and the five flags share one 64-bit word, so a line
+ * takes 16 bytes (the 4 MB LLC's directory is 1 MiB).
+ */
 struct CacheLine
 {
-    Addr blockAddr = 0;  //!< block-aligned address
-    bool valid = false;
-    bool dirty = false;
-    bool isPm = false;   //!< maps to the persistent-memory rank
+    std::uint64_t block : 58 = 0; //!< block number: address / blockBytes
+    bool valid : 1 = false;
+    bool dirty : 1 = false;
+    bool isPm : 1 = false;   //!< maps to the persistent-memory rank
     /**
      * SameAsMem: the line's value equals off-chip memory (set on fill
      * and on clean; cleared by a dirty writeback into the line).
      * LLC-only semantics (Section V-D).
      */
-    bool sam = false;
+    bool sam : 1 = false;
     /**
      * Old-Memory-Value: the line holds the pre-write value of a dirty
      * PM block and is invisible to normal lookups. LLC-only.
      */
-    bool omv = false;
+    bool omv : 1 = false;
     std::uint64_t lruStamp = 0;
+
+    /** Block-aligned address. */
+    Addr blockAddr() const { return Addr{block} * blockBytes; }
 };
+static_assert(sizeof(CacheLine) == 16, "CacheLine packs into 16 bytes");
 
 /** A set-associative, write-back, LRU cache directory. */
 class SetAssocCache
@@ -70,20 +84,25 @@ class SetAssocCache
     /** Invalidate a line. */
     void invalidate(CacheLine &line);
 
-    /**
-     * Iterate all lines (occupancy statistics). Statically dispatched:
-     * the sweep visits every line of a multi-MB directory, so the
-     * callback must inline rather than bounce through a std::function.
-     */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &line : store)
-            fn(line);
-    }
+    /** Set or clear a valid line's dirty bit. */
+    void setDirty(CacheLine &line, bool dirty);
 
-    /** Iterate all lines mutably (bulk invalidation sweeps). */
+    /**
+     * Turn a valid line into its block's OMV copy: it stops answering
+     * lookup() and no longer counts as SameAsMem.
+     */
+    void makeOmv(CacheLine &line);
+
+    /** Valid lines that are dirty and hold a PM block (Fig 10). */
+    std::size_t dirtyPmLines() const { return dirtyPm; }
+
+    /** Valid OMV lines. */
+    std::size_t omvLines() const { return omvCount; }
+
+    /**
+     * Iterate all lines mutably (the power-cut discard, which must
+     * visit every line anyway).
+     */
     template <typename Fn>
     void
     forEachMutable(Fn &&fn)
@@ -96,13 +115,21 @@ class SetAssocCache
     void touch(CacheLine &line) { line.lruStamp = ++stampCounter; }
 
   private:
+    friend class CacheTestPeer;
+
     std::size_t setIndex(Addr addr) const;
     CacheLine *setBase(Addr addr);
+    /** Drop @p line's contribution to the tallies before it changes. */
+    void untally(const CacheLine &line);
+    /** Add @p line's contribution to the tallies after it changed. */
+    void tally(const CacheLine &line);
 
     std::size_t numSets;
     unsigned numWays;
     std::vector<CacheLine, PageAllocator<CacheLine>> store;
     std::uint64_t stampCounter = 0;
+    std::size_t dirtyPm = 0;  //!< valid && dirty && isPm lines
+    std::size_t omvCount = 0; //!< valid && omv lines
 };
 
 } // namespace nvck

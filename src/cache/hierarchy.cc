@@ -59,7 +59,7 @@ CacheHierarchy::evictLlc(CacheLine &line)
         return;
     }
     if (line.dirty)
-        writeDirtyBlockToMemory(line.blockAddr, line.isPm);
+        writeDirtyBlockToMemory(line.blockAddr(), line.isPm);
     llc.invalidate(line);
 }
 
@@ -72,15 +72,14 @@ CacheHierarchy::dirtyWritebackToLlc(Addr addr, bool is_pm)
             // Section V-D rule: the hit line still equals memory, so
             // keep it as the block's OMV and take another way for the
             // incoming dirty data.
-            line->omv = true;
-            line->sam = false;
+            llc.makeOmv(*line);
             statistics.omvPreserved.inc();
             CacheLine &fresh = llcVictimExcluding(addr, line);
             evictLlc(fresh);
             llc.fill(fresh, addr, is_pm, /*dirty=*/true);
             return;
         }
-        line->dirty = true;
+        llc.setDirty(*line, true);
         line->sam = false;
         llc.touch(*line);
         return;
@@ -100,7 +99,7 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write,
 
     if (CacheLine *line = l1.lookup(addr)) {
         if (is_write)
-            line->dirty = true;
+            l1.setDirty(*line, true);
         statistics.l1Hits.inc();
         return HitLevel::L1;
     }
@@ -122,7 +121,7 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write,
     // Allocate in L1 (write-allocate), pushing out its victim.
     CacheLine &victim = l1.victim(addr);
     if (victim.valid && victim.dirty)
-        dirtyWritebackToLlc(victim.blockAddr, victim.isPm);
+        dirtyWritebackToLlc(victim.blockAddr(), victim.isPm);
     l1.fill(victim, addr, is_pm, /*dirty=*/is_write);
     return level;
 }
@@ -137,7 +136,7 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
     if (l1_line != nullptr && l1_line->dirty) {
         // clwb retains a clean copy in L1 and pushes the data through
         // the LLC to memory.
-        l1_line->dirty = false;
+        l1.setDirty(*l1_line, false);
         CacheLine *llc_line = llc.lookup(addr);
         bool omv_hit = false;
         if (is_pm && cfg.omvEnabled) {
@@ -152,7 +151,7 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
         if (llc_line != nullptr) {
             // The clean updates the LLC copy with the new data; after
             // the memory write it again equals memory.
-            llc_line->dirty = false;
+            llc.setDirty(*llc_line, false);
             llc_line->sam = true;
             llc.touch(*llc_line);
         }
@@ -166,8 +165,8 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
 
     CacheLine *llc_line = llc.lookup(addr);
     if (llc_line != nullptr && llc_line->dirty) {
-        writeDirtyBlockToMemory(llc_line->blockAddr, llc_line->isPm);
-        llc_line->dirty = false;
+        writeDirtyBlockToMemory(llc_line->blockAddr(), llc_line->isPm);
+        llc.setDirty(*llc_line, false);
         llc_line->sam = true;
         llc.touch(*llc_line);
         statistics.cleanOps.inc();
@@ -181,16 +180,11 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
 double
 CacheHierarchy::dirtyPmFraction() const
 {
-    std::size_t dirty_pm = 0;
+    std::size_t dirty_pm = llc.dirtyPmLines();
     std::size_t total = llc.lines();
-    const auto count = [&dirty_pm](const CacheLine &line) {
-        if (line.valid && line.dirty && line.isPm)
-            ++dirty_pm;
-    };
-    llc.forEach(count);
     for (const auto &l1 : l1s) {
+        dirty_pm += l1->dirtyPmLines();
         total += l1->lines();
-        l1->forEach(count);
     }
     return total ? static_cast<double>(dirty_pm) / total : 0.0;
 }
@@ -198,12 +192,7 @@ CacheHierarchy::dirtyPmFraction() const
 double
 CacheHierarchy::omvFraction() const
 {
-    std::size_t omv_lines = 0;
-    llc.forEach([&omv_lines](const CacheLine &line) {
-        if (line.valid && line.omv)
-            ++omv_lines;
-    });
-    return static_cast<double>(omv_lines) /
+    return static_cast<double>(llc.omvLines()) /
            static_cast<double>(llc.lines());
 }
 

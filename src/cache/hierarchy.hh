@@ -100,10 +100,13 @@ class CacheHierarchy
      */
     bool clean(unsigned core, Addr addr, bool is_pm);
 
-    /** Fraction of all hierarchy lines holding dirty PM blocks (Fig 10). */
+    /**
+     * Fraction of all hierarchy lines holding dirty PM blocks (Fig 10),
+     * from the directories' tallies: O(caches), no line is walked.
+     */
     double dirtyPmFraction() const;
 
-    /** Fraction of LLC lines currently holding OMVs. */
+    /** Fraction of LLC lines currently holding OMVs (tallied). */
     double omvFraction() const;
 
     /** OMV service rate for PM writes so far (Fig 18). */
@@ -126,6 +129,8 @@ class CacheHierarchy
     void resetStats() { statistics = CacheStats{}; }
 
   private:
+    friend class CacheTestPeer;
+
     /** Handle a dirty L1 line landing in the LLC (rules 2 and 3). */
     void dirtyWritebackToLlc(Addr addr, bool is_pm);
     /** Evict @p line from the LLC (silent for clean/OMV lines). */

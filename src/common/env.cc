@@ -71,6 +71,16 @@ flagPositive(const char *prog, const char *flag, const char *text,
     std::exit(2);
 }
 
+void
+rejectArguments(int argc, const char *const *argv)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr, "%s: takes no options (got '%s')\n", argv[0],
+                 argv[1]);
+    std::exit(2);
+}
+
 std::optional<std::size_t>
 envChoice(const char *name,
           std::initializer_list<const char *> choices)

@@ -9,7 +9,8 @@
  * runs. The parse functions are pure so tests can cover every malformed
  * shape without death tests; the env* wrappers add the getenv + exit
  * policy. The benches' numeric flags (--jobs, --points, --seed) go
- * through flagPositive, the same policy for a command-line value.
+ * through flagPositive, the same policy for a command-line value, and
+ * the benches and examples that take no options call rejectArguments.
  */
 
 #ifndef NVCK_COMMON_ENV_HH
@@ -52,6 +53,12 @@ envPositive(const char *name, std::uint64_t max = UINT64_MAX);
 std::uint64_t flagPositive(const char *prog, const char *flag,
                            const char *text,
                            std::uint64_t max = UINT64_MAX);
+
+/**
+ * For a program that takes no arguments: any argument prints
+ * "PROG: takes no options (got '...')" and exits with status 2.
+ */
+void rejectArguments(int argc, const char *const *argv);
 
 /**
  * Read the enumerated knob @p name against @p choices: nullopt when

@@ -151,7 +151,7 @@ void
 printLabels(const std::vector<std::string> &labels)
 {
     for (const auto &label : labels)
-        std::cout << label << "\n";
+        std::printf("%s\n", label.c_str());
 }
 
 } // namespace sweep_detail

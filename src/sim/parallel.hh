@@ -44,6 +44,8 @@ namespace nvck {
  *   --points N    run only the first N (post-filter) points
  *   --filter S    run only points whose label contains substring S
  *   --list        print the selected labels to stdout and run nothing
+ *                 (a bench main also mutes its tables: see
+ *                 benchSweepOptions in bench/bench_common.hh)
  *   --timing      report per-point wall time on stderr after the run
  *   --jobs N      worker count for this sweep (overrides NVCK_JOBS)
  *   --seed N      override the sweep's base seed (verbatim replay of
@@ -92,7 +94,8 @@ void announceSelection(std::size_t selected, std::size_t declared,
 void printTimings(const std::vector<std::pair<std::string, double>> &t,
                   unsigned workers);
 
-/** Stdout label listing for --list. */
+/** Stdout label listing for --list, written past std::cout, which a
+ *  bench main mutes under --list. */
 void printLabels(const std::vector<std::string> &labels);
 
 } // namespace sweep_detail

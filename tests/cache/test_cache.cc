@@ -23,7 +23,7 @@ TEST(SetAssocCache, FillThenLookup)
     c.fill(v, 0x1000, true, false);
     CacheLine *hit = c.lookup(0x1007); // same block
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->blockAddr, 0x1000u);
+    EXPECT_EQ(hit->blockAddr(), 0x1000u);
     EXPECT_TRUE(hit->isPm);
     EXPECT_EQ(c.lookup(0x1040), nullptr); // next block
 }
@@ -40,7 +40,7 @@ TEST(SetAssocCache, LruEvictsOldest)
     ASSERT_NE(c.lookup(0), nullptr);
     CacheLine &v = c.victim(0x5000);
     EXPECT_TRUE(v.valid);
-    EXPECT_EQ(v.blockAddr, 1u * blockBytes);
+    EXPECT_EQ(v.blockAddr(), 1u * blockBytes);
 }
 
 TEST(SetAssocCache, OmvLinesInvisibleToLookup)
@@ -48,7 +48,7 @@ TEST(SetAssocCache, OmvLinesInvisibleToLookup)
     SetAssocCache c(8 * 1024, 4);
     CacheLine &v = c.victim(0x2000);
     c.fill(v, 0x2000, true, false);
-    v.omv = true;
+    c.makeOmv(v);
     EXPECT_EQ(c.lookup(0x2000), nullptr);
     ASSERT_NE(c.lookupOmv(0x2000), nullptr);
 }
@@ -58,7 +58,7 @@ TEST(SetAssocCache, OmvAndNormalLineCoexist)
     SetAssocCache c(8 * 1024, 4);
     CacheLine &omv = c.victim(0x2000);
     c.fill(omv, 0x2000, true, false);
-    omv.omv = true;
+    c.makeOmv(omv);
     CacheLine &fresh = c.victim(0x2000);
     ASSERT_NE(&fresh, &omv);
     c.fill(fresh, 0x2000, true, true);
