@@ -13,9 +13,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "common/table.hh"
-#include "sim/parallel.hh"
-#include "workload/profiles.hh"
+#include "sweeps.hh"
 
 using namespace nvck;
 
@@ -25,57 +23,6 @@ main(int argc, char **argv)
     const auto opts = benchSweepOptions(argc, argv);
     banner("Figure 10",
            "dirty-PM fraction of cache hierarchy capacity");
-
-    // Longer windows than the perf figures: occupancy needs to reach
-    // its eviction/clean equilibrium.
-    const RunControl rc = benchOccupancyRunControl();
-
-    ParallelSweep<RunMetrics> sweep(10, opts);
-    for (const auto &name : allBenchmarkNames())
-        sweep.add(name, [name, rc] {
-            return runOnce(
-                SystemConfig::make(PmTech::Reram,
-                                   proposalScheme(runtimeRberFor(
-                                       PmTech::Reram)),
-                                   name),
-                rc);
-        });
-
-    Table t({"workload", "dirty PM fraction", "OMV lines (LLC)"});
-    double sum = 0.0;
-    unsigned count = 0;
-    for (const auto &out : sweep.run()) {
-        t.row().cell(out.label).pct(out.value.dirtyPmFraction, 2).pct(
-            out.value.omvFraction, 2);
-        sum += out.value.dirtyPmFraction;
-        ++count;
-    }
-    t.print(std::cout);
-    if (count)
-        std::cout << "\naverage dirty-PM occupancy: "
-                  << 100.0 * sum / count
-                  << "%  (paper: ~4% average; barnes lowest at ~0.5%)\n"
-                  << "Both in the 'small fraction' regime that makes OMV"
-                     " caching cheap.\n";
-
-    // Occupancy climbs toward its eviction/clean equilibrium over
-    // horizons the paper's 500ms warmup reaches but a bench-scale
-    // window cannot; shrinking the hierarchy shows the equilibrium
-    // fractions at bench scale.
-    std::cout << "\nScaled-cache sensitivity (LLC shrunk to 256KB):\n";
-    ParallelSweep<RunMetrics> scaled(1010, opts);
-    for (const std::string name : {"hashmap", "tpcc", "ycsb", "echo"})
-        scaled.add(name + "@256KB", [name, rc] {
-            auto cfg = SystemConfig::make(
-                PmTech::Reram,
-                proposalScheme(runtimeRberFor(PmTech::Reram)), name);
-            cfg.cache.llcBytes = 256 * 1024;
-            return runOnce(cfg, rc);
-        });
-    Table t2({"workload", "dirty PM fraction", "OMV lines (LLC)"});
-    for (const auto &out : scaled.run())
-        t2.row().cell(out.label).pct(out.value.dirtyPmFraction, 2).pct(
-            out.value.omvFraction, 2);
-    t2.print(std::cout);
+    fig10DirtyPmOccupancy(std::cout, opts);
     return 0;
 }

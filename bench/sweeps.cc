@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "chipkill/degraded.hh"
 #include "chipkill/pm_rank.hh"
 #include "chipkill/schemes.hh"
 #include "chipkill/wear.hh"
@@ -22,7 +23,7 @@ namespace nvck {
 BenchScale
 goldenScale()
 {
-    // Small enough that the full golden suite (seven sweeps x two
+    // Small enough that the full golden suite (every sweep x two
     // worker counts) stays in unit-test territory even under TSan,
     // large enough that every read path / scrub branch still fires.
     BenchScale s;
@@ -68,6 +69,62 @@ fig04StorageVsCodeword(std::ostream &os, const SweepOptions &opts)
        << in.ueTarget << " and may pick t one or two above the\n"
        << " paper's 22 depending on how the target is "
           "apportioned across chips; the cost shape is identical)\n";
+}
+
+void
+fig10DirtyPmOccupancy(std::ostream &os, const SweepOptions &opts,
+                      const BenchScale &scale)
+{
+    // Longer windows than the perf figures: occupancy needs to reach
+    // its eviction/clean equilibrium.
+    const RunControl rc = benchOccupancyRunControl(scale.time);
+
+    ParallelSweep<RunMetrics> sweep(10, opts);
+    for (const auto &name : allBenchmarkNames())
+        sweep.add(name, [name, rc] {
+            return runOnce(
+                SystemConfig::make(PmTech::Reram,
+                                   proposalScheme(runtimeRberFor(
+                                       PmTech::Reram)),
+                                   name),
+                rc);
+        });
+
+    Table t({"workload", "dirty PM fraction", "OMV lines (LLC)"});
+    double sum = 0.0;
+    unsigned count = 0;
+    for (const auto &out : sweep.run()) {
+        t.row().cell(out.label).pct(out.value.dirtyPmFraction, 2).pct(
+            out.value.omvFraction, 2);
+        sum += out.value.dirtyPmFraction;
+        ++count;
+    }
+    t.print(os);
+    if (count)
+        os << "\naverage dirty-PM occupancy: " << 100.0 * sum / count
+           << "%  (paper: ~4% average; barnes lowest at ~0.5%)\n"
+           << "Both in the 'small fraction' regime that makes OMV"
+              " caching cheap.\n";
+
+    // Occupancy climbs toward its eviction/clean equilibrium over
+    // horizons the paper's 500ms warmup reaches but a bench-scale
+    // window cannot; shrinking the hierarchy shows the equilibrium
+    // fractions at bench scale.
+    os << "\nScaled-cache sensitivity (LLC shrunk to 256KB):\n";
+    ParallelSweep<RunMetrics> scaled(1010, opts);
+    for (const std::string name : {"hashmap", "tpcc", "ycsb", "echo"})
+        scaled.add(name + "@256KB", [name, rc] {
+            auto cfg = SystemConfig::make(
+                PmTech::Reram,
+                proposalScheme(runtimeRberFor(PmTech::Reram)), name);
+            cfg.cache.llcBytes = 256 * 1024;
+            return runOnce(cfg, rc);
+        });
+    Table t2({"workload", "dirty PM fraction", "OMV lines (LLC)"});
+    for (const auto &out : scaled.run())
+        t2.row().cell(out.label).pct(out.value.dirtyPmFraction, 2).pct(
+            out.value.omvFraction, 2);
+    t2.print(os);
 }
 
 void
@@ -288,6 +345,104 @@ fig18OmvHitRate(std::ostream &os, const SweepOptions &opts,
         t2.row().cell(out.label).pct(out.value.omvHitRate, 2).cell(
             out.value.oldDataFetches);
     t2.print(os);
+}
+
+namespace {
+
+/** Normalized-performance columns for one ablation workload. */
+struct AblationRow
+{
+    double full = 0.0;
+    double noOmv = 0.0;
+    double noEur = 0.0;
+    double naive = 0.0;
+};
+
+RunMetrics
+runScheme(PmTech tech, const std::string &workload,
+          const SchemeTiming &scheme, const RunControl &rc)
+{
+    return runOnce(SystemConfig::make(tech, scheme, workload), rc);
+}
+
+AblationRow
+ablateOne(PmTech tech, const std::string &w, const RunControl &rc)
+{
+    const double rber = runtimeRberFor(tech);
+    const auto base = runBaseline(tech, w, 1, rc);
+
+    // Full proposal via the standard two-pass protocol.
+    const auto full = runProposal(tech, w, 1, rc);
+
+    // No OMV: every PM write fetches old data off-chip first.
+    SchemeTiming no_omv = proposalScheme(rber);
+    no_omv.omvEnabled = false;
+    no_omv.fetchOldOnOmvMiss = false;
+    no_omv.fetchOldAlways = true;
+    applyCFactor(no_omv, full.cFactor);
+    const auto no_omv_m = runScheme(tech, w, no_omv, rc);
+
+    // No EUR: every data write also writes its 33B of code bits.
+    SchemeTiming no_eur = proposalScheme(rber);
+    no_eur.eurEnabled = false;
+    applyCFactor(no_eur, 1.0);
+    const auto no_eur_m = runScheme(tech, w, no_eur, rc);
+
+    // Naive VLEW: no runtime RS reuse, no OMV, no EUR.
+    SchemeTiming naive = naiveVlewScheme(rber);
+    applyCFactor(naive, 1.0);
+    const auto naive_m = runScheme(tech, w, naive, rc);
+
+    AblationRow row;
+    row.full = full.perf / base.perf;
+    row.noOmv = no_omv_m.perf / base.perf;
+    row.noEur = no_eur_m.perf / base.perf;
+    row.naive = naive_m.perf / base.perf;
+    return row;
+}
+
+} // namespace
+
+void
+ablationDesign(std::ostream &os, const SweepOptions &opts,
+               const BenchScale &scale)
+{
+    const auto rc = benchRunControl(scale.time);
+    const PmTech tech = PmTech::Pcm;
+
+    ParallelSweep<AblationRow> sweep(42, opts);
+    for (const std::string w : {"echo", "btree", "hashmap"})
+        sweep.add(w, [tech, w, rc] { return ablateOne(tech, w, rc); });
+
+    Table t({"workload", "baseline", "full proposal", "no OMV caching",
+             "no EUR (C=1)", "naive VLEW"});
+    for (const auto &out : sweep.run())
+        t.row()
+            .cell(out.label)
+            .cell(1.0, 4)
+            .cell(out.value.full, 4)
+            .cell(out.value.noOmv, 4)
+            .cell(out.value.noEur, 4)
+            .cell(out.value.naive, 4);
+    t.print(os);
+
+    os << "\nDegraded-mode reconfiguration (Section V-E):\n";
+    DegradedRank degraded(256);
+    const ProposalParams p;
+    Table d({"mode", "VLEW span", "blocks fetched per correction"});
+    d.row()
+        .cell("healthy (per-chip VLEW)")
+        .cell(std::to_string(p.blocksPerVlew()) + " blocks/chip")
+        .cell(std::uint64_t{p.vlewFetchOverheadBlocks() + 1});
+    d.row()
+        .cell("degraded (striped VLEW)")
+        .cell(std::to_string(degraded.blocksPerVlew()) +
+              " blocks/rank")
+        .cell(std::uint64_t{degraded.correctionFetchBlocks() + 1});
+    d.print(os);
+    os << "\nReconfiguration keeps VLEW length and strength —"
+          " no extra storage — while\ncutting the correction"
+          " fetch by ~5x for ranks that lost a chip.\n";
 }
 
 namespace {

@@ -47,6 +47,11 @@ void fig03FlashEcc(std::ostream &os, const SweepOptions &opts);
 /** Figure 4: storage cost vs VLEW codeword length (analytic model). */
 void fig04StorageVsCodeword(std::ostream &os, const SweepOptions &opts);
 
+/** Figure 10: dirty-PM and OMV share of the cache hierarchy, plus a
+ *  scaled-cache section. */
+void fig10DirtyPmOccupancy(std::ostream &os, const SweepOptions &opts,
+                           const BenchScale &scale = BenchScale{});
+
 /** Figure 14: off-chip access breakdown per workload. */
 void fig14AccessBreakdown(std::ostream &os, const SweepOptions &opts,
                           const BenchScale &scale = BenchScale{});
@@ -66,6 +71,11 @@ void fig17PerfPcm(std::ostream &os, const SweepOptions &opts,
 /** Figure 18: OMV served-from-LLC rate, plus scaled-cache section. */
 void fig18OmvHitRate(std::ostream &os, const SweepOptions &opts,
                      const BenchScale &scale = BenchScale{});
+
+/** Ablation: what OMV caching, EUR coalescing and degraded-mode
+ *  reconfiguration each buy. */
+void ablationDesign(std::ostream &os, const SweepOptions &opts,
+                    const BenchScale &scale = BenchScale{});
 
 /** Section V-B: boot-scrub scenarios on the bit-accurate rank. */
 void bootScrubCampaign(std::ostream &os, const SweepOptions &opts,

@@ -91,7 +91,6 @@ SetAssocCache::fill(CacheLine &line, Addr addr, bool is_pm, bool dirty)
     line.valid = true;
     line.dirty = dirty;
     line.isPm = is_pm;
-    line.sam = false;
     line.omv = false;
     tally(line);
     touch(line);
@@ -117,7 +116,6 @@ SetAssocCache::makeOmv(CacheLine &line)
 {
     untally(line);
     line.omv = true;
-    line.sam = false;
     tally(line);
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Metadata-only set-associative cache with LRU replacement. The timing
  * simulation tracks tags and state bits (dirty, PM, and the proposal's
- * SAM/OMV bits) but not data contents; data-path correctness is
- * validated separately by the bit-accurate ECC pipeline.
+ * OMV bit) but not data contents; data-path correctness is validated
+ * separately by the bit-accurate ECC pipeline.
  *
  * The directory keeps its occupancy as data: every write of a line's
  * valid/dirty/isPm/omv flags goes through SetAssocCache (fill,
@@ -25,21 +25,20 @@ namespace nvck {
 /**
  * State of one cache line. Callers read the flags freely but change
  * valid/dirty/isPm/omv only through SetAssocCache, which tallies them.
- * The block number and the five flags share one 64-bit word, so a line
+ * The block number and the four flags share one 64-bit word, so a line
  * takes 16 bytes (the 4 MB LLC's directory is 1 MiB).
  */
 struct CacheLine
 {
     std::uint64_t block : 58 = 0; //!< block number: address / blockBytes
     bool valid : 1 = false;
+    /**
+     * The line differs from off-chip memory. The proposal's SAM
+     * (SameAsMem) bit is !dirty: a valid non-OMV LLC line equals
+     * memory iff it is clean (Section V-D).
+     */
     bool dirty : 1 = false;
     bool isPm : 1 = false;   //!< maps to the persistent-memory rank
-    /**
-     * SameAsMem: the line's value equals off-chip memory (set on fill
-     * and on clean; cleared by a dirty writeback into the line).
-     * LLC-only semantics (Section V-D).
-     */
-    bool sam : 1 = false;
     /**
      * Old-Memory-Value: the line holds the pre-write value of a dirty
      * PM block and is invisible to normal lookups. LLC-only.
@@ -87,10 +86,8 @@ class SetAssocCache
     /** Set or clear a valid line's dirty bit. */
     void setDirty(CacheLine &line, bool dirty);
 
-    /**
-     * Turn a valid line into its block's OMV copy: it stops answering
-     * lookup() and no longer counts as SameAsMem.
-     */
+    /** Turn a valid line into its block's OMV copy: it stops
+     *  answering lookup(). */
     void makeOmv(CacheLine &line);
 
     /** Valid lines that are dirty and hold a PM block (Fig 10). */

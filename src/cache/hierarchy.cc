@@ -68,7 +68,7 @@ CacheHierarchy::dirtyWritebackToLlc(Addr addr, bool is_pm)
 {
     CacheLine *line = llc.lookup(addr);
     if (line != nullptr) {
-        if (cfg.omvEnabled && line->isPm && line->sam && !line->dirty) {
+        if (cfg.omvEnabled && line->isPm && !line->dirty) {
             // Section V-D rule: the hit line still equals memory, so
             // keep it as the block's OMV and take another way for the
             // incoming dirty data.
@@ -80,7 +80,6 @@ CacheHierarchy::dirtyWritebackToLlc(Addr addr, bool is_pm)
             return;
         }
         llc.setDirty(*line, true);
-        line->sam = false;
         llc.touch(*line);
         return;
     }
@@ -115,7 +114,6 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write,
         CacheLine &fresh = llcVictimExcluding(addr, nullptr);
         evictLlc(fresh);
         llc.fill(fresh, addr, is_pm, /*dirty=*/false);
-        fresh.sam = true; // filled from memory
     }
 
     // Allocate in L1 (write-allocate), pushing out its victim.
@@ -140,8 +138,8 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
         CacheLine *llc_line = llc.lookup(addr);
         bool omv_hit = false;
         if (is_pm && cfg.omvEnabled) {
-            if (llc_line != nullptr && llc_line->sam) {
-                omv_hit = true; // SAM copy supplies the old value
+            if (llc_line != nullptr && !llc_line->dirty) {
+                omv_hit = true; // the clean (SAM) copy supplies the old value
             } else if (CacheLine *omv = llc.lookupOmv(addr)) {
                 omv_hit = true;
                 llc.invalidate(*omv);
@@ -152,7 +150,6 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
             // The clean updates the LLC copy with the new data; after
             // the memory write it again equals memory.
             llc.setDirty(*llc_line, false);
-            llc_line->sam = true;
             llc.touch(*llc_line);
         }
         (is_pm ? statistics.pmWritebacks : statistics.dramWritebacks)
@@ -167,7 +164,6 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
     if (llc_line != nullptr && llc_line->dirty) {
         writeDirtyBlockToMemory(llc_line->blockAddr(), llc_line->isPm);
         llc.setDirty(*llc_line, false);
-        llc_line->sam = true;
         llc.touch(*llc_line);
         statistics.cleanOps.inc();
         return true;

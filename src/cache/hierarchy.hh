@@ -1,10 +1,11 @@
 /**
  * @file
  * The simulated cache hierarchy: per-core private L1s and a shared LLC
- * implementing the proposal's SAM ("SameAsMem") and OMV ("Old Memory
- * Value") tag bits (Section V-D). The hierarchy is non-inclusive, like
- * the gem5 classic caches the paper used — which is exactly why some
- * OMV lookups miss (the paper's barnes discussion, Fig 18).
+ * implementing the proposal's SAM ("SameAsMem", read as a clean line)
+ * and OMV ("Old Memory Value") tag bits (Section V-D). The hierarchy
+ * is non-inclusive, like the gem5 classic caches the paper used —
+ * which is exactly why some OMV lookups miss (the paper's barnes
+ * discussion, Fig 18).
  *
  * Writebacks and cache-line cleans destined for persistent memory are
  * reported to a MemSink together with whether the old memory value was

@@ -65,71 +65,93 @@ makePayload(Rng &rng, const std::uint8_t *old_data, std::uint8_t *out)
         out[0] ^= 1u; // flips cancelled (or the RNG matched old)
 }
 
+PersistOracle::PersistOracle(unsigned blocks)
+    : settledVal(blocks), chains(blocks)
+{
+}
+
+void
+PersistOracle::setBaseline(unsigned block, const std::uint8_t *value)
+{
+    std::memcpy(settledVal[block].data(), value, blockBytes);
+    chains[block].clear();
+}
+
+void
+PersistOracle::recordBurst(unsigned block, const std::uint8_t *value)
+{
+    Value v;
+    std::memcpy(v.data(), value, blockBytes);
+    chains[block].push_back(v);
+}
+
+void
+PersistOracle::recordDrain(unsigned block)
+{
+    NVCK_ASSERT(!chains[block].empty(), "drain with no pending burst");
+    settledVal[block] = chains[block].back();
+    chains[block].clear();
+}
+
+unsigned
+PersistOracle::pendingCount() const
+{
+    unsigned n = 0;
+    for (const auto &c : chains)
+        n += !c.empty();
+    return n;
+}
+
+PersistOracle::Verdict
+PersistOracle::classify(unsigned block, const std::uint8_t *readback,
+                        bool reported_ue) const
+{
+    if (reported_ue)
+        return Verdict::ReportedUe;
+    const auto &chain = chains[block];
+    if (chain.empty()) {
+        // Settled block: an accepted-and-drained write is inside the
+        // persistence domain; anything but its exact value is a loss.
+        return std::memcmp(readback, settledVal[block].data(),
+                           blockBytes) == 0
+                   ? Verdict::SettledOk
+                   : Verdict::Violation;
+    }
+    if (std::memcmp(readback, chain.back().data(), blockBytes) == 0)
+        return Verdict::TornNew;
+    if (std::memcmp(readback, settledVal[block].data(), blockBytes) == 0)
+        return Verdict::TornOld;
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+        if (std::memcmp(readback, chain[i].data(), blockBytes) == 0)
+            return Verdict::TornIntermediate;
+    }
+    return Verdict::Violation;
+}
+
 namespace {
 
-/** What the oracle expects of one written block. */
-struct WrittenBlock
+/** A trial's tally from its audit. With one burst per block no
+ *  intermediate value exists, so TornIntermediate is a violation. */
+CrashTally
+trialTally(const PersistOracle::Audit &a)
 {
-    unsigned block = 0;
-    std::array<std::uint8_t, blockBytes> oldData;
-    std::array<std::uint8_t, blockBytes> newData;
-    /** Completed before the cut (ADR-durable): must never roll back. */
-    bool durable = false;
-};
-
-/**
- * Ground-truth oracle over a recovered rank of @p pristine.size()
- * blocks. @p read(b, out) reads block b back and returns true for a
- * reported UE. Untouched blocks must hold their pristine value, a
- * durable write its new value, the torn write its old or new value;
- * a reported UE is legal everywhere.
- */
-template <typename Read>
-void
-checkRecovered(
-    const std::vector<std::array<std::uint8_t, blockBytes>> &pristine,
-    std::span<const WrittenBlock> written, Read read, CrashTally &tally)
-{
-    std::uint8_t out[blockBytes];
-    for (unsigned b = 0; b < pristine.size(); ++b) {
-        const auto it =
-            std::find_if(written.begin(), written.end(),
-                         [b](const WrittenBlock &w) { return w.block == b; });
-        const WrittenBlock *w = it == written.end() ? nullptr : &*it;
-        if (read(b, out)) {
-            // Explicitly reported loss — legal everywhere, tallied
-            // against the torn block or as collateral damage.
-            if (w && !w->durable)
-                ++tally.tornUe;
-            else
-                ++tally.collateralUe;
-            continue;
-        }
-        if (!w) {
-            if (std::memcmp(out, pristine[b].data(), blockBytes))
-                ++tally.violations;
-        } else if (w->durable) {
-            // An accepted PM write is inside the ADR domain: anything
-            // but the new value (or a reported UE) breaks persistence.
-            if (std::memcmp(out, w->newData.data(), blockBytes))
-                ++tally.violations;
-        } else if (std::memcmp(out, w->newData.data(), blockBytes) == 0) {
-            ++tally.tornNew;
-        } else if (std::memcmp(out, w->oldData.data(), blockBytes) == 0) {
-            ++tally.tornOld;
-        } else {
-            ++tally.violations;
-        }
-    }
+    CrashTally tally;
+    tally.trials = 1;
+    tally.tornOld = a.tornOld;
+    tally.tornNew = a.tornNew;
+    tally.tornUe = a.tornUe;
+    tally.collateralUe = a.collateralUe;
+    tally.violations = a.violations + a.tornIntermediate;
+    return tally;
 }
 
 } // namespace
 
-CrashInjector::CrashInjector(PmRank &r) : rank(r), pristine(r.snapshot())
+CrashInjector::CrashInjector(PmRank &r)
+    : rank(r), pristine(r.snapshot()), oracle(r.blocks())
 {
-    pristineBlocks.resize(rank.blocks());
     for (unsigned b = 0; b < rank.blocks(); ++b)
-        rank.goldenBlock(b, pristineBlocks[b].data());
+        oracle.rebase(rank, b);
 }
 
 CrashTally
@@ -137,6 +159,9 @@ CrashInjector::runTrial(CrashPoint point, Rng &rng,
                         const CrashTrialOptions &opts)
 {
     rank.restore(pristine);
+    for (const unsigned b : written)
+        oracle.rebase(rank, b);
+    written.clear();
     const unsigned chips = rank.chips();
     const std::uint16_t full_mask =
         static_cast<std::uint16_t>((1u << chips) - 1);
@@ -150,23 +175,18 @@ CrashInjector::runTrial(CrashPoint point, Rng &rng,
         count = 2 + static_cast<unsigned>(rng.below(opts.maxBlocks - 1));
         torn_point = static_cast<CrashPoint>(rng.below(3));
     }
-    std::vector<WrittenBlock> written;
     while (written.size() < count) {
         const unsigned b = static_cast<unsigned>(rng.below(rank.blocks()));
-        if (std::any_of(written.begin(), written.end(),
-                        [b](const WrittenBlock &w) { return w.block == b; }))
+        if (std::find(written.begin(), written.end(), b) != written.end())
             continue;
-        WrittenBlock w;
-        w.block = b;
-        w.oldData = pristineBlocks[b];
-        makePayload(rng, w.oldData.data(), w.newData.data());
-        w.durable = written.size() + 1 < count;
-        written.push_back(w);
-    }
-
-    for (const auto &w : written) {
-        if (w.durable) {
-            rank.writeBlock(w.block, w.newData.data());
+        written.push_back(b);
+        std::uint8_t value[blockBytes];
+        makePayload(rng, oracle.settled(b).data(), value);
+        oracle.recordBurst(b, value);
+        if (written.size() < count) {
+            // Completed before the cut: ADR-durable.
+            rank.writeBlock(b, value);
+            oracle.recordDrain(b);
             continue;
         }
         std::uint16_t data_mask = full_mask;
@@ -183,60 +203,51 @@ CrashInjector::runTrial(CrashPoint point, Rng &rng,
           case CrashPoint::MidMultiBlockPersist:
             NVCK_PANIC("torn sub-point cannot recurse");
         }
-        rank.applyTornWrite(w.block, w.newData.data(), data_mask,
-                            code_mask);
+        rank.applyTornWrite(b, value, data_mask, code_mask);
     }
 
-    CrashTally tally;
-    tally.trials = 1;
-    if (rng.chance(opts.chipKillFraction)) {
+    const bool chip_kill = rng.chance(opts.chipKillFraction);
+    if (chip_kill)
         rank.failChip(static_cast<unsigned>(rng.below(chips)), rng);
-        tally.chipKills = 1;
-    }
 
     rank.crashRecovery(opts.threshold);
 
-    checkRecovered(
-        pristineBlocks, written,
-        [this, &opts](unsigned b, std::uint8_t *out) {
+    CrashTally tally = trialTally(
+        oracle.audit([this, &opts](unsigned b, std::uint8_t *out) {
             return rank.readBlock(b, out, opts.threshold).path ==
                    ReadPath::Failed;
-        },
-        tally);
+        }));
+    tally.chipKills = chip_kill;
     return tally;
 }
 
 DegradedCrashInjector::DegradedCrashInjector(DegradedRank &r)
-    : rank(r), pristine(r.snapshot())
+    : rank(r), pristine(r.snapshot()), oracle(r.blocks())
 {
-    pristineBlocks.resize(rank.blocks());
     for (unsigned b = 0; b < rank.blocks(); ++b)
-        rank.goldenBlock(b, pristineBlocks[b].data());
+        oracle.rebase(rank, b);
 }
 
 CrashTally
 DegradedCrashInjector::runTrial(Rng &rng)
 {
     rank.restore(pristine);
-    WrittenBlock w;
-    w.block = static_cast<unsigned>(rng.below(rank.blocks()));
-    w.oldData = pristineBlocks[w.block];
-    makePayload(rng, w.oldData.data(), w.newData.data());
+    for (const unsigned b : written)
+        oracle.rebase(rank, b);
+    const unsigned b = static_cast<unsigned>(rng.below(rank.blocks()));
+    written.assign(1, b);
+    std::uint8_t value[blockBytes];
+    makePayload(rng, oracle.settled(b).data(), value);
 
     // Degraded mode has no RS tier: the only torn shape left is the
     // EUR window (data durable, striped-VLEW code delta lost).
-    rank.applyTornWrite(w.block, w.newData.data(), false);
+    rank.applyTornWrite(b, value, false);
+    oracle.recordBurst(b, value);
     rank.scrub();
 
-    CrashTally tally;
-    tally.trials = 1;
-    checkRecovered(
-        pristineBlocks, {&w, 1},
-        [this](unsigned b, std::uint8_t *out) {
-            return rank.readBlock(b, out).failed;
-        },
-        tally);
-    return tally;
+    return trialTally(oracle.audit([this](unsigned blk, std::uint8_t *out) {
+        return rank.readBlock(blk, out).failed;
+    }));
 }
 
 CrashCampaignTotals

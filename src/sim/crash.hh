@@ -13,12 +13,10 @@
  * window: it snapshots the persistent media image, applies a torn
  * write shaped by an enumerated CrashPoint, optionally kills a chip at
  * the same instant, runs the post-crash recovery pass
- * (PmRank::crashRecovery / DegradedRank::scrub), and checks the
- * ground-truth oracle:
- *
- *   every block must read back as the OLD value, the NEW value, or an
- *   explicitly reported UE — never silent garbage, and a block whose
- *   write completed before the cut (ADR-durable) must never roll back.
+ * (PmRank::crashRecovery / DegradedRank::scrub), and audits the whole
+ * rank with the PersistOracle below: the one record of write intent
+ * and the one readback judge of all four crash and RAS campaigns (this
+ * one, syscrash.hh, ras.hh and spare.hh).
  *
  * crashCampaign() fans randomized trials across the ParallelSweep
  * driver; per-point Rng substreams keep the emitted table
@@ -73,6 +71,133 @@ crashPointName(CrashPoint point)
     return crashPointNames[static_cast<unsigned>(point)];
 }
 
+/**
+ * Per-block persist-order bookkeeping. A writer records every data
+ * burst (a value whose code delta is now EUR-held) and every completed
+ * drain (the value settles); after recovery, audit() reads every block
+ * back and counts what it means under the ADR contract:
+ *
+ *  - a write whose coalesced code-bit delta fully drained from the EUR
+ *    ("settled") is crash-durable and must read back as exactly its
+ *    value — never roll back;
+ *  - a write whose data burst landed (or was flushed from the write
+ *    queue by the ADR domain's stored energy) but whose code delta was
+ *    still EUR-held may resolve to the last settled value, any
+ *    still-pending bursted value, or an explicitly reported UE;
+ *  - nothing may ever read back as silent garbage.
+ */
+class PersistOracle
+{
+  public:
+    using Value = std::array<std::uint8_t, blockBytes>;
+
+    /** What a post-recovery readback means for one block. */
+    enum class Verdict
+    {
+        SettledOk,        //!< no pending write; exact settled value
+        TornOld,          //!< pending write resolved to the settled value
+        TornNew,          //!< pending write rolled forward to the latest
+        TornIntermediate, //!< an earlier still-pending bursted value
+        ReportedUe,       //!< explicit, reported UE (always legal)
+        Violation,        //!< silent garbage or a settled write rolled back
+    };
+
+    /** Verdict counts over every block; a reported UE is torn on a
+     *  pending block and collateral on a settled one. */
+    struct Audit
+    {
+        std::uint64_t tornOld = 0;
+        std::uint64_t tornNew = 0;
+        std::uint64_t tornIntermediate = 0;
+        std::uint64_t tornUe = 0;
+        std::uint64_t collateralUe = 0;
+        std::uint64_t violations = 0;
+    };
+
+    explicit PersistOracle(unsigned blocks);
+
+    /** Set the pristine (settled) image of @p block. */
+    void setBaseline(unsigned block, const std::uint8_t *value);
+
+    /** Set @p block's pristine image to @p rank's golden copy of it. */
+    template <typename Rank>
+    void
+    rebase(const Rank &rank, unsigned block)
+    {
+        rank.goldenBlock(block, settledVal[block].data());
+        chains[block].clear();
+    }
+
+    /** A data burst landed: @p value is now pending (code EUR-held). */
+    void recordBurst(unsigned block, const std::uint8_t *value);
+
+    /** The block's coalesced code delta fully drained: the latest
+     *  bursted value settles and the pending chain resets. */
+    void recordDrain(unsigned block);
+
+    /** True while the block has bursted-but-undrained values. */
+    bool pending(unsigned block) const
+    {
+        return !chains[block].empty();
+    }
+
+    /** Blocks currently pending. */
+    unsigned pendingCount() const;
+
+    /** Last settled value: the image whose code bits fully drained. */
+    const Value &settled(unsigned block) const { return settledVal[block]; }
+
+    /** Latest bursted value (the settled value when not pending). */
+    const Value &
+    latest(unsigned block) const
+    {
+        return pending(block) ? chains[block].back() : settledVal[block];
+    }
+
+    Verdict classify(unsigned block, const std::uint8_t *readback,
+                     bool reported_ue) const;
+
+    /**
+     * Read every block back through @p read(block, out), which fills
+     * the 64B @p out and returns true for a reported UE, and count the
+     * verdicts.
+     */
+    template <typename Read>
+    Audit
+    audit(Read &&read) const
+    {
+        Audit a;
+        std::uint8_t out[blockBytes];
+        for (unsigned b = 0; b < settledVal.size(); ++b) {
+            switch (classify(b, out, read(b, out))) {
+              case Verdict::SettledOk:
+                break;
+              case Verdict::TornOld:
+                ++a.tornOld;
+                break;
+              case Verdict::TornNew:
+                ++a.tornNew;
+                break;
+              case Verdict::TornIntermediate:
+                ++a.tornIntermediate;
+                break;
+              case Verdict::ReportedUe:
+                ++(pending(b) ? a.tornUe : a.collateralUe);
+                break;
+              case Verdict::Violation:
+                ++a.violations;
+                break;
+            }
+        }
+        return a;
+    }
+
+  private:
+    std::vector<Value> settledVal;
+    /** Values bursted since the last settle, oldest first. */
+    std::vector<std::vector<Value>> chains;
+};
+
 /** Tallies from a batch of crash trials (or one trial). */
 struct CrashTally : TallyBase<CrashTally>
 {
@@ -126,7 +251,7 @@ struct CrashTrialOptions
  * Drives one healthy rank through randomized power cuts. The pristine
  * media image is captured once; every trial restores it, applies a
  * torn write shaped by the requested CrashPoint, runs
- * crashRecovery(), and checks the oracle over the whole rank.
+ * crashRecovery(), and audits the whole rank with a PersistOracle.
  */
 class CrashInjector
 {
@@ -141,8 +266,9 @@ class CrashInjector
   private:
     PmRank &rank;
     RankSnapshot pristine;
-    /** Pristine 64B of every block, for the untouched-block oracle. */
-    std::vector<std::array<std::uint8_t, blockBytes>> pristineBlocks;
+    PersistOracle oracle;
+    /** The last trial's writes: the baselines a restore makes stale. */
+    std::vector<unsigned> written;
 };
 
 /**
@@ -160,7 +286,9 @@ class DegradedCrashInjector
   private:
     DegradedRank &rank;
     DegradedSnapshot pristine;
-    std::vector<std::array<std::uint8_t, blockBytes>> pristineBlocks;
+    PersistOracle oracle;
+    /** As CrashInjector::written. */
+    std::vector<unsigned> written;
 };
 
 /** Campaign shape; the defaults meet the acceptance bar. */

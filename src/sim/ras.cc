@@ -788,29 +788,15 @@ RasMirror::finalCheck(RasTally &tally)
     // path; the hooks retire every mirrored pending block.
     sys.memory().drainPmEur();
 
-    std::uint8_t out[blockBytes];
-    for (unsigned b = 0; b < rank.blocks(); ++b) {
-        bool ue;
-        if (failover && b < failover->watermark()) {
-            ue = failover->degraded().readBlock(b, out).failed;
-        } else {
-            ue = rank.readBlock(b, out, threshold).path ==
-                 ReadPath::Failed;
-        }
-        switch (oracle.classify(b, out, ue)) {
-          case PersistOracle::Verdict::SettledOk:
-          case PersistOracle::Verdict::TornNew:
-            break;
-          case PersistOracle::Verdict::ReportedUe:
-            ++tally.ue;
-            break;
-          case PersistOracle::Verdict::TornOld:
-          case PersistOracle::Verdict::TornIntermediate:
-          case PersistOracle::Verdict::Violation:
-            ++tally.lostDurable;
-            break;
-        }
-    }
+    const PersistOracle::Audit a =
+        oracle.audit([this](unsigned b, std::uint8_t *out) {
+            if (failover && b < failover->watermark())
+                return failover->degraded().readBlock(b, out).failed;
+            return rank.readBlock(b, out, threshold).path ==
+                   ReadPath::Failed;
+        });
+    tally.ue += a.tornUe + a.collateralUe;
+    tally.lostDurable += a.tornOld + a.tornIntermediate + a.violations;
 }
 
 RasTally

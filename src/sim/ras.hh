@@ -500,8 +500,8 @@ class RasMirror : MediaMirror
     /**
      * End of trial: drain the remaining EUR state through the
      * controller, read back every block through the live routing, and
-     * classify it against the oracle into @p tally (sdc / lostDurable
-     * / ue). Campaign-level plan assertions stay with the caller.
+     * add the oracle's audit to @p tally (ue / lostDurable).
+     * Campaign-level plan assertions stay with the caller.
      */
     void finalCheck(RasTally &tally);
 

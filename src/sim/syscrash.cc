@@ -1,85 +1,11 @@
 #include "syscrash.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "common/log.hh"
 
 namespace nvck {
-
-// PersistOracle -------------------------------------------------------
-
-PersistOracle::PersistOracle(unsigned blocks)
-    : settledVal(blocks), chains(blocks)
-{
-}
-
-void
-PersistOracle::setBaseline(unsigned block, const std::uint8_t *value)
-{
-    std::memcpy(settledVal[block].data(), value, blockBytes);
-    chains[block].clear();
-}
-
-void
-PersistOracle::recordBurst(unsigned block, const std::uint8_t *value)
-{
-    Value v;
-    std::memcpy(v.data(), value, blockBytes);
-    chains[block].push_back(v);
-}
-
-void
-PersistOracle::recordDrain(unsigned block)
-{
-    NVCK_ASSERT(!chains[block].empty(), "drain with no pending burst");
-    settledVal[block] = chains[block].back();
-    chains[block].clear();
-}
-
-unsigned
-PersistOracle::pendingCount() const
-{
-    unsigned n = 0;
-    for (const auto &c : chains)
-        n += !c.empty();
-    return n;
-}
-
-const PersistOracle::Value &
-PersistOracle::latest(unsigned block) const
-{
-    if (!chains[block].empty())
-        return chains[block].back();
-    return settledVal[block];
-}
-
-PersistOracle::Verdict
-PersistOracle::classify(unsigned block, const std::uint8_t *readback,
-                        bool reported_ue) const
-{
-    if (reported_ue)
-        return Verdict::ReportedUe;
-    const auto &chain = chains[block];
-    if (chain.empty()) {
-        // Settled block: an accepted-and-drained write is inside the
-        // persistence domain; anything but its exact value is a loss.
-        return std::memcmp(readback, settledVal[block].data(),
-                           blockBytes) == 0
-                   ? Verdict::SettledOk
-                   : Verdict::Violation;
-    }
-    if (std::memcmp(readback, chain.back().data(), blockBytes) == 0)
-        return Verdict::TornNew;
-    if (std::memcmp(readback, settledVal[block].data(), blockBytes) == 0)
-        return Verdict::TornOld;
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-        if (std::memcmp(readback, chain[i].data(), blockBytes) == 0)
-            return Verdict::TornIntermediate;
-    }
-    return Verdict::Violation;
-}
 
 // CampaignWorkload ----------------------------------------------------
 
@@ -224,11 +150,8 @@ MirroredTrial::MirroredTrial(const MirroredTrialShape &shape, Rng &rng)
       rank(shape.rankBlocks), oracle(shape.rankBlocks)
 {
     rank.initialize(rng);
-    std::uint8_t buf[blockBytes];
-    for (unsigned b = 0; b < shape.rankBlocks; ++b) {
-        rank.goldenBlock(b, buf);
-        oracle.setBaseline(b, buf);
-    }
+    for (unsigned b = 0; b < shape.rankBlocks; ++b)
+        oracle.rebase(rank, b);
 }
 
 // MediaMirror ---------------------------------------------------------
@@ -252,9 +175,6 @@ MediaMirror::MediaMirror(System &s, PmRank &r, PersistOracle &o,
     const unsigned spans = rank.blocks() / spanBlocks;
     spanRegister.assign(spans, UINT32_MAX);
     spanHeld.assign(spans, 0);
-    settled.resize(rank.blocks());
-    for (unsigned b = 0; b < rank.blocks(); ++b)
-        rank.goldenBlock(b, settled[b].data());
 }
 
 unsigned
@@ -313,12 +233,12 @@ void
 MediaMirror::retire(unsigned block)
 {
     // Second half of the two-phase write: bring the media code bits
-    // from the last settled image up to the current data.
-    rank.drainCodeBits(block, settled[block].data());
-    rank.goldenBlock(block, settled[block].data());
-    // A block a degraded-side write settled already stays settled.
-    if (oracle.pending(block))
-        oracle.recordDrain(block);
+    // from the oracle's settled image up to the current data. Only a
+    // held block retires, and a degraded-side write (settled at once)
+    // is never held, so the block is still pending.
+    NVCK_ASSERT(oracle.pending(block), "retire of a settled block");
+    rank.drainCodeBits(block, oracle.settled(block).data());
+    oracle.recordDrain(block);
     NVCK_ASSERT(spanHeld[spanOf(block)] > 0, "span held count underflow");
     --spanHeld[spanOf(block)];
 }
@@ -389,7 +309,7 @@ SysCrashMirror::onEurDrain(unsigned bank, unsigned slot)
         // — recovery decides old/new/UE.
         const std::uint16_t mask = partialChipMask();
         for (unsigned b : held(bank, slot))
-            rank.drainCodeBits(b, settled[b].data(), mask);
+            rank.drainCodeBits(b, oracle.settled(b).data(), mask);
         cutNow();
         return;
     }
@@ -526,33 +446,17 @@ runSysCrashTrial(const SysCrashTrialConfig &tc, Rng &rng)
     tally.flushedAtCut = flushed;
     tally.pendingAtCut = oracle.pendingCount();
 
-    std::uint8_t out[blockBytes];
-    for (unsigned b = 0; b < tc.rankBlocks; ++b) {
-        const auto read = rank.readBlock(b, out, tc.threshold);
-        switch (oracle.classify(b, out,
-                                read.path == ReadPath::Failed)) {
-          case PersistOracle::Verdict::SettledOk:
-            break;
-          case PersistOracle::Verdict::TornOld:
-            ++tally.tornOld;
-            break;
-          case PersistOracle::Verdict::TornNew:
-            ++tally.tornNew;
-            break;
-          case PersistOracle::Verdict::TornIntermediate:
-            ++tally.tornIntermediate;
-            break;
-          case PersistOracle::Verdict::ReportedUe:
-            if (oracle.pending(b))
-                ++tally.tornUe;
-            else
-                ++tally.collateralUe;
-            break;
-          case PersistOracle::Verdict::Violation:
-            ++tally.violations;
-            break;
-        }
-    }
+    const PersistOracle::Audit a =
+        oracle.audit([&](unsigned b, std::uint8_t *out) {
+            return rank.readBlock(b, out, tc.threshold).path ==
+                   ReadPath::Failed;
+        });
+    tally.tornOld = a.tornOld;
+    tally.tornNew = a.tornNew;
+    tally.tornIntermediate = a.tornIntermediate;
+    tally.tornUe = a.tornUe;
+    tally.collateralUe = a.collateralUe;
+    tally.violations = a.violations;
 
     if (tc.rebootDrive) {
         // Drive the rebooted machine: stranded request chains complete

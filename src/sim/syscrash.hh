@@ -5,30 +5,19 @@
  * memory controller -> EUR), mirrors every PM data burst and EUR drain
  * onto a bit-accurate PmRank, cuts power either at a random tick or at
  * an armed CrashHooks site (System::powerFail() is the real cut path),
- * runs PmRank::crashRecovery(), and checks every block against a
- * persist-order oracle.
+ * runs PmRank::crashRecovery(), and audits every block with the
+ * PersistOracle (crash.hh), which encodes the ADR contract the timing
+ * layer implements.
  *
- * The oracle encodes the ADR contract the timing layer implements:
- *
- *  - a write whose coalesced code-bit delta fully drained from the EUR
- *    ("settled") is crash-durable and must read back as exactly its
- *    value — never roll back;
- *  - a write whose data burst landed (or was flushed from the write
- *    queue by the ADR domain's stored energy) but whose code delta was
- *    still EUR-held may resolve to the last settled value, any
- *    still-pending bursted value, or an explicitly reported UE;
- *  - nothing may ever read back as silent garbage.
- *
- * PR 5's CrashInjector proves the same invariant for synthetic torn
- * writes on a pristine rank; this campaign produces the torn media
- * state from the timing pipeline itself mid-workload, so every future
- * controller or scheduling change is exercised against the invariant.
+ * CrashInjector proves the same invariant for synthetic torn writes on
+ * a pristine rank; this campaign produces the torn media state from
+ * the timing pipeline itself mid-workload, so every future controller
+ * or scheduling change is exercised against the invariant.
  */
 
 #ifndef NVCK_SIM_SYSCRASH_HH
 #define NVCK_SIM_SYSCRASH_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <iterator>
@@ -73,61 +62,6 @@ cutSiteName(CutSite site)
 {
     return cutSiteNames[static_cast<unsigned>(site)];
 }
-
-/**
- * Per-block persist-order bookkeeping. The timing mirror records
- * every data burst (a value whose code delta is now EUR-held) and
- * every completed drain (the value settles); after recovery, classify()
- * says whether a block's readback is one the ADR contract permits.
- */
-class PersistOracle
-{
-  public:
-    using Value = std::array<std::uint8_t, blockBytes>;
-
-    /** What a post-recovery readback means for one block. */
-    enum class Verdict
-    {
-        SettledOk,        //!< no pending write; exact settled value
-        TornOld,          //!< pending write resolved to the settled value
-        TornNew,          //!< pending write rolled forward to the latest
-        TornIntermediate, //!< an earlier still-pending bursted value
-        ReportedUe,       //!< explicit, reported UE (always legal)
-        Violation,        //!< silent garbage or a settled write rolled back
-    };
-
-    explicit PersistOracle(unsigned blocks);
-
-    /** Set the pristine (settled) image of @p block. */
-    void setBaseline(unsigned block, const std::uint8_t *value);
-
-    /** A data burst landed: @p value is now pending (code EUR-held). */
-    void recordBurst(unsigned block, const std::uint8_t *value);
-
-    /** The block's coalesced code delta fully drained: the latest
-     *  bursted value settles and the pending chain resets. */
-    void recordDrain(unsigned block);
-
-    /** True while the block has bursted-but-undrained values. */
-    bool pending(unsigned block) const
-    {
-        return !chains[block].empty();
-    }
-
-    /** Blocks currently pending. */
-    unsigned pendingCount() const;
-
-    /** Latest bursted value (the settled value when not pending). */
-    const Value &latest(unsigned block) const;
-
-    Verdict classify(unsigned block, const std::uint8_t *readback,
-                     bool reported_ue) const;
-
-  private:
-    std::vector<Value> settledVal;
-    /** Values bursted since the last settle, oldest first. */
-    std::vector<std::vector<Value>> chains;
-};
 
 /**
  * Compact persistent-memory workload for the campaign: each core owns
@@ -206,9 +140,9 @@ struct MirroredTrial
  *  - the per-(bank, EUR slot) register bookkeeping: which blocks each
  *    register holds code deltas for, with open-row exclusivity (one
  *    VLEW span per register at a time) asserted on every hold;
- *  - drain-and-settle: a retired block's code bits move from its last
- *    media-settled image to the current data, the image advances,
- *    and the oracle settles the block.
+ *  - drain-and-settle: a retired block's code bits move from the
+ *    oracle's settled image to the current data, and the oracle
+ *    settles the block.
  *
  * The derived mirror installs the CrashHooks and calls in; nothing
  * here is virtual or type-erased.
@@ -270,9 +204,6 @@ class MediaMirror
     PmRank &rank;
     PersistOracle &oracle;
     const unsigned spanBlocks;
-    /** Per block, the image whose code bits the media last fully
-     *  drained. */
-    std::vector<PersistOracle::Value> settled;
 
   private:
     std::uint32_t reg(unsigned bank, unsigned slot) const;

@@ -119,11 +119,13 @@ struct GoldenCase
 const GoldenCase kCases[] = {
     {"fig03_flash_ecc", fig03Adapter},
     {"fig04_storage_vs_codeword", fig04Adapter},
+    {"fig10_dirty_pm_occupancy", fig10DirtyPmOccupancy},
     {"fig14_access_breakdown", fig14AccessBreakdown},
     {"fig15_cfactor", fig15Cfactor},
     {"fig16_perf_reram", fig16PerfReram},
     {"fig17_perf_pcm", fig17PerfPcm},
     {"fig18_omv_hit_rate", fig18OmvHitRate},
+    {"ablation_design", ablationDesign},
     {"boot_scrub", bootScrubCampaign},
     {"wear_leveling", wearLevelingCampaign},
     {"fault_sweep", faultSweep},

@@ -1,6 +1,6 @@
 /**
  * @file
- * Properties of the persist-order oracle behind the whole-system crash
+ * Properties of the persist-order oracle behind every crash and RAS
  * campaign, plus the stale-persist-ack ledger it leans on: an acked
  * (settled) persist must read back NEW-only, an unsettled write may
  * resolve to any acked value in its burst chain but never to garbage,
@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "chipkill/schemes.hh"
 #include "sim/configs.hh"
-#include "sim/syscrash.hh"
+#include "sim/crash.hh"
 #include "sim/system.hh"
 
 namespace nvck {
@@ -185,6 +187,96 @@ TEST(PersistOracle, RandomizedChainsNeverMisclassify)
                     garbage_verdict == Verdict::TornIntermediate);
         EXPECT_EQ(oracle.classify(q, garbage.data(), true),
                   Verdict::ReportedUe);
+    }
+}
+
+TEST(PersistOracle, AuditMatchesClassify)
+{
+    // audit() must count exactly what a per-block classify() loop
+    // counts, with a reported UE split on whether its block is
+    // pending — over randomized chains and every kind of readback.
+    Rng rng(2024);
+    constexpr unsigned blocks = 32;
+    for (unsigned round = 0; round < 50; ++round) {
+        PersistOracle oracle(blocks);
+        std::array<PersistOracle::Value, blocks> readback;
+        std::array<bool, blocks> ue{};
+        for (unsigned b = 0; b < blocks; ++b) {
+            PersistOracle::Value v;
+            for (auto &byte : v)
+                byte = static_cast<std::uint8_t>(rng.next());
+            oracle.setBaseline(b, v.data());
+            std::vector<PersistOracle::Value> chain;
+            const unsigned bursts = static_cast<unsigned>(rng.below(4));
+            for (unsigned i = 0; i < bursts; ++i) {
+                for (auto &byte : v)
+                    byte = static_cast<std::uint8_t>(rng.next());
+                oracle.recordBurst(b, v.data());
+                chain.push_back(v);
+            }
+            if (!chain.empty() && rng.chance(0.3)) {
+                oracle.recordDrain(b);
+                chain.clear();
+            }
+            // Settled, latest, an earlier chain value, garbage, or UE.
+            switch (rng.below(5)) {
+              case 0:
+                readback[b] = oracle.settled(b);
+                break;
+              case 1:
+                readback[b] = oracle.latest(b);
+                break;
+              case 2:
+                readback[b] = chain.empty()
+                                  ? oracle.settled(b)
+                                  : chain[rng.below(chain.size())];
+                break;
+              case 3:
+                readback[b] = oracle.latest(b);
+                readback[b][rng.below(blockBytes)] ^= 0x10;
+                break;
+              default:
+                ue[b] = true;
+                break;
+            }
+        }
+
+        PersistOracle::Audit want;
+        for (unsigned b = 0; b < blocks; ++b) {
+            switch (oracle.classify(b, readback[b].data(), ue[b])) {
+              case Verdict::SettledOk:
+                break;
+              case Verdict::TornOld:
+                ++want.tornOld;
+                break;
+              case Verdict::TornNew:
+                ++want.tornNew;
+                break;
+              case Verdict::TornIntermediate:
+                ++want.tornIntermediate;
+                break;
+              case Verdict::ReportedUe:
+                ++(oracle.pending(b) ? want.tornUe : want.collateralUe);
+                break;
+              case Verdict::Violation:
+                ++want.violations;
+                break;
+            }
+        }
+        const PersistOracle::Audit got =
+            oracle.audit([&](unsigned b, std::uint8_t *out) {
+                std::memcpy(out, readback[b].data(), blockBytes);
+                return ue[b];
+            });
+        EXPECT_EQ(got.tornOld, want.tornOld);
+        EXPECT_EQ(got.tornNew, want.tornNew);
+        EXPECT_EQ(got.tornIntermediate, want.tornIntermediate);
+        EXPECT_EQ(got.tornUe, want.tornUe);
+        EXPECT_EQ(got.collateralUe, want.collateralUe);
+        EXPECT_EQ(got.violations, want.violations);
+        EXPECT_EQ(got.tornUe + got.collateralUe,
+                  static_cast<std::uint64_t>(
+                      std::count(ue.begin(), ue.end(), true)));
     }
 }
 
